@@ -545,7 +545,9 @@ class TubeAlgebra:
     strand a, loop color j, outgoing strand b, through the fusion channel
     c (a basis vector of Hom(j a, b j)).  ``structure[x, y, z]`` is the
     coefficient of basis z in the product x * y; ``blocks`` pairs each
-    minimal central idempotent with its matrix-block dimension.
+    minimal central idempotent with its matrix-block dimension, and
+    ``_ideals`` holds, in the same order, an orthonormal basis of one
+    minimal left ideal per block.
     """
 
     cat: CategoryData
@@ -553,6 +555,7 @@ class TubeAlgebra:
     structure: np.ndarray
     unit: np.ndarray
     blocks: list
+    _ideals: list = field(default_factory=list, repr=False)
 
     @property
     def dim(self) -> int:
@@ -613,9 +616,10 @@ def tube_algebra(cat: CategoryData) -> TubeAlgebra:
 
     Products stack annuli: the two loop strands are fused through a
     complete set of splitting trees, which is where the F-symbol data
-    enters.  Minimal central idempotents are extracted numerically from
-    the spectral projectors of a seeded random central element acting on
-    the regular representation.
+    enters.  The algebra is split once, by the eigenspaces of a seeded
+    generic right multiplication: they are its minimal left ideals, and
+    grouping them by Wedderburn block gives the minimal central
+    idempotents (see ``_central_idempotents``).
     """
     def build():
         basis = _tube_basis(cat)
@@ -656,7 +660,9 @@ def tube_algebra(cat: CategoryData) -> TubeAlgebra:
             unit[index[(a, 0, a, a)]] = 1.0
         alg = TubeAlgebra(cat=cat, basis=basis, structure=structure,
                           unit=unit, blocks=[])
-        alg.blocks = _central_idempotents(alg)
+        split = _central_idempotents(alg)
+        alg.blocks = [(e_vec, n) for e_vec, n, _V in split]
+        alg._ideals = [V for _e, _n, V in split]
         return alg
 
     hit = cat._cache.get("tube_algebra")
@@ -666,111 +672,92 @@ def tube_algebra(cat: CategoryData) -> TubeAlgebra:
     return hit
 
 
-def _nullspace(mat: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Rows spanning the (right) nullspace of ``mat``."""
-    _u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    cutoff = max(mat.shape) * (s[0] if s.size else 0.0) * rtol
-    mask = np.zeros(vh.shape[0], dtype=bool)
-    mask[:len(s)] = s <= cutoff
-    mask[len(s):] = True
-    return vh.conj()[mask]
+#: Eigenvalues of the generic right multiplication closer than this belong
+#: to one minimal left ideal: it is diagonalizable, so roundoff splits a
+#: repeated eigenvalue only linearly (Bauer-Fike: machine epsilon times the
+#: eigenvector condition number), while the eigenvalues of a seeded
+#: unit-scale element differ at O(1) across ideals.
+_CLUSTER_GAP = 1e-6
+
+#: f_j A f_i is exactly zero across Wedderburn blocks, so only roundoff of
+#: order machine epsilon times ||L_{f_j}|| survives there; a genuine overlap
+#: inside a block is of the order of ||L_{f_j}|| itself.
+_SAME_BLOCK_CUTOFF = 1e-8
 
 
 def _central_idempotents(alg: TubeAlgebra) -> list:
-    """Minimal central idempotents (vector, block dimension) of the algebra."""
+    """Wedderburn blocks of the algebra as ``(e_vec, n, ideal)`` triples.
+
+    The commutant of the left regular representation of a unital algebra
+    is its right multiplications, so the eigenspaces of ``R_y`` for a
+    seeded generic ``y`` are minimal left ideals ``A f_i``; the spectral
+    projector of each, applied to the unit, is the primitive idempotent
+    ``f_i``.  Two ideals lie in one block iff ``f_j A f_i != 0``.  Per
+    block, ``e_vec`` is the minimal central idempotent (the sum of its
+    ``f_i``), ``n`` the number of its ideals (the matrix-block dimension)
+    and ``ideal`` an orthonormal basis of one of its ideals.
+    """
     N = alg.dim
-    eye = np.eye(N)
-    lefts = [alg.left_mult(eye[x]) for x in range(N)]
-    rights = [alg.right_mult(eye[x]) for x in range(N)]
-    center_basis = _nullspace(np.vstack([l - r for l, r in zip(lefts, rights)]))
     rng = np.random.default_rng(20240802)
-    coeffs = rng.standard_normal(center_basis.shape[0]) \
-        + 1j * rng.standard_normal(center_basis.shape[0])
-    z = coeffs @ center_basis
-    Lz = alg.left_mult(z)
-    vals, vecs = np.linalg.eig(Lz)
-    # cluster eigenvalues
-    clusters = []
-    used = np.zeros(N, dtype=bool)
-    for idx in range(N):
-        if used[idx]:
-            continue
-        group = [idx]
-        used[idx] = True
-        for jdx in range(idx + 1, N):
-            if not used[jdx] and abs(vals[idx] - vals[jdx]) < 1e-6:
-                group.append(jdx)
-                used[jdx] = True
-        clusters.append(group)
+    y = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    vals, vecs = np.linalg.eig(alg.right_mult(y))
     try:
         vinv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(
             "regular representation of the tube algebra is not "
             "diagonalizable at working precision") from exc
-    out = []
-    for group in clusters:
-        sel = np.zeros(N)
-        sel[group] = 1.0
-        projector = (vecs * sel) @ vinv
-        e_vec = projector @ alg.unit
-        if np.max(np.abs(e_vec)) < 1e-9:
+    blocks = []  # per block: (L_f of its first ideal, [(f_i, V_i), ...])
+    used = np.zeros(N, dtype=bool)
+    for idx in range(N):
+        if used[idx]:
             continue
-        block_dim_sq = int(round(float(np.linalg.matrix_rank(
-            alg.left_mult(e_vec), tol=1e-8))))
-        n_k = int(round(math.sqrt(block_dim_sq)))
-        out.append((e_vec, n_k))
+        group = np.flatnonzero(~used & (np.abs(vals - vals[idx]) < _CLUSTER_GAP))
+        used[group] = True
+        V = vecs[:, group]
+        f = V @ (vinv[group] @ alg.unit)
+        for L_first, ideals in blocks:
+            if np.linalg.norm(L_first @ V) > \
+                    _SAME_BLOCK_CUTOFF * np.linalg.norm(L_first):
+                ideals.append((f, V))
+                break
+        else:
+            blocks.append((alg.left_mult(f), [(f, V)]))
+    out = []
+    for _L, ideals in blocks:
+        n = len(ideals)
+        if any(V.shape[1] != n for _f, V in ideals):
+            raise DecompositionError(
+                f"a tube algebra block of {n} minimal left ideals has ideals "
+                f"of dimensions {[V.shape[1] for _f, V in ideals]}")
+        ideal, _r = np.linalg.qr(ideals[0][1])
+        out.append((sum(f for f, _V in ideals), n, ideal))
     out.sort(key=lambda p: (p[1], np.round(p[0], 6).tobytes().hex()))
-    total = sum(n * n for _e, n in out)
+    total = sum(n * n for _e, n, _V in out)
     if total != alg.dim:
         raise DecompositionError(
             f"tube algebra blocks of squared dimensions "
-            f"{[n * n for _e, n in out]} do not fill dimension {alg.dim}")
+            f"{[n * n for _e, n, _V in out]} do not fill dimension {alg.dim}")
     return out
 
 
 def center_simples(cat: CategoryData) -> list:
     """All simple center objects, materialized from the tube algebra.
 
-    The regular representation is split into irreducible summands by a
-    seeded generic commutant element; each isomorphism class is converted
-    back into a half-braided object and verified.  The returned list is
+    Each Wedderburn block of the tube algebra is one isomorphism class of
+    simple modules; the minimal left ideal that ``tube_algebra`` keeps per
+    block (an eigenspace of a seeded generic right multiplication) is
+    converted back into a half-braided object.  The returned list is
     deterministic and sorted by a braiding-trace fingerprint.
     """
     def build():
         alg = tube_algebra(cat)
-        N = alg.dim
-        eye = np.eye(N)
-        lefts = [alg.left_mult(eye[x]) for x in range(N)]
-        # commutant of the regular representation
-        ops = [np.kron(L, np.eye(N)) - np.kron(np.eye(N), L.T) for L in lefts]
-        comm_basis = _nullspace(np.vstack(ops))
-        rng = np.random.default_rng(20240803)
-        coeffs = rng.standard_normal(len(comm_basis)) \
-            + 1j * rng.standard_normal(len(comm_basis))
-        Cmat = (coeffs @ comm_basis).reshape(N, N)
-        vals, vecs = np.linalg.eig(Cmat)
-        used = np.zeros(N, dtype=bool)
-        modules = []
-        for idx in range(N):
-            if used[idx]:
-                continue
-            group = [idx]
-            used[idx] = True
-            for jdx in range(idx + 1, N):
-                if not used[jdx] and abs(vals[idx] - vals[jdx]) < 1e-6:
-                    group.append(jdx)
-                    used[jdx] = True
-            V, _r = np.linalg.qr(vecs[:, group])
-            modules.append(V)
-        # grade each module by the unit components and extract the action
-        unit_proj = {}
-        for b in range(cat.n_labels):
-            u_b = np.zeros(N, dtype=complex)
-            u_b[alg.basis.index((b, 0, b, b))] = 1.0
-            unit_proj[b] = alg.left_mult(u_b)
-        reps = []
-        for V in modules:
+        lefts = alg.structure.transpose(0, 2, 1)  # lefts[x] = L_x
+        unit_proj = {b: lefts[alg.basis.index((b, 0, b, b))]
+                     for b in range(cat.n_labels)}
+        simples = []
+        for V in alg._ideals:
+            # grade the module by the unit components and extract the action
             graded = {}
             for b in range(cat.n_labels):
                 PV = unit_proj[b] @ V
@@ -796,15 +783,9 @@ def center_simples(cat: CategoryData) -> list:
                     raise DecompositionError(
                         "module is not invariant under the tube action")
                 action[quad] = rho
-            reps.append((dims, action))
-        # deduplicate isomorphism classes via the intertwiner equations
-        kept = []
-        for dims, action in reps:
-            obj = _object_from_module(cat, dims, action)
-            if all(center_hom_dim(cat, obj, seen) == 0 for seen in kept):
-                kept.append(obj)
-        kept.sort(key=lambda o: _center_sort_key(cat, o))
-        return kept
+            simples.append(_object_from_module(cat, dims, action))
+        simples.sort(key=lambda o: _center_sort_key(cat, o))
+        return simples
 
     hit = cat._cache.get("center_simples")
     if hit is None:

@@ -161,28 +161,7 @@ def fusion_tree_basis(cat: CategoryData, leaves, root: int) -> FusionTreeBasis:
 
 def word_trees(cat: CategoryData, w: Word, k: int) -> tuple:
     """Left-combed trees of Hom(k, w): internal chains (c_2 .. c_{m-1})."""
-    def build():
-        m = len(w)
-        if m == 0:
-            return ((),) if k == 0 else ()
-        if m == 1:
-            return ((),) if w[0] == k else ()
-        out = []
-
-        def rec(pos, cur, acc):
-            if pos == m - 1:
-                if cat.ring.admissible(cur, w[pos], k):
-                    out.append(tuple(acc))
-                return
-            for nxt in cat.ring.fusion(cur, w[pos]):
-                acc.append(nxt)
-                rec(pos + 1, nxt, acc)
-                acc.pop()
-
-        rec(1, w[0], [])
-        return tuple(out)
-
-    return _cached(cat, ("trees", w, k), build)
+    return _tails(cat, w[0] if w else 0, w[1:], k)
 
 
 def _tails(cat: CategoryData, i: int, w: Word, k: int) -> tuple:
@@ -191,8 +170,6 @@ def _tails(cat: CategoryData, i: int, w: Word, k: int) -> tuple:
         l = len(w)
         if l == 0:
             return ((),) if i == k else ()
-        if l == 1:
-            return ((),) if cat.ring.admissible(i, w[0], k) else ()
         out = []
 
         def rec(pos, cur, acc):

@@ -1,12 +1,14 @@
 """Center machinery: half-braidings, coupling idempotents, tube algebra,
 the two functors, and the four transformations."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from tcat import IdempotencyError, engine as E
+from tcat import IdempotencyError, engine as E, validate
+from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
 from tcat.center import (CenterObject, HalfBraiding, center_hom_dim,
                          center_simples, coupling_gamma, functor_F,
@@ -333,6 +335,61 @@ def test_center_simples_deterministic(cats):
     for s1, s2 in zip(first, second):
         for j in range(cat.n_labels):
             assert E.distance(s1.gamma[j], s2.gamma[j]) < 1e-12
+
+
+def _phase_gauge(doc, seed):
+    """Seeded vertex phases u^{ab}_c applied to F and R (u = 1 on unit legs
+    and on the unit channel); the gauged category is equivalent."""
+    rng = np.random.default_rng(seed)
+    theta = {t: 0.0 if 0 in t else rng.uniform(-math.pi, math.pi)
+             for t in sorted(tuple(t) for t in doc["fusion"])}
+
+    def rotate(rec, angle):
+        z = complex(rec["re"], rec["im"]) * cmath.exp(1j * angle)
+        return dict(rec, re=z.real, im=z.imag)
+
+    out = dict(doc)
+    out["F"] = [rotate(r, theta[r["a"], r["b"], r["e"]]
+                       + theta[r["e"], r["c"], r["d"]]
+                       - theta[r["b"], r["c"], r["f"]]
+                       - theta[r["a"], r["f"], r["d"]]) for r in doc["F"]]
+    out["R"] = [rotate(r, theta[r["a"], r["b"], r["c"]]
+                       - theta[r["b"], r["a"], r["c"]]) for r in doc["R"]]
+    return out
+
+
+@pytest.mark.parametrize("seed", [2, 5, 12])
+def test_center_simples_survive_phase_gauge(cats, seed):
+    doc = _phase_gauge(category_to_dict(cats["vec_z3_modular"]), seed)
+    cat = category_from_dict(doc)
+    simples = center_simples(cat)
+    assert len(simples) == 9
+    assert all(verify_center_object(cat, s).ok for s in simples)
+
+
+@pytest.mark.parametrize("k", [1, 0])
+def test_vec_z5_center_has_25_verified_simples(k):
+    # R(a, b) = exp(2 pi i k a b / 5): modular for k = 1, symmetric for k = 0
+    n = 5
+    doc = {
+        "name": f"vec_z5_k{k}",
+        "labels": [str(a) for a in range(n)],
+        "dual": [(-a) % n for a in range(n)],
+        "fusion": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
+        "F": [{"a": a, "b": b, "c": c, "d": (a + b + c) % n,
+               "e": (a + b) % n, "f": (b + c) % n, "re": 1.0, "im": 0.0}
+              for a in range(n) for b in range(n) for c in range(n)],
+        "R": [{"a": a, "b": b, "c": (a + b) % n,
+               "re": math.cos(2 * math.pi * k * a * b / n),
+               "im": math.sin(2 * math.pi * k * a * b / n)}
+              for a in range(n) for b in range(n)],
+        "pivotal": [{"i": a, "re": 1.0, "im": 0.0} for a in range(n)],
+    }
+    cat = category_from_dict(doc)
+    assert validate(cat).ok
+    simples = center_simples(cat)
+    assert len(simples) == n * n
+    assert all(verify_center_object(cat, s).ok for s in simples)
 
 
 # -- the inverse functor ---------------------------------------------------
