@@ -425,15 +425,19 @@ def _f_condition_number(cat: CategoryData) -> float:
 
 
 def _sphericality_residual(cat: CategoryData) -> float:
-    """Left vs right quantum traces of seeded random sector endomorphisms."""
+    """Left vs right quantum traces of seeded random sector endomorphisms.
+
+    Every non-unit simple is checked on its own; two-letter words then fill
+    the sample up to six words.
+    """
     from . import engine  # deferred: engine builds on this module
 
     rng = np.random.default_rng(20240801)
     worst = 0.0
     n = cat.n_labels
-    words = [(a,) for a in range(1, n)] + \
-            [(a, b) for a in range(1, n) for b in range(1, n)]
-    words = words[:6] or [()]
+    words = [(a,) for a in range(1, n)]
+    pairs = [(a, b) for a in range(1, n) for b in range(1, n)]
+    words = (words + pairs[:max(0, 6 - len(words))]) or [()]
     for w in words:
         X = engine.ObjectExpr.word(w)
         f = engine.random_endomorphism(cat, X, rng)

@@ -243,18 +243,14 @@ def functor_F_on_morphism(cat: CategoryData, m: DeligneMorphism) -> E.Morphism:
         for (t_slot, s_slot), secs in m.blocks.items():
             Xs, Ys = src_slots[s_slot]
             Xt, Yt = tgt_slots[t_slot]
-            Qs_inv = E._product_transform_inv(cat, Xs, Ys, k)
-            Qt, _pairs_t, off_t = E._product_transform(cat, Xt, Yt, k)
-            _Qs, _pairs_s, off_s = E._product_transform(cat, Xs, Ys, k)
-            mid = np.zeros((Qt.shape[1], Qs_inv.shape[0]), dtype=complex)
+            mid = []
             for (i, j), arr in secs.items():
-                if (i, j) not in off_t or (i, j) not in off_s:
+                if not cat.ring.admissible(i, j, k):
                     continue
                 a, b, c, d = arr.shape
                 rect = arr.transpose(0, 2, 1, 3).reshape(a * c, b * d)
-                rt, rs = off_t[(i, j)], off_s[(i, j)]
-                mid[rt:rt + a * c, rs:rs + b * d] = rect
-            rect_full = Qt @ mid @ Qs_inv
+                mid.append(((i, j), (i, j), rect))
+            rect_full = E._recouple(cat, Xs, Ys, Xt, Yt, k, mid)
             mat[r_off[t_slot]:r_off[t_slot + 1],
                 c_off[s_slot]:c_off[s_slot + 1]] += rect_full
         blocks[k] = mat
@@ -732,7 +728,8 @@ def _central_idempotents(alg: TubeAlgebra) -> list:
                 f"of dimensions {[V.shape[1] for _f, V in ideals]}")
         ideal, _r = np.linalg.qr(ideals[0][1])
         out.append((sum(f for f, _V in ideals), n, ideal))
-    out.sort(key=lambda p: (p[1], np.round(p[0], 6).tobytes().hex()))
+    # adding 0.0 turns roundoff's -0.0 into 0.0, which the bytes would tell apart
+    out.sort(key=lambda p: (p[1], (np.round(p[0], 6) + 0.0).tobytes().hex()))
     total = sum(n * n for _e, n, _V in out)
     if total != alg.dim:
         raise DecompositionError(

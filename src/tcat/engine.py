@@ -13,9 +13,16 @@ the same tree is the identity on the channel ("orthonormal" convention);
 with that choice the resolutions of identity carry quantum-dimension
 weights exactly as in the usual premodular graphical calculus.
 
-Everything here is a pure function of immutable inputs; recoupling
-matrices are memoized on the category's private cache, so repeated calls
-are bit-identical.
+Everything here is a pure function of immutable inputs.  The category's
+private cache memoizes, as read-only data built once per category:
+
+* the recoupling matrices (tail and product transforms and inverses);
+* the sector-dimension vector of each object;
+* the duality morphisms of each object (``cup_cap``);
+* the braidings of each object pair (``braiding``).
+
+Repeated calls return the same object, shared by every caller, so its
+arrays are marked read-only and writing into one raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -96,10 +103,10 @@ class ObjectExpr:
             for (w, m) in self.summands))
 
     def dim_sector(self, cat: CategoryData, k: int) -> int:
-        return len(sector_basis(cat, self, k))
+        return _sector_dims(cat, self)[k]
 
     def sector_dims(self, cat: CategoryData) -> dict:
-        return {k: self.dim_sector(cat, k) for k in range(cat.n_labels)}
+        return dict(enumerate(_sector_dims(cat, self)))
 
     def grading(self, cat: CategoryData) -> dict:
         """Multiplicity of each simple label, keyed by label id."""
@@ -134,6 +141,14 @@ def _cached(cat, key, builder):
     hit = cat._cache.get(key)
     if hit is None:
         hit = builder()
+        # shared by every later caller: make its arrays read-only
+        if isinstance(hit, Morphism):
+            arrays = hit.blocks.values()
+        else:
+            arrays = hit if isinstance(hit, tuple) else (hit,)
+        for a in arrays:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
         cat._cache[key] = hit
     return hit
 
@@ -264,6 +279,12 @@ def sector_basis(cat: CategoryData, X: ObjectExpr, k: int) -> tuple:
     return _cached(cat, ("basis", X.summands, k), build)
 
 
+def _sector_dims(cat: CategoryData, X: ObjectExpr) -> tuple:
+    """``dim Hom(k, X)`` for every label ``k``, in label order."""
+    return _cached(cat, ("sdims", X.summands), lambda: tuple(
+        len(sector_basis(cat, X, k)) for k in range(cat.n_labels)))
+
+
 def _split_chain(w: Word, x: Word, chain: Word, k: int):
     """Split a combed chain on w + x into (prefix tree on w, root i, tail)."""
     wl, xl = len(w), len(x)
@@ -348,6 +369,25 @@ def _product_transform_inv(cat, X, Y, k):
     return _cached(cat, ("Qinv", X.summands, Y.summands, k), build)
 
 
+def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid) -> np.ndarray:
+    """Carry a channel-wise map onto the combed bases of sector ``k``.
+
+    ``mid`` lists ``((i, j), (i', j'), rect)`` blocks of a map
+    ``(+) Hom(k, i' j') x Hom(i', Xs) x Hom(j', Ys)
+    -> (+) Hom(k, i j) x Hom(i, Xt) x Hom(j, Yt)``; the channel pairs must
+    be admissible at ``k`` and absent blocks are zero.  Returns the block
+    ``Qt @ M @ Qs_inv`` of the map ``Xs (x) Ys -> Xt (x) Yt`` at ``k``.
+    """
+    Qt, _pairs_t, off_t = _product_transform(cat, Xt, Yt, k)
+    _Qs, _pairs_s, off_s = _product_transform(cat, Xs, Ys, k)
+    Qs_inv = _product_transform_inv(cat, Xs, Ys, k)
+    M = np.zeros((Qt.shape[1], Qs_inv.shape[0]), dtype=complex)
+    for pair_t, pair_s, rect in mid:
+        rt, rs = off_t[pair_t], off_s[pair_s]
+        M[rt:rt + rect.shape[0], rs:rs + rect.shape[1]] = rect
+    return Qt @ M @ Qs_inv
+
+
 # ----------------------------------------------------------------------
 # morphisms
 # ----------------------------------------------------------------------
@@ -421,11 +461,8 @@ def morphism_dump(f: Morphism) -> str:
 
 def identity(cat: CategoryData, X: ObjectExpr) -> Morphism:
     X = as_object(X)
-    blocks = {}
-    for k in range(cat.n_labels):
-        d = X.dim_sector(cat, k)
-        if d:
-            blocks[k] = np.eye(d, dtype=complex)
+    blocks = {k: np.eye(d, dtype=complex)
+              for k, d in enumerate(_sector_dims(cat, X)) if d}
     return Morphism(cat, X, X, blocks)
 
 
@@ -456,11 +493,11 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
             "cannot compose: inner objects differ "
             f"({f.target.summands} vs {g.source.summands})")
     cat = f.cat
+    dims_t = _sector_dims(cat, g.target)
+    dims_s = _sector_dims(cat, f.source)
     blocks = {}
     for k in range(cat.n_labels):
-        dt = g.target.dim_sector(cat, k)
-        ds = f.source.dim_sector(cat, k)
-        if dt and ds:
+        if dims_t[k] and dims_s[k]:
             blocks[k] = g.block(k) @ f.block(k)
     return Morphism(cat, f.source, g.target, blocks)
 
@@ -491,27 +528,20 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     Xt, Yt = f.target, g.target
     src = Xs.tensor(Ys)
     tgt = Xt.tensor(Yt)
+    # the channel block f_i (x) g_j, laid out as np.kron, feeds every k in i j
+    mids = {}
+    for i, fb in f.blocks.items():
+        for j, gb in g.blocks.items():
+            prod = (fb[:, None, :, None] * gb[None, :, None, :]).reshape(
+                fb.shape[0] * gb.shape[0], fb.shape[1] * gb.shape[1])
+            for k in cat.ring.fusion(i, j):
+                mids.setdefault(k, []).append(((i, j), (i, j), prod))
+    dims_s = _sector_dims(cat, src)
+    dims_t = _sector_dims(cat, tgt)
     blocks = {}
     for k in range(cat.n_labels):
-        ds = src.dim_sector(cat, k)
-        dt = tgt.dim_sector(cat, k)
-        if not ds or not dt:
-            continue
-        Qs_inv = _product_transform_inv(cat, Xs, Ys, k)
-        Qt, pairs_t, off_t = _product_transform(cat, Xt, Yt, k)
-        _, pairs_s, off_s = _product_transform(cat, Xs, Ys, k)
-        mid = np.zeros((Qt.shape[1], Qs_inv.shape[0]), dtype=complex)
-        for (i, j) in pairs_t:
-            if (i, j) not in off_s:
-                continue
-            fb, gb = f.block(i), g.block(j)
-            if fb.size == 0 or gb.size == 0:
-                continue
-            rt = off_t[(i, j)]
-            rs = off_s[(i, j)]
-            kr = np.kron(fb, gb)
-            mid[rt:rt + kr.shape[0], rs:rs + kr.shape[1]] = kr
-        blocks[k] = Qt @ mid @ Qs_inv
+        if dims_s[k] and dims_t[k]:
+            blocks[k] = _recouple(cat, Xs, Ys, Xt, Yt, k, mids.get(k, ()))
     return Morphism(cat, src, tgt, blocks)
 
 
@@ -530,33 +560,37 @@ def braiding(cat: CategoryData, X, Y, inverse: bool = False) -> Morphism:
     test-suite, not inputs.
     """
     X, Y = as_object(X), as_object(Y)
-    src = X.tensor(Y)
-    tgt = Y.tensor(X)
-    blocks = {}
-    for k in range(cat.n_labels):
-        if not src.dim_sector(cat, k):
-            continue
-        Qs_inv = _product_transform_inv(cat, X, Y, k)
-        Qt, pairs_t, off_t = _product_transform(cat, Y, X, k)
-        _, pairs_s, off_s = _product_transform(cat, X, Y, k)
-        mid = np.zeros((Qt.shape[1], Qs_inv.shape[0]), dtype=complex)
-        for (i, j) in pairs_s:
-            ni = len(sector_basis(cat, X, i))
-            nj = len(sector_basis(cat, Y, j))
-            if ni == 0 or nj == 0 or (j, i) not in off_t:
-                continue
-            if inverse:
-                rv = cat.r.get(j, i, k)
-                coeff = (1.0 / rv) if rv else 0j
-            else:
-                coeff = cat.r.get(i, j, k)
-            rs = off_s[(i, j)]
-            rt = off_t[(j, i)]
-            for bi in range(ni):
-                for bj in range(nj):
-                    mid[rt + bj * ni + bi, rs + bi * nj + bj] = coeff
-        blocks[k] = Qt @ mid @ Qs_inv
-    return Morphism(cat, src, tgt, blocks)
+    inverse = bool(inverse)
+
+    def build():
+        dims_X = _sector_dims(cat, X)
+        dims_Y = _sector_dims(cat, Y)
+        mids = {}
+        for i, ni in enumerate(dims_X):
+            for j, nj in enumerate(dims_Y):
+                if not ni or not nj:
+                    continue
+                # Hom(i, X) x Hom(j, Y) -> Hom(j, Y) x Hom(i, X): swap factors
+                cols = np.arange(ni * nj)
+                bi, bj = np.divmod(cols, nj)
+                for k in cat.ring.fusion(i, j):
+                    if not cat.ring.admissible(j, i, k):
+                        continue
+                    if inverse:
+                        rv = cat.r.get(j, i, k)
+                        coeff = (1.0 / rv) if rv else 0j
+                    else:
+                        coeff = cat.r.get(i, j, k)
+                    rect = np.zeros((nj * ni, ni * nj), dtype=complex)
+                    rect[bj * ni + bi, cols] = coeff
+                    mids.setdefault(k, []).append(((j, i), (i, j), rect))
+        src = X.tensor(Y)
+        dims_src = _sector_dims(cat, src)
+        blocks = {k: _recouple(cat, X, Y, Y, X, k, mids.get(k, ()))
+                  for k in range(cat.n_labels) if dims_src[k]}
+        return Morphism(cat, src, Y.tensor(X), blocks)
+
+    return _cached(cat, ("braid", X.summands, Y.summands, inverse), build)
 
 
 # ----------------------------------------------------------------------
@@ -652,9 +686,14 @@ def cup_cap(cat: CategoryData, X, kind: str) -> Morphism:
     satisfy the zig-zag identities and give the left/right quantum traces.
     """
     X = as_object(X)
-    right = kind in ("coev'", "eval'")
     if kind not in ("coev", "eval", "coev'", "eval'"):
         raise ShapeError(f"unknown cup/cap kind {kind!r}")
+    return _cached(cat, ("cupcap", X.summands, kind),
+                   lambda: _build_cup_cap(cat, X, kind))
+
+
+def _build_cup_cap(cat: CategoryData, X: ObjectExpr, kind: str) -> Morphism:
+    right = kind in ("coev'", "eval'")
     Xd = X.dual(cat)
     if kind.startswith("coev"):
         tgt = X.tensor(Xd) if not right else Xd.tensor(X)

@@ -210,3 +210,33 @@ def test_serialized_document_parses_as_json(cats):
     doc = json.loads(serialize_category(cats["ising"]))
     assert set(doc) == {"name", "labels", "dual", "fusion", "F", "R",
                         "pivotal", "tolerances"}
+
+
+def _vec_z9_doc(pivotal):
+    """Vec_Z9 with trivial F, R(a, b) = exp(2 pi i ab / 9) and the given t_a."""
+    n = 9
+    return {
+        "name": "vec_z9",
+        "labels": [str(a) for a in range(n)],
+        "dual": [(-a) % n for a in range(n)],
+        "fusion": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
+        "F": [{"a": a, "b": b, "c": c, "d": (a + b + c) % n,
+               "e": (a + b) % n, "f": (b + c) % n, "re": 1.0, "im": 0.0}
+              for a in range(n) for b in range(n) for c in range(n)],
+        "R": [{"a": a, "b": b, "c": (a + b) % n,
+               "re": math.cos(2 * math.pi * a * b / n),
+               "im": math.sin(2 * math.pi * a * b / n)}
+              for a in range(n) for b in range(n)],
+        "pivotal": [{"i": a, "re": pivotal.get(a, 1.0), "im": 0.0}
+                    for a in range(n)],
+    }
+
+
+def test_sphericality_checks_every_label():
+    assert validate(category_from_dict(_vec_z9_doc({}))).ok
+    # t_8 = 2 breaks sphericality at the highest label, which a sample of
+    # the first six words (labels 1..6 only) never reaches
+    report = validate(category_from_dict(_vec_z9_doc({8: 2.0})))
+    entry = next(e for e in report.entries if e.name == "sphericality")
+    assert entry.value >= entry.threshold
+    assert not report.ok

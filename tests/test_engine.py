@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tcat import ShapeError, CompositionError
+from tcat import (CompositionError, ShapeError, loads_category,
+                  serialize_category)
 from tcat import engine as E
 from tcat.engine import ObjectExpr
 
@@ -378,6 +379,21 @@ def test_operations_are_deterministic(cats):
     l2 = E.omega_loop(cat, word(1))
     for k in range(cat.n_labels):
         assert np.array_equal(l1.block(k), l2.block(k))
+
+
+@pytest.mark.parametrize("build", [
+    lambda cat: E.cup_cap(cat, word(1, 2), "coev"),
+    lambda cat: E.braiding(cat, word(1, 1), word(2)),
+], ids=["cup_cap", "braiding"])
+def test_memoized_morphisms_are_shared_and_read_only(cats, build):
+    cat = cats["ising"]
+    m = build(cat)
+    assert build(cat) is m
+    b = next(b for b in m.blocks.values() if b.size)
+    with pytest.raises(ValueError):
+        b[0, 0] = 1.0
+    fresh = loads_category(serialize_category(cat))
+    assert E.morphism_dump(m) == E.morphism_dump(build(fresh))
 
 
 def test_morphism_dump_is_stable(cats):
