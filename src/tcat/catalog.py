@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .category import (CategoryData, FSymbolTable, FusionRing, PivotalCoeffs,
-                       RSymbolTable, SimpleLabel, ToleranceCfg, load_category)
+                       RSymbolTable, SimpleLabel, load_category)
 from .errors import UnknownCategoryError
 
 __all__ = ["catalog", "catalog_names", "CATALOG_DIR_ENV"]
@@ -27,7 +27,7 @@ CATALOG_DIR_ENV = "TCAT_CATALOG_DIR"
 
 
 def _assemble(name, label_names, dual, triples, f_nontrivial, r_nontrivial,
-              pivotal, tol=None):
+              pivotal):
     """Build CategoryData, completing F/R tables over all admissible keys."""
     n = len(label_names)
     ring = FusionRing(n, triples)
@@ -58,7 +58,6 @@ def _assemble(name, label_names, dual, triples, f_nontrivial, r_nontrivial,
         f=FSymbolTable(f_entries),
         r=RSymbolTable(r_entries),
         piv=PivotalCoeffs(t=tuple(complex(t) for t in pivotal)),
-        tol=tol or ToleranceCfg(),
     )
 
 
@@ -166,27 +165,19 @@ def catalog_names() -> list:
     return names
 
 
-def catalog(name: str, tol: ToleranceCfg | None = None) -> CategoryData:
+def catalog(name: str) -> CategoryData:
     """Return a catalog category by name.
 
     Built-in data is generated in code; user files from $TCAT_CATALOG_DIR
-    extend the namespace but cannot shadow built-ins.  Instances with the
-    default tolerance are cached and shared (CategoryData is immutable).
+    extend the namespace but cannot shadow built-ins.  Built-in instances
+    are cached and shared (CategoryData is immutable).
     """
     if name in _BUILDERS:
-        if tol is None:
-            if name not in _instances:
-                _instances[name] = _BUILDERS[name]()
-            return _instances[name]
-        cat = _BUILDERS[name]()
-        return CategoryData(name=cat.name, labels=cat.labels, dual=cat.dual,
-                            ring=cat.ring, f=cat.f, r=cat.r, piv=cat.piv, tol=tol)
+        if name not in _instances:
+            _instances[name] = _BUILDERS[name]()
+        return _instances[name]
     extras = _catalog_dir_entries()
     if name in extras:
-        cat = load_category(extras[name])
-        if tol is not None:
-            cat = CategoryData(name=cat.name, labels=cat.labels, dual=cat.dual,
-                               ring=cat.ring, f=cat.f, r=cat.r, piv=cat.piv, tol=tol)
-        return cat
+        return load_category(extras[name])
     raise UnknownCategoryError(
         f"unknown category {name!r}; available: {', '.join(catalog_names())}")

@@ -258,6 +258,11 @@ class ResidualEntry:
     value: float
     threshold: float
 
+    def __post_init__(self):
+        # plain floats, so that reports serialize with the json module
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "threshold", float(self.threshold))
+
     @property
     def ok(self) -> bool:
         return self.value < self.threshold
@@ -447,6 +452,13 @@ def _sphericality_residual(cat: CategoryData) -> float:
     return worst
 
 
+def _dimension_character_residual(cat: CategoryData) -> float:
+    """Max |d_a d_b - sum_c N_ab^c d_c|: a pivotal structure is monoidal
+    only if the quantum dimensions are a character of the fusion ring."""
+    d = np.array(cat.dims, dtype=complex)
+    return float(np.abs(np.outer(d, d) - cat.ring.N @ d).max())
+
+
 def _zigzag_residual(cat: CategoryData) -> float:
     from . import engine
 
@@ -468,6 +480,8 @@ def validate(cat: CategoryData) -> ValidationReport:
         ResidualEntry("unit_duality", _unit_duality_residual(cat), eps),
         ResidualEntry("sphericality", _sphericality_residual(cat), eps),
         ResidualEntry("zigzag", _zigzag_residual(cat), eps),
+        ResidualEntry("dimension_character",
+                      _dimension_character_residual(cat), eps),
         ResidualEntry("f_condition", _f_condition_number(cat), 1e12),
         ResidualEntry("min_quantum_dim_inverse",
                       1.0 / min(abs(d) for d in cat.dims), 1.0 / cat.tol.eps_identity),

@@ -461,9 +461,7 @@ def transform_b(cat: CategoryData, obj: CenterObject) -> E.Morphism:
         parts.append(m * w)
     if not parts:
         return E.zero_morphism(cat, obj.X, E.ObjectExpr.zero())
-    stacked = E.direct_sum(parts)
-    # direct_sum stacks sources too; collapse the repeated X columns
-    tgt = stacked.target
+    tgt = E.ObjectExpr.direct_sum([m.target for m in parts])
     blocks = {}
     for k in range(cat.n_labels):
         dX = obj.X.dim_sector(cat, k)
@@ -680,6 +678,16 @@ _CLUSTER_GAP = 1e-6
 #: inside a block is of the order of ||L_{f_j}|| itself.
 _SAME_BLOCK_CUTOFF = 1e-8
 
+#: The unit projections of the tube algebra are exact 0/1 idempotents, so a
+#: graded piece of a minimal ideal has singular values of order one or of
+#: order machine epsilon; this relative cutoff sits far between the two.
+_GRADING_RANK_CUTOFF = 1e-8
+
+#: A minimal left ideal is invariant under the tube action up to roundoff
+#: of the eigenvectors it was read from (machine epsilon times their
+#: condition number); a genuinely non-invariant subspace leaks at order one.
+_INVARIANCE_RESIDUAL = 1e-7
+
 
 def _central_idempotents(alg: TubeAlgebra) -> list:
     """Wedderburn blocks of the algebra as ``(e_vec, n, ideal)`` triples.
@@ -744,7 +752,10 @@ def center_simples(cat: CategoryData) -> list:
     Each Wedderburn block of the tube algebra is one isomorphism class of
     simple modules; the minimal left ideal that ``tube_algebra`` keeps per
     block (an eigenspace of a seeded generic right multiplication) is
-    converted back into a half-braided object.  The returned list is
+    graded by the unit idempotents, and the structure constants give the
+    tube action on the graded pieces.  The half-braiding is read off those
+    matrices in closed form (``_object_from_module``), so no diagram is
+    evaluated once the algebra is built.  The returned list is
     deterministic and sorted by a braiding-trace fingerprint.
     """
     def build():
@@ -761,7 +772,8 @@ def center_simples(cat: CategoryData) -> list:
                 if PV.size == 0:
                     continue
                 u, s, _vh = np.linalg.svd(PV, full_matrices=False)
-                r = int(np.sum(s > 1e-8 * max(1.0, s[0] if s.size else 0.0)))
+                cut = _GRADING_RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0)
+                r = int(np.sum(s > cut))
                 if r:
                     graded[b] = u[:, :r]
             dims = {b: g.shape[1] for b, g in graded.items()}
@@ -776,7 +788,7 @@ def center_simples(cat: CategoryData) -> list:
                 Ua, Ub = graded[a], graded[b]
                 img = lefts[x] @ Ua
                 rho = Ub.conj().T @ img
-                if float(np.linalg.norm(img - Ub @ rho)) > 1e-7:
+                if float(np.linalg.norm(img - Ub @ rho)) > _INVARIANCE_RESIDUAL:
                     raise DecompositionError(
                         "module is not invariant under the tube action")
                 action[quad] = rho
@@ -804,8 +816,8 @@ def _tube_action(cat: CategoryData, X: E.ObjectExpr, gamma_inv_j: E.Morphism,
     """Matrix of the tube element (a, j, b, c) on Hom(X, a) -> Hom(X, b).
 
     The j-loop is wrapped around the X strand through the inverse
-    half-braiding and closed; the formula is linear in ``gamma_inv_j``,
-    which is what the module-to-object reconstruction solves for.
+    half-braiding and closed.  This is the diagrammatic reference for the
+    closed form that ``_object_from_module`` inverts (``_loop_weight``).
     """
     da = X.dim_sector(cat, a)
     db = X.dim_sector(cat, b)
@@ -847,63 +859,53 @@ def tube_module(cat: CategoryData, obj: CenterObject) -> dict:
     return out
 
 
+def _loop_weight(cat: CategoryData, j: int, b: int, c: int) -> complex:
+    """kappa(j, b, c): the j-loop of ``_tube_action`` closed around one b
+    strand.
+
+    The loop contributes its cup and cap scalars coev(j) ev'(j) and one
+    F-move each way between the vacuum channel of j j* and the channel c
+    of b j: Finv[b,j,j*,b][0,c] F[b,j,j*,b][c,0].  It does not depend on
+    the incoming strand a.
+    """
+    jd = cat.dual[j]
+    fmat, rows, cols = cat.f.matrix(cat.ring, b, j, jd, b)
+    finv = cat.f.inverse(cat.ring, b, j, jd, b)[0]
+    return (cat.coev_scalar(j) * cat.ev_right_scalar(j)
+            * finv[cols.index(0), rows.index(c)]
+            * fmat[rows.index(c), cols.index(0)])
+
+
 def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterObject:
     """Convert a tube-algebra module into a half-braided object.
 
-    The action formula is linear in the inverse half-braiding, so the
-    blocks of each gamma_j^{-1} are recovered by a least-squares solve
-    against the module matrices and then inverted sector by sector.
+    The tube element (a, j, b, c) acts as kappa(j, b, c) times the
+    transposed a <- b block of gamma_j^{-1} at sector c (``_loop_weight``),
+    so the sector-c block of gamma_j^{-1} is read off the module matrices
+    directly (rows: the a with N(j, a, c); columns: the b with N(b, j, c))
+    and inverted sector by sector.
     """
-    summands = tuple(((a,) if a else (), dims[a])
-                     for a in sorted(dims) if dims[a])
-    X = E.ObjectExpr(summands)
+    labels = [a for a in sorted(dims) if dims[a]]
+    X = E.ObjectExpr(tuple(((a,) if a else (), dims[a]) for a in labels))
     mats = {}
     for j in range(cat.n_labels):
         sj = E.ObjectExpr.simple(j)
-        src_inv = X.tensor(sj)    # gamma_j^{-1} : X (x) j -> j (x) X
-        tgt_inv = sj.tensor(X)
-        units = []
-        for k in range(cat.n_labels):
-            dt = tgt_inv.dim_sector(cat, k)
-            ds = src_inv.dim_sector(cat, k)
-            for r in range(dt):
-                for s in range(ds):
-                    units.append((k, r, s))
-        quads = [(a, j2, b, c) for (a, j2, b, c) in _tube_basis(cat)
-                 if j2 == j and dims.get(a) and dims.get(b)]
-        cols = []
-        rhs = []
-        for (a, _j, b, c) in quads:
-            rho = action.get((a, j, b, c))
-            if rho is None:
-                rho = np.zeros((dims[b], dims[a]), dtype=complex)
-            rhs.append(rho.ravel())
-        rhs = np.concatenate(rhs) if rhs else np.zeros(0, dtype=complex)
-        amat = np.zeros((len(rhs), len(units)), dtype=complex)
-        for un, (k, r, s) in enumerate(units):
-            blk = np.zeros((tgt_inv.dim_sector(cat, k),
-                            src_inv.dim_sector(cat, k)), dtype=complex)
-            blk[r, s] = 1.0
-            ginv_unit = E.Morphism(cat, src_inv, tgt_inv, {k: blk})
-            col = []
-            for (a, _j, b, c) in quads:
-                col.append(_tube_action(cat, X, ginv_unit, a, j, b, c).ravel())
-            amat[:, un] = np.concatenate(col) if col else np.zeros(0, dtype=complex)
-        sol, _res, _rank, _sv = np.linalg.lstsq(amat, rhs, rcond=None)
-        resid = float(np.linalg.norm(amat @ sol - rhs)) if rhs.size else 0.0
-        if resid > 1e-8:
-            raise DecompositionError(
-                f"no inverse half-braiding reproduces the module action at "
-                f"loop color {cat.label_name(j)} (residual {resid:.3e})")
         ginv_blocks = {}
-        pos = 0
-        for k in range(cat.n_labels):
-            dt = tgt_inv.dim_sector(cat, k)
-            ds = src_inv.dim_sector(cat, k)
-            if dt and ds:
-                ginv_blocks[k] = sol[pos:pos + dt * ds].reshape(dt, ds)
-            pos += dt * ds
-        ginv = E.Morphism(cat, src_inv, tgt_inv, ginv_blocks)
+        for c in range(cat.n_labels):
+            rows = [a for a in labels if cat.ring.admissible(j, a, c)]
+            cols = [b for b in labels if cat.ring.admissible(b, j, c)]
+            if not rows or not cols:
+                continue
+            kappas = [_loop_weight(cat, j, b, c) for b in cols]
+            if min(abs(k) for k in kappas) < cat.tol.eps_identity:
+                raise DecompositionError(
+                    f"the loop of color {cat.label_name(j)} closes to zero at "
+                    f"sector {cat.label_name(c)}; the F-symbols or duality "
+                    "scalars are degenerate")
+            ginv_blocks[c] = np.block([[action[(a, j, b, c)].T / k
+                                        for b, k in zip(cols, kappas)]
+                                       for a in rows])
+        ginv = E.Morphism(cat, X.tensor(sj), sj.tensor(X), ginv_blocks)
         mats[j] = _invert_blocks(cat, ginv)
     return CenterObject(X=X, gamma=HalfBraiding(X=X, mats=mats))
 

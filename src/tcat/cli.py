@@ -9,14 +9,15 @@ JSON and carries exactly the same numbers as the human tables.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import tempfile
 
 from .catalog import catalog, catalog_names
-from .category import (CategoryData, ToleranceCfg, load_category,
-                       serialize_category, validate)
+from .category import (CategoryData, load_category, serialize_category,
+                       validate)
 from .errors import SchemaError, TcatError, UnknownCategoryError
 from .modularity import is_modular, muger_center, s_matrix
 from .center import center_simples, invertibility_report, verify_center_object
@@ -64,20 +65,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> CategoryData:
-    tol = None
-    if args.tolerance_structural is not None or args.tolerance_identity is not None:
-        tol = ToleranceCfg(
-            eps_structural=args.tolerance_structural or 1e-10,
-            eps_identity=args.tolerance_identity or 1e-9)
     ref = args.category
     if os.path.sep in ref or ref.endswith(".json") or os.path.isfile(ref):
         cat = load_category(ref)
-        if tol is not None:
-            cat = CategoryData(name=cat.name, labels=cat.labels, dual=cat.dual,
-                               ring=cat.ring, f=cat.f, r=cat.r, piv=cat.piv,
-                               tol=tol)
-        return cat
-    return catalog(ref, tol=tol)
+    else:
+        cat = catalog(ref)
+    overrides = {}
+    if args.tolerance_structural is not None:
+        overrides["eps_structural"] = args.tolerance_structural
+    if args.tolerance_identity is not None:
+        overrides["eps_identity"] = args.tolerance_identity
+    if overrides:
+        cat = dataclasses.replace(
+            cat, tol=dataclasses.replace(cat.tol, **overrides), _cache={})
+    return cat
 
 
 def _emit(text: str, out_path) -> None:

@@ -38,9 +38,9 @@ __all__ = [
     "ObjectExpr", "Morphism", "CasimirPair", "FusionTreeBasis",
     "as_object", "fusion_tree_basis", "identity", "zero_morphism",
     "random_morphism", "random_endomorphism", "compose", "compose_all",
-    "tensor", "tensor_all", "braiding", "cup_cap", "quantum_trace",
-    "trace_pairing", "partial_trace_right", "partial_trace_left",
-    "hom_basis", "identity_resolution", "omega_loop", "zigzag_defects",
+    "tensor", "braiding", "cup_cap", "quantum_trace", "trace_pairing",
+    "partial_trace_right", "hom_basis", "identity_resolution", "omega_loop",
+    "zigzag_defects",
     "inclusion", "projection", "direct_sum", "distance", "defect_from_identity",
     "morphism_dump", "word_trees",
 ]
@@ -545,13 +545,6 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(cat, src, tgt, blocks)
 
 
-def tensor_all(*mors: Morphism) -> Morphism:
-    out = mors[0]
-    for m in mors[1:]:
-        out = tensor(out, m)
-    return out
-
-
 def braiding(cat: CategoryData, X, Y, inverse: bool = False) -> Morphism:
     """The braiding X (x) Y -> Y (x) X (or the inverse braiding c^{-1}_{Y,X}).
 
@@ -745,15 +738,6 @@ def partial_trace_right(cat, f: Morphism, X: ObjectExpr, J: ObjectExpr) -> Morph
         tensor(identity(cat, X), cup_cap(cat, J, "eval'")),
         tensor(f, identity(cat, Jd)),
         tensor(identity(cat, X), cup_cap(cat, J, "coev")))
-
-
-def partial_trace_left(cat, f: Morphism, J: ObjectExpr, X: ObjectExpr) -> Morphism:
-    """Close the left factor of f : J (x) X -> J (x) X into a loop."""
-    Jd = J.dual(cat)
-    return compose_all(
-        tensor(cup_cap(cat, J, "eval"), identity(cat, X)),
-        tensor(identity(cat, Jd), f),
-        tensor(cup_cap(cat, J, "coev'"), identity(cat, X)))
 
 
 def zigzag_defects(cat: CategoryData, X) -> list:

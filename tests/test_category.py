@@ -212,11 +212,10 @@ def test_serialized_document_parses_as_json(cats):
                         "pivotal", "tolerances"}
 
 
-def _vec_z9_doc(pivotal):
-    """Vec_Z9 with trivial F, R(a, b) = exp(2 pi i ab / 9) and the given t_a."""
-    n = 9
+def _vec_zn_doc(n, pivotal):
+    """Vec_Zn with trivial F, R(a, b) = exp(2 pi i ab / n) and the given t_a."""
     return {
-        "name": "vec_z9",
+        "name": f"vec_z{n}",
         "labels": [str(a) for a in range(n)],
         "dual": [(-a) % n for a in range(n)],
         "fusion": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
@@ -233,10 +232,19 @@ def _vec_z9_doc(pivotal):
 
 
 def test_sphericality_checks_every_label():
-    assert validate(category_from_dict(_vec_z9_doc({}))).ok
+    assert validate(category_from_dict(_vec_zn_doc(9, {}))).ok
     # t_8 = 2 breaks sphericality at the highest label, which a sample of
     # the first six words (labels 1..6 only) never reaches
-    report = validate(category_from_dict(_vec_z9_doc({8: 2.0})))
+    report = validate(category_from_dict(_vec_zn_doc(9, {8: 2.0})))
     entry = next(e for e in report.entries if e.name == "sphericality")
     assert entry.value >= entry.threshold
     assert not report.ok
+
+
+def test_dimension_character_rejects_non_monoidal_pivotal():
+    assert validate(category_from_dict(_vec_zn_doc(11, {}))).ok
+    # t_1 = -1 gives dim(1) = -1 but dim(10) = dim(1*) = +1, so
+    # dim(1) dim(10) = -1 != dim(0): every other residual still reads zero
+    report = validate(category_from_dict(_vec_zn_doc(11, {1: -1.0})))
+    assert report.residual("dimension_character") == pytest.approx(2.0)
+    assert [e.name for e in report.entries if not e.ok] == ["dimension_character"]

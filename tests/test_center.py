@@ -10,9 +10,9 @@ import pytest
 from tcat import IdempotencyError, engine as E, validate
 from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
-from tcat.center import (CenterObject, HalfBraiding, center_hom_dim,
-                         center_simples, coupling_gamma, functor_F,
-                         functor_F_on_morphism, functor_G,
+from tcat.center import (CenterObject, HalfBraiding, _object_from_module,
+                         center_hom_dim, center_simples, coupling_gamma,
+                         functor_F, functor_F_on_morphism, functor_G,
                          functor_G_on_morphism, invertibility_report,
                          nat_transforms, transform_b, transform_d,
                          transform_p, transform_q, tube_algebra, tube_module,
@@ -276,6 +276,35 @@ def test_tube_module_is_a_representation(cats):
                     if abs(cz) > 1e-14 and alg.basis[z] in rho:
                         rhs = rhs + cz * rho[alg.basis[z]]
                 assert np.abs(lhs - rhs).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z3_modular"])
+def test_object_from_module_round_trips_multiplicities(cats, name):
+    # S + S on X = (+)_a a^(2 d_a), re-based by a random invertible matrix
+    # per label, so every label occurs more than once in X
+    cat = cats[name]
+    rng = np.random.default_rng(20261018)
+    for s in center_simples(cat):
+        dims = {a: 2 * d for a, d in s.X.grading(cat).items()}
+        X = ObjectExpr(tuple(((a,) if a else (), d)
+                             for a, d in sorted(dims.items())))
+        P = {a: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+             for a, d in dims.items()}
+        phi = E.Morphism(cat, ObjectExpr.direct_sum([s.X, s.X]), X, P)
+        phi_inv = E.Morphism(cat, X, phi.source,
+                             {a: np.linalg.inv(m) for a, m in P.items()})
+        mats = {}
+        for j in range(cat.n_labels):
+            sj = word(j)
+            mats[j] = E.compose_all(
+                E.tensor(phi, E.identity(cat, sj)),
+                E.direct_sum([s.gamma[j], s.gamma[j]]),
+                E.tensor(E.identity(cat, sj), phi_inv))
+        obj = CenterObject(X=X, gamma=HalfBraiding(X=X, mats=mats))
+        back = _object_from_module(cat, dims, tube_module(cat, obj))
+        assert back.X == X
+        for j in range(cat.n_labels):
+            assert E.distance(back.gamma[j], obj.gamma[j]) < 1e-12
 
 
 # -- simple center objects -------------------------------------------------

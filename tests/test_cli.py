@@ -6,7 +6,7 @@ import os
 import pytest
 
 from tcat.cli import run
-from tcat import catalog, serialize_category
+from tcat import catalog, catalog_names, serialize_category
 
 
 def test_validate_catalog_entry_exits_zero(capsys):
@@ -109,6 +109,27 @@ def test_catalog_dir_extends_namespace(tmp_path, monkeypatch, capsys):
 def test_tolerance_override_flags(capsys):
     assert run(["validate", "fibonacci", "--tolerance-structural", "1e-20"]) == 1
     capsys.readouterr()
+
+
+def test_tolerance_override_keeps_file_values(tmp_path, capsys):
+    doc = json.loads(serialize_category(catalog("semion")))
+    doc["tolerances"] = {"structural": 1e-8, "identity": 1e-6}
+    path = tmp_path / "semion_tol.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", str(path), "--tolerance-identity", "1e-5",
+                "--format", "machine"]) == 0
+    res = json.loads(capsys.readouterr().out)["residuals"]
+    assert res["pentagon"]["threshold"] == 1e-8
+    assert res["min_quantum_dim_inverse"]["threshold"] == pytest.approx(1e5)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_validate_machine_format_parses(name, capsys):
+    assert run(["validate", name, "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "validate"
+    assert doc["pass"] is True
+    assert all(r["pass"] is True for r in doc["residuals"].values())
 
 
 def test_muger_command(capsys):
