@@ -148,6 +148,13 @@ def zc_morphism_defect(cat: CategoryData, f: E.Morphism, src: CenterObject,
     return worst
 
 
+#: The intertwiner constraints are built from O(1) data, so a genuine
+#: constraint direction has a singular value of order one and noise one of
+#: order machine epsilon; this floor (scaled by the largest singular value
+#: when that exceeds one) sits far between the two.
+_INTERTWINER_RANK_CUTOFF = 1e-6
+
+
 def center_hom_dim(cat: CategoryData, a: CenterObject, b: CenterObject) -> int:
     """Dimension of the hom space in the center between two objects."""
     rows = []
@@ -175,9 +182,8 @@ def center_hom_dim(cat: CategoryData, a: CenterObject, b: CenterObject) -> int:
     if mat.size == 0:
         return len(units)
     sv = np.linalg.svd(mat, compute_uv=False)
-    # constraints are built from O(1) data, so an absolute floor separates
-    # genuine intertwiner directions from numerical noise
-    cutoff = 1e-6 * max(1.0, float(sv[0]) if sv.size else 1.0)
+    cutoff = _INTERTWINER_RANK_CUTOFF * max(
+        1.0, float(sv[0]) if sv.size else 1.0)
     rank = int(np.sum(sv > cutoff))
     return len(units) - rank
 
@@ -278,6 +284,12 @@ class CouplingIdempotent:
     idempotency_residual: float
 
 
+#: The nonzero singular values of an idempotent are at least 1 (it is the
+#: identity on its image) and the others vanish up to roundoff, so the image
+#: rank counts the singular values above this midpoint.
+_IMAGE_SINGULAR_VALUE = 0.5
+
+
 def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdempotent:
     """Build the coupling idempotent for a simple i and a center object.
 
@@ -293,7 +305,13 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     eps = cat.tol.eps_identity
     si = E.ObjectExpr.simple(i)
     W = si.tensor(obj.X)
-    loop = E.omega_loop(cat, [si, obj.X], attachments={1: obj.gamma})
+    id_X = E.identity(cat, obj.X)
+    # the half-braiding of i (x) X: cross i by the braiding, then X by gamma
+    beta = {j: E.compose(E.tensor(E.identity(cat, si), obj.gamma[j]),
+                         E.tensor(E.braiding(cat, E.ObjectExpr.simple(j), si),
+                                  id_X))
+            for j in range(cat.n_labels)}
+    loop = E.omega_loop(cat, W, half_braiding=beta)
     gamma_mor = loop * (1.0 / cat.total_dim)
     resid = E.distance(E.compose(gamma_mor, gamma_mor), gamma_mor)
     if resid > eps:
@@ -315,7 +333,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
             raise IdempotencyError(
                 f"eigenvalues of the coupling morphism at sector "
                 f"{cat.label_name(k)} are not clustered near 0/1: {bad}")
-        r = int(np.sum(s > 0.5))
+        r = int(np.sum(s > _IMAGE_SINGULAR_VALUE))
         if r == 0:
             continue
         U = u[:, :r]
@@ -462,19 +480,9 @@ def transform_b(cat: CategoryData, obj: CenterObject) -> E.Morphism:
     if not parts:
         return E.zero_morphism(cat, obj.X, E.ObjectExpr.zero())
     tgt = E.ObjectExpr.direct_sum([m.target for m in parts])
-    blocks = {}
-    for k in range(cat.n_labels):
-        dX = obj.X.dim_sector(cat, k)
-        dt = tgt.dim_sector(cat, k)
-        if not dX or not dt:
-            continue
-        mat = np.zeros((dt, dX), dtype=complex)
-        ro = 0
-        for m in parts:
-            b = m.block(k)
-            mat[ro:ro + b.shape[0], :] = b
-            ro += b.shape[0]
-        blocks[k] = mat
+    blocks = {k: np.vstack([m.block(k) for m in parts])
+              for k in range(cat.n_labels)
+              if obj.X.dim_sector(cat, k) and tgt.dim_sector(cat, k)}
     return E.Morphism(cat, obj.X, tgt, blocks)
 
 
@@ -492,21 +500,10 @@ def transform_p(cat: CategoryData, obj: CenterObject) -> E.Morphism:
         parts.append(m * w)
     if not parts:
         return E.zero_morphism(cat, E.ObjectExpr.zero(), obj.X)
-    src_parts = [m.source for m in parts]
-    src = E.ObjectExpr.direct_sum(src_parts)
-    blocks = {}
-    for k in range(cat.n_labels):
-        dX = obj.X.dim_sector(cat, k)
-        ds = src.dim_sector(cat, k)
-        if not dX or not ds:
-            continue
-        mat = np.zeros((dX, ds), dtype=complex)
-        co = 0
-        for m in parts:
-            b = m.block(k)
-            mat[:, co:co + b.shape[1]] = b
-            co += b.shape[1]
-        blocks[k] = mat
+    src = E.ObjectExpr.direct_sum([m.source for m in parts])
+    blocks = {k: np.hstack([m.block(k) for m in parts])
+              for k in range(cat.n_labels)
+              if obj.X.dim_sector(cat, k) and src.dim_sector(cat, k)}
     return E.Morphism(cat, src, obj.X, blocks)
 
 
@@ -817,7 +814,7 @@ def _tube_action(cat: CategoryData, X: E.ObjectExpr, gamma_inv_j: E.Morphism,
 
     The j-loop is wrapped around the X strand through the inverse
     half-braiding and closed.  This is the diagrammatic reference for the
-    closed form that ``_object_from_module`` inverts (``_loop_weight``).
+    closed form that ``_object_from_module`` inverts (``engine._loop_weight``).
     """
     da = X.dim_sector(cat, a)
     db = X.dim_sector(cat, b)
@@ -859,31 +856,14 @@ def tube_module(cat: CategoryData, obj: CenterObject) -> dict:
     return out
 
 
-def _loop_weight(cat: CategoryData, j: int, b: int, c: int) -> complex:
-    """kappa(j, b, c): the j-loop of ``_tube_action`` closed around one b
-    strand.
-
-    The loop contributes its cup and cap scalars coev(j) ev'(j) and one
-    F-move each way between the vacuum channel of j j* and the channel c
-    of b j: Finv[b,j,j*,b][0,c] F[b,j,j*,b][c,0].  It does not depend on
-    the incoming strand a.
-    """
-    jd = cat.dual[j]
-    fmat, rows, cols = cat.f.matrix(cat.ring, b, j, jd, b)
-    finv = cat.f.inverse(cat.ring, b, j, jd, b)[0]
-    return (cat.coev_scalar(j) * cat.ev_right_scalar(j)
-            * finv[cols.index(0), rows.index(c)]
-            * fmat[rows.index(c), cols.index(0)])
-
-
 def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterObject:
     """Convert a tube-algebra module into a half-braided object.
 
     The tube element (a, j, b, c) acts as kappa(j, b, c) times the
-    transposed a <- b block of gamma_j^{-1} at sector c (``_loop_weight``),
-    so the sector-c block of gamma_j^{-1} is read off the module matrices
-    directly (rows: the a with N(j, a, c); columns: the b with N(b, j, c))
-    and inverted sector by sector.
+    transposed a <- b block of gamma_j^{-1} at sector c
+    (``engine._loop_weight``), so the sector-c block of gamma_j^{-1} is read
+    off the module matrices directly (rows: the a with N(j, a, c); columns:
+    the b with N(b, j, c)) and inverted sector by sector.
     """
     labels = [a for a in sorted(dims) if dims[a]]
     X = E.ObjectExpr(tuple(((a,) if a else (), dims[a]) for a in labels))
@@ -896,7 +876,7 @@ def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterOb
             cols = [b for b in labels if cat.ring.admissible(b, j, c)]
             if not rows or not cols:
                 continue
-            kappas = [_loop_weight(cat, j, b, c) for b in cols]
+            kappas = [E._loop_weight(cat, j, b, c) for b in cols]
             if min(abs(k) for k in kappas) < cat.tol.eps_identity:
                 raise DecompositionError(
                     f"the loop of color {cat.label_name(j)} closes to zero at "

@@ -13,6 +13,15 @@ the same tree is the identity on the channel ("orthonormal" convention);
 with that choice the resolutions of identity carry quantum-dimension
 weights exactly as in the usual premodular graphical calculus.
 
+Loops are closed without drawing the cup and the cap.  Closing a simple
+j strand to the right of X (x) j only reads channel blocks: the sector-b
+block of the closure is the sum over c in b j of the (b, j) channel block
+at sector c times one scalar kappa(j, b, c) (``_loop_weight``: two duality
+scalars and two F-entries).  ``omega_loop`` closes every Omega-loop this
+way, and the center reads half-braidings off the tube module with the same
+scalar.  ``quantum_trace`` and ``cup_cap`` stay diagrammatic, so the
+validator's left-versus-right trace check never reads kappa twice.
+
 Everything here is a pure function of immutable inputs.  The category's
 private cache memoizes, as read-only data built once per category:
 
@@ -39,7 +48,7 @@ __all__ = [
     "as_object", "fusion_tree_basis", "identity", "zero_morphism",
     "random_morphism", "random_endomorphism", "compose", "compose_all",
     "tensor", "braiding", "cup_cap", "quantum_trace", "trace_pairing",
-    "partial_trace_right", "hom_basis", "identity_resolution", "omega_loop",
+    "hom_basis", "identity_resolution", "omega_loop",
     "zigzag_defects",
     "inclusion", "projection", "direct_sum", "distance", "defect_from_identity",
     "morphism_dump", "word_trees",
@@ -111,9 +120,6 @@ class ObjectExpr:
     def grading(self, cat: CategoryData) -> dict:
         """Multiplicity of each simple label, keyed by label id."""
         return {k: d for k, d in self.sector_dims(cat).items() if d}
-
-    def is_zero(self, cat: CategoryData) -> bool:
-        return all(d == 0 for d in self.sector_dims(cat).values())
 
     def describe(self, cat: CategoryData) -> str:
         if not self.summands:
@@ -731,15 +737,6 @@ def quantum_trace(cat: CategoryData, f: Morphism, side: str = "left") -> Scalar:
     return complex(loop.block(0)[0, 0])
 
 
-def partial_trace_right(cat, f: Morphism, X: ObjectExpr, J: ObjectExpr) -> Morphism:
-    """Close the right factor of f : X (x) J -> X (x) J into a loop."""
-    Jd = J.dual(cat)
-    return compose_all(
-        tensor(identity(cat, X), cup_cap(cat, J, "eval'")),
-        tensor(f, identity(cat, Jd)),
-        tensor(identity(cat, X), cup_cap(cat, J, "coev")))
-
-
 def zigzag_defects(cat: CategoryData, X) -> list:
     """Residuals of the four zig-zag identities for an object."""
     X = as_object(X)
@@ -844,70 +841,68 @@ def identity_resolution(cat: CategoryData, W) -> list:
     return out
 
 
-def _loop_pass(cat, parts, j: int, mirror: bool) -> Morphism:
-    """The strand j crosses the whole bundle front-to-back and returns.
+def _loop_weight(cat: CategoryData, j: int, b: int, c: int) -> complex:
+    """kappa(j, b, c): a j strand closed on the right of one b strand,
+    read in the channel c of b j.
 
-    Parts with an attached half-braiding cross through it on the front
-    pass; everything else uses the ambient braiding (or its inverse for
-    the mirrored loop).
+    The loop contributes its cup and cap scalars coev(j) ev'(j) and one
+    F-move each way between the vacuum channel of j j* and the channel c
+    of b j: Finv[b,j,j*,b][0,c] F[b,j,j*,b][c,0].
+    """
+    jd = cat.dual[j]
+    fmat, rows, cols = cat.f.matrix(cat.ring, b, j, jd, b)
+    finv = cat.f.inverse(cat.ring, b, j, jd, b)[0]
+    return (cat.coev_scalar(j) * cat.ev_right_scalar(j)
+            * finv[cols.index(0), rows.index(c)]
+            * fmat[rows.index(c), cols.index(0)])
+
+
+def _close_right(cat: CategoryData, f: Morphism, X: ObjectExpr,
+                 j: int) -> Morphism:
+    """Close the simple right factor of f : X (x) j -> X (x) j into a loop.
+
+    Equal to (1 (x) ev'_j) (f (x) 1) (1 (x) coev_j), read off the channel
+    blocks: the sector-b block is the sum over c in b j of kappa(j, b, c)
+    times the (b, j) -> (b, j) channel block of f at sector c.
     """
     J = ObjectExpr.simple(j)
-    exprs = [as_object(p[0]) for p in parts]
-    W = ObjectExpr.unit()
-    for e in exprs:
-        W = W.tensor(e)
-    back = braiding(cat, W, J, inverse=mirror)          # W (x) j -> j (x) W
-    front = identity(cat, J.tensor(W))
-    for idx, (expr, gamma) in enumerate(parts):
-        P = exprs[idx]
-        if gamma is not None:
-            cross = (gamma.mats if hasattr(gamma, "mats") else gamma)[j]
-        else:
-            cross = braiding(cat, J, P, inverse=mirror)  # j (x) P -> P (x) j
-        prefix = ObjectExpr.unit()
-        for e in exprs[:idx]:
-            prefix = prefix.tensor(e)
-        suffix = ObjectExpr.unit()
-        for e in exprs[idx + 1:]:
-            suffix = suffix.tensor(e)
-        step = tensor(tensor(identity(cat, prefix), cross),
-                      identity(cat, suffix))
-        front = compose(step, front)
-    return compose(front, back)
+    blocks = {}
+    for b, n in enumerate(_sector_dims(cat, X)):
+        if not n:
+            continue
+        acc = np.zeros((n, n), dtype=complex)
+        for c in cat.ring.fusion(b, j):
+            Q, _pairs, off = _product_transform(cat, X, J, c)
+            Qinv = _product_transform_inv(cat, X, J, c)
+            o = off[(b, j)]
+            acc += _loop_weight(cat, j, b, c) * (
+                Qinv[o:o + n] @ f.block(c) @ Q[:, o:o + n])
+        blocks[b] = acc
+    return Morphism(cat, X, X, blocks)
 
 
-def omega_loop(cat: CategoryData, strands, attachments=None,
+def omega_loop(cat: CategoryData, X, half_braiding=None,
                mirror: bool = False) -> Morphism:
-    """Loop colored by the regular color around a bundle of strands.
+    """The loop colored by the regular color around one strand X.
 
-    ``strands`` is an object or a list of objects; ``attachments``
-    optionally maps a strand index to a half-braiding (anything whose
-    ``[j]`` lookup gives the crossing j (x) P -> P (x) j), which replaces
-    the ambient braiding where the loop crosses that strand on its front
-    pass.  Returns
+    Returns the endomorphism of X
 
-        sum_j dim(j) x (j-colored loop around the bundle)
+        sum_j dim(j) x (j-colored loop around X),
 
-    as an endomorphism of the concatenation.  ``mirror=True`` flips every
-    ambient crossing, which by the sliding property must not change the
-    value.
+    where the j strand passes behind X by the braiding c_{X,j} and comes
+    back in front by ``half_braiding[j] : j (x) X -> X (x) j`` when given,
+    by the braiding c_{j,X} otherwise.  ``mirror=True`` takes inverse
+    braidings for the ambient crossings, which by the sliding property must
+    not change the value.
     """
-    if isinstance(strands, (ObjectExpr, int)) or (
-            isinstance(strands, (tuple, list))
-            and all(isinstance(x, int) for x in strands)):
-        strand_list = [as_object(strands)]
-    else:
-        strand_list = [as_object(s) for s in strands]
-    attachments = attachments or {}
-    parts = [(s, attachments.get(idx)) for idx, s in enumerate(strand_list)]
-    W = ObjectExpr.unit()
-    for p, _g in parts:
-        W = W.tensor(p)
-    total = zero_morphism(cat, W, W)
+    X = as_object(X)
+    total = zero_morphism(cat, X, X)
     for j in range(cat.n_labels):
-        around = _loop_pass(cat, parts, j, mirror)
-        closed = partial_trace_right(cat, around, W, ObjectExpr.simple(j))
-        total = total + cat.dim(j) * closed
+        J = ObjectExpr.simple(j)
+        front = (half_braiding[j] if half_braiding is not None
+                 else braiding(cat, J, X, inverse=mirror))
+        around = compose(front, braiding(cat, X, J, inverse=mirror))
+        total = total + cat.dim(j) * _close_right(cat, around, X, j)
     return total
 
 

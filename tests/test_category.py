@@ -99,6 +99,31 @@ def test_loader_requires_identity_forced_r_entries(cats):
         category_from_dict(doc)
 
 
+@pytest.mark.parametrize("key", [(1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 0, 2)],
+                         ids=["off_fusion_rules", "out_of_range"])
+def test_loader_rejects_non_admissible_f_record(cats, key):
+    doc = category_to_dict(cats["semion"])
+    doc["F"].append(dict(zip("abcdef", key), re=1.0, im=0.0))
+    with pytest.raises(SchemaError, match="key 'F' has a record off"):
+        category_from_dict(doc)
+
+
+def test_loader_rejects_non_admissible_r_record(cats):
+    doc = category_to_dict(cats["semion"])
+    doc["R"].append({"a": 1, "b": 1, "c": 1, "re": 1.0, "im": 0.0})
+    with pytest.raises(SchemaError, match="key 'R' has a record off"):
+        category_from_dict(doc)
+
+
+def test_loader_rejects_zero_r_symbol(cats):
+    doc = category_to_dict(cats["semion"])
+    for rec in doc["R"]:
+        if (rec["a"], rec["b"], rec["c"]) == (1, 1, 0):
+            rec["re"] = rec["im"] = 0.0
+    with pytest.raises(SchemaError, match="zero braiding eigenvalue"):
+        category_from_dict(doc)
+
+
 def test_tolerance_invariant():
     with pytest.raises(SchemaError):
         ToleranceCfg(eps_structural=1e-8, eps_identity=1e-10)

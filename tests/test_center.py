@@ -199,6 +199,38 @@ def test_coupling_idempotency_and_image_factorization(cats):
                 assert E.defect_from_identity(ident) < 1e-9
 
 
+def _two_pass_coupling(cat, i, obj):
+    """sum_j d_j / D^2 close((1 (x) gamma_j)(c_{j,i} (x) 1) c_{i X, j}), with
+    the j strand closed by a cup and a cap."""
+    si = word(i)
+    W = si.tensor(obj.X)
+    id_W = E.identity(cat, W)
+    total = E.zero_morphism(cat, W, W)
+    for j in range(cat.n_labels):
+        sj = word(j)
+        around = E.compose_all(
+            E.tensor(E.identity(cat, si), obj.gamma[j]),
+            E.tensor(E.braiding(cat, sj, si), E.identity(cat, obj.X)),
+            E.braiding(cat, W, sj))
+        closed = E.compose_all(
+            E.tensor(id_W, E.cup_cap(cat, sj, "eval'")),
+            E.tensor(around, E.identity(cat, sj.dual(cat))),
+            E.tensor(id_W, E.cup_cap(cat, sj, "coev")))
+        total = total + closed * (cat.dim(j) / cat.total_dim)
+    return total
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising"])
+def test_coupling_matches_two_pass_loop(cats, name):
+    cat = cats[name]
+    objs = center_simples(cat) + [
+        functor_F(cat, pair_object(word(1), word(cat.n_labels - 1)))]
+    for obj in objs:
+        for i in range(cat.n_labels):
+            assert E.distance(coupling_gamma(cat, i, obj).gamma_mor,
+                              _two_pass_coupling(cat, i, obj)) < 1e-12
+
+
 def test_coupling_rejects_invalid_half_braiding(cats):
     cat = cats["vec_z2_sym"]
     obj = functor_F(cat, pair_object(word(1), ObjectExpr.unit()))

@@ -123,6 +123,21 @@ def test_tolerance_override_keeps_file_values(tmp_path, capsys):
     assert res["min_quantum_dim_inverse"]["threshold"] == pytest.approx(1e5)
 
 
+def test_validate_reports_singular_f_matrix(tmp_path, capsys):
+    # every F[1,1,1,1] entry of fibonacci set to 1: loadable, but singular
+    doc = json.loads(serialize_category(catalog("fibonacci")))
+    for rec in doc["F"]:
+        if (rec["a"], rec["b"], rec["c"], rec["d"]) == (1, 1, 1, 1):
+            rec["re"], rec["im"] = 1.0, 0.0
+    path = tmp_path / "fib_singular.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", str(path), "--format", "machine"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["pass"] is False
+    for name in ("hexagon_forward", "sphericality", "zigzag"):
+        assert out["residuals"][name]["value"] == float("inf")
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_validate_machine_format_parses(name, capsys):
     assert run(["validate", name, "--format", "machine"]) == 0
