@@ -652,6 +652,8 @@ def category_from_dict(doc: dict) -> CategoryData:
             piv_list[int(rec["i"])] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
         except (KeyError, TypeError, IndexError) as exc:
             raise SchemaError(f"malformed record in key 'pivotal': {rec}") from exc
+        if piv_list[int(rec["i"])] == 0:
+            raise SchemaError(f"key 'pivotal' has a zero coefficient: {rec}")
     if any(v is None for v in piv_list):
         missing = [i for i, v in enumerate(piv_list) if v is None]
         raise SchemaError(f"key 'pivotal' is missing labels {missing}")

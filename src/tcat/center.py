@@ -13,8 +13,13 @@ around the i and X strands (attached to the half-braiding on X) is, after
 division by the global dimension, an idempotent on i (x) X.  Its image
 objects assemble into the inverse functor
 
-    G(X, gamma) = (+)_i  i* [x] image_i,
+    G(X, gamma) = (+)_i  i* [x] image_i.
 
+The loop is never drawn on i (x) X (x) j.  It is linear in gamma_j, and
+the ambient braidings are natural in every alpha : a -> X, so it is
+assembled from gamma_j's channel blocks in the product basis
+Hom(b, i X) = (+)_a Hom(b, i a) x Hom(a, X) and from one table of loops
+around i (x) a per category (``coupling_gamma``).  The functors come
 with natural transformations in both directions whose composites are
 measured against the identity: the composite back into the square is the
 identity unconditionally; the other three composites are identities
@@ -73,6 +78,7 @@ class CenterObject:
     X: E.ObjectExpr
     gamma: HalfBraiding
     _couplings: dict = field(default_factory=dict, repr=False)
+    _channels: dict = field(default_factory=dict, repr=False)
 
     def describe(self, cat: CategoryData) -> str:
         return self.X.describe(cat)
@@ -290,12 +296,96 @@ class CouplingIdempotent:
 _IMAGE_SINGULAR_VALUE = 0.5
 
 
+def _loop_table(cat: CategoryData, i: int) -> dict:
+    """The regular-color loop around i (x) a, one tube channel at a time.
+
+    Returns ``{b: [(j, a, a2, c, w), ...]}`` over every simple a and every
+    tube channel ``tau = _tube_morphism(cat, a, j, a2, c) : j a -> a2 j``,
+    where ``w`` is d_j / D^2 times the sector-b entry of
+
+        close_j( (1_i (x) tau) o (c_{j,i} (x) 1_a) o c_{i a, j} ) : i a -> i a2.
+
+    It depends on the category alone, so it is built once per label i, on
+    two- and three-letter words, and shared by every center object.
+    """
+    def build():
+        si = E.ObjectExpr.simple(i)
+        table = {}
+        for j in range(cat.n_labels):
+            sj = E.ObjectExpr.simple(j)
+            weight = cat.dim(j) / cat.total_dim
+            for a in range(cat.n_labels):
+                sa = E.ObjectExpr.simple(a)
+                ia = si.tensor(sa)
+                behind = E.compose(
+                    E.tensor(E.braiding(cat, sj, si), E.identity(cat, sa)),
+                    E.braiding(cat, ia, sj))
+                for c in cat.ring.fusion(j, a):
+                    for a2 in range(cat.n_labels):
+                        if not cat.ring.admissible(a2, j, c):
+                            continue
+                        ia2 = si.tensor(E.ObjectExpr.simple(a2))
+                        around = E.compose(E.tensor(
+                            E.identity(cat, si), _tube_morphism(cat, a, j, a2, c)),
+                            behind)
+                        closed = E._close_right(cat, around, ia, j, ia2)
+                        for b, blk in closed.blocks.items():
+                            table.setdefault(b, []).append(
+                                (j, a, a2, c, weight * blk[0, 0]))
+        return table
+
+    return E._cached(cat, ("coupling_loops", i), build)
+
+
+def _gamma_channels(cat: CategoryData, obj: CenterObject) -> dict:
+    """Each gamma_j in product bases, ``{(j, c): (G, src_offset, tgt_offset)}``.
+
+    ``G = Qinv(X, j, c) gamma_j[c] Q(j, X, c)`` maps the channels
+    Hom(c, j a) x Hom(a, X) to the channels Hom(c, a2 j) x Hom(a2, X); the
+    offsets, keyed by ``(j, a)`` and ``(a2, j)``, locate the blocks.
+    """
+    hit = obj._channels.get(id(cat))
+    if hit is None:
+        X = obj.X
+        hit = {}
+        for j in range(cat.n_labels):
+            J = E.ObjectExpr.simple(j)
+            for c, n in enumerate(E._sector_dims(cat, X.tensor(J))):
+                if not n:
+                    continue
+                _Qt, _pt, off_t = E._product_transform(cat, X, J, c)
+                Qs, _ps, off_s = E._product_transform(cat, J, X, c)
+                G = (E._product_transform_inv(cat, X, J, c)
+                     @ obj.gamma[j].block(c) @ Qs)
+                hit[(j, c)] = (G, off_s, off_t)
+        obj._channels[id(cat)] = hit
+    return hit
+
+
 def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdempotent:
     """Build the coupling idempotent for a simple i and a center object.
 
     The loop colored by the regular color encircles the i and X strands,
     crossing X through the half-braiding and i through the ambient
-    braiding; division by the global dimension makes it idempotent.  The
+    braiding; division by the global dimension makes it idempotent:
+
+        gamma_mor = sum_j d_j / D^2 close_j((1_i (x) gamma_j)
+                                            (c_{j,i} (x) 1_X) c_{i X, j}).
+
+    No diagram is drawn on i (x) X (x) j.  In the product basis
+    Hom(b, i X) = (+)_a Hom(b, i a) x Hom(a, X) the sector-b block is
+    ``Q P_b Qinv`` (``Q = engine._product_transform(i, X, b)``) with
+
+        P_b[(i,a2),(i,a)] = sum_{j,c} T_i(j,a,a2,c)[b] G_j[c][(a2,j),(j,a)],
+
+    where ``G_j[c]`` is gamma_j in product bases (``_gamma_channels``) and
+    ``T_i`` is the loop around i (x) a through the tube channel
+    a -> a2 (``_loop_table``).  This is exact: the loop is linear in
+    gamma_j; c_{i X, j} and c_{j,i} (x) 1_X are natural in every
+    alpha : a -> X (the engine's braiding is the R-swap conjugated by
+    recoupling, natural by construction); and closing j commutes with
+    alpha2 (x) 1_j.  No half-braiding axiom is used, so an invalid gamma
+    still yields the diagrammatic loop and fails the checks below.  The
     image factorization is computed by singular-value projection and
     canonicalized so that proj o incl is exactly the identity.
     """
@@ -305,14 +395,25 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     eps = cat.tol.eps_identity
     si = E.ObjectExpr.simple(i)
     W = si.tensor(obj.X)
-    id_X = E.identity(cat, obj.X)
-    # the half-braiding of i (x) X: cross i by the braiding, then X by gamma
-    beta = {j: E.compose(E.tensor(E.identity(cat, si), obj.gamma[j]),
-                         E.tensor(E.braiding(cat, E.ObjectExpr.simple(j), si),
-                                  id_X))
-            for j in range(cat.n_labels)}
-    loop = E.omega_loop(cat, W, half_braiding=beta)
-    gamma_mor = loop * (1.0 / cat.total_dim)
+    loops = _loop_table(cat, i)
+    channels = _gamma_channels(cat, obj)
+    dims_X = E._sector_dims(cat, obj.X)
+    blocks = {}
+    for b, n in enumerate(E._sector_dims(cat, W)):
+        if not n:
+            continue
+        Q, _pairs, off = E._product_transform(cat, si, obj.X, b)
+        P = np.zeros((n, n), dtype=complex)
+        for j, a, a2, c, w in loops.get(b, ()):
+            ns, nt = dims_X[a], dims_X[a2]
+            if not ns or not nt:
+                continue
+            G, off_s, off_t = channels[(j, c)]
+            ps, pt = off[(i, a)], off[(i, a2)]
+            gs, gt = off_s[(j, a)], off_t[(a2, j)]
+            P[pt:pt + nt, ps:ps + ns] += w * G[gt:gt + nt, gs:gs + ns]
+        blocks[b] = Q @ P @ E._product_transform_inv(cat, si, obj.X, b)
+    gamma_mor = E.Morphism(cat, W, W, blocks)
     resid = E.distance(E.compose(gamma_mor, gamma_mor), gamma_mor)
     if resid > eps:
         raise IdempotencyError(

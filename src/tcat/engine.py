@@ -14,13 +14,15 @@ with that choice the resolutions of identity carry quantum-dimension
 weights exactly as in the usual premodular graphical calculus.
 
 Loops are closed without drawing the cup and the cap.  Closing a simple
-j strand to the right of X (x) j only reads channel blocks: the sector-b
-block of the closure is the sum over c in b j of the (b, j) channel block
-at sector c times one scalar kappa(j, b, c) (``_loop_weight``: two duality
-scalars and two F-entries).  ``omega_loop`` closes every Omega-loop this
-way, and the center reads half-braidings off the tube module with the same
-scalar.  ``quantum_trace`` and ``cup_cap`` stay diagrammatic, so the
-validator's left-versus-right trace check never reads kappa twice.
+j strand to the right of f : X (x) j -> Y (x) j only reads channel blocks:
+the sector-b block of the closure is the sum over c in b j of the (b, j)
+channel block at sector c times one scalar kappa(j, b, c)
+(``_loop_weight``: two duality scalars and two F-entries).
+``omega_loop`` closes its Omega-loops this way; the center closes the
+coupling loops around i (x) a on two-letter words and reads half-braidings
+off the tube module with the same scalar.  ``quantum_trace`` and
+``cup_cap`` stay diagrammatic, so the validator's left-versus-right trace
+check never reads kappa twice.
 
 Everything here is a pure function of immutable inputs.  The category's
 private cache memoizes, as read-only data built once per category:
@@ -858,31 +860,33 @@ def _loop_weight(cat: CategoryData, j: int, b: int, c: int) -> complex:
 
 
 def _close_right(cat: CategoryData, f: Morphism, X: ObjectExpr,
-                 j: int) -> Morphism:
-    """Close the simple right factor of f : X (x) j -> X (x) j into a loop.
+                 j: int, Y: ObjectExpr = None) -> Morphism:
+    """Close the simple right factor of f : X (x) j -> Y (x) j into a loop.
 
-    Equal to (1 (x) ev'_j) (f (x) 1) (1 (x) coev_j), read off the channel
-    blocks: the sector-b block is the sum over c in b j of kappa(j, b, c)
-    times the (b, j) -> (b, j) channel block of f at sector c.
+    Equal to (1 (x) ev'_j) (f (x) 1) (1 (x) coev_j) : X -> Y, read off the
+    channel blocks: the sector-b block is the sum over c in b j of
+    kappa(j, b, c) times the (b, j) -> (b, j) channel block of f at sector
+    c.  The target ``Y`` defaults to ``X``.
     """
+    Y = X if Y is None else Y
     J = ObjectExpr.simple(j)
     blocks = {}
-    for b, n in enumerate(_sector_dims(cat, X)):
-        if not n:
+    for b, (m, n) in enumerate(zip(_sector_dims(cat, Y), _sector_dims(cat, X))):
+        if not m or not n:
             continue
-        acc = np.zeros((n, n), dtype=complex)
+        acc = np.zeros((m, n), dtype=complex)
         for c in cat.ring.fusion(b, j):
-            Q, _pairs, off = _product_transform(cat, X, J, c)
-            Qinv = _product_transform_inv(cat, X, J, c)
-            o = off[(b, j)]
+            Q, _pairs, off_s = _product_transform(cat, X, J, c)
+            off_t = _product_transform(cat, Y, J, c)[2]
+            Qinv = _product_transform_inv(cat, Y, J, c)
+            s, t = off_s[(b, j)], off_t[(b, j)]
             acc += _loop_weight(cat, j, b, c) * (
-                Qinv[o:o + n] @ f.block(c) @ Q[:, o:o + n])
+                Qinv[t:t + m] @ f.block(c) @ Q[:, s:s + n])
         blocks[b] = acc
-    return Morphism(cat, X, X, blocks)
+    return Morphism(cat, X, Y, blocks)
 
 
-def omega_loop(cat: CategoryData, X, half_braiding=None,
-               mirror: bool = False) -> Morphism:
+def omega_loop(cat: CategoryData, X, mirror: bool = False) -> Morphism:
     """The loop colored by the regular color around one strand X.
 
     Returns the endomorphism of X
@@ -890,18 +894,16 @@ def omega_loop(cat: CategoryData, X, half_braiding=None,
         sum_j dim(j) x (j-colored loop around X),
 
     where the j strand passes behind X by the braiding c_{X,j} and comes
-    back in front by ``half_braiding[j] : j (x) X -> X (x) j`` when given,
-    by the braiding c_{j,X} otherwise.  ``mirror=True`` takes inverse
-    braidings for the ambient crossings, which by the sliding property must
-    not change the value.
+    back in front by the braiding c_{j,X}.  ``mirror=True`` takes inverse
+    braidings for both crossings, which by the sliding property must not
+    change the value.
     """
     X = as_object(X)
     total = zero_morphism(cat, X, X)
     for j in range(cat.n_labels):
         J = ObjectExpr.simple(j)
-        front = (half_braiding[j] if half_braiding is not None
-                 else braiding(cat, J, X, inverse=mirror))
-        around = compose(front, braiding(cat, X, J, inverse=mirror))
+        around = compose(braiding(cat, J, X, inverse=mirror),
+                         braiding(cat, X, J, inverse=mirror))
         total = total + cat.dim(j) * _close_right(cat, around, X, j)
     return total
 

@@ -124,6 +124,13 @@ def test_loader_rejects_zero_r_symbol(cats):
         category_from_dict(doc)
 
 
+def test_loader_rejects_zero_pivotal_coefficient(cats):
+    doc = category_to_dict(cats["semion"])
+    doc["pivotal"][1]["re"] = 0.0
+    with pytest.raises(SchemaError, match="zero coefficient"):
+        category_from_dict(doc)
+
+
 def test_tolerance_invariant():
     with pytest.raises(SchemaError):
         ToleranceCfg(eps_structural=1e-8, eps_identity=1e-10)

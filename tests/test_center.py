@@ -22,6 +22,8 @@ from tcat.deligne import (DelignePair, deligne_compose, deligne_defect,
                           pair_object)
 from tcat.modularity import is_modular, muger_center
 
+from conftest import ALL_NAMES
+
 PHI = (1 + math.sqrt(5)) / 2
 RNG = np.random.default_rng(20240812)
 
@@ -220,15 +222,39 @@ def _two_pass_coupling(cat, i, obj):
     return total
 
 
-@pytest.mark.parametrize("name", ["fibonacci", "ising"])
+@pytest.mark.parametrize("name", ALL_NAMES + ["ising@2", "ising@5", "ising@12"])
 def test_coupling_matches_two_pass_loop(cats, name):
-    cat = cats[name]
-    objs = center_simples(cat) + [
-        functor_F(cat, pair_object(word(1), word(cat.n_labels - 1)))]
+    # every center simple, one- and two-slot F images, and an S + S re-based
+    # by random matrices; "name@seed" applies a seeded vertex phase gauge
+    base, _, seed = name.partition("@")
+    cat = cats[base]
+    if seed:
+        cat = category_from_dict(_phase_gauge(category_to_dict(cat), int(seed)))
+    n = cat.n_labels
+    a, z = 1 % n, n - 1   # the first and last labels (the unit if trivial)
+    simples = center_simples(cat)
+    largest = max(simples, key=lambda s: len(s.X.summands))
+    objs = simples + [
+        functor_F(cat, pair_object(word(a), word(z))),
+        functor_F(cat, DelignePair(((word(z), word(a)), (word(a, z), word())))),
+        _rebased_double(cat, largest, np.random.default_rng(20261018))]
     for obj in objs:
-        for i in range(cat.n_labels):
+        for i in range(n):
             assert E.distance(coupling_gamma(cat, i, obj).gamma_mor,
                               _two_pass_coupling(cat, i, obj)) < 1e-12
+
+
+def test_coupling_draws_no_braiding_on_i_x(cats):
+    # the loop is read off gamma's channel blocks: no braiding of i (x) X
+    # (a fresh instance, so no other test's cache entries are seen)
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+    obj = functor_F(cat, pair_object(word(2), word(1, 2)))
+    for i in range(cat.n_labels):
+        coupling_gamma(cat, i, obj)
+    firsts = {key[1] for key in cat._cache
+              if isinstance(key, tuple) and key[0] == "braid"}
+    for i in range(cat.n_labels):
+        assert word(i).tensor(obj.X).summands not in firsts
 
 
 def test_coupling_rejects_invalid_half_braiding(cats):
@@ -310,31 +336,36 @@ def test_tube_module_is_a_representation(cats):
                 assert np.abs(lhs - rhs).max() < 1e-9
 
 
+def _rebased_double(cat, s, rng):
+    """S + S on X = (+)_a a^(2 d_a), re-based by a random invertible matrix
+    per label, so every label of S occurs more than once in X."""
+    dims = {a: 2 * d for a, d in s.X.grading(cat).items()}
+    X = ObjectExpr(tuple(((a,) if a else (), d)
+                         for a, d in sorted(dims.items())))
+    P = {a: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+         for a, d in dims.items()}
+    phi = E.Morphism(cat, ObjectExpr.direct_sum([s.X, s.X]), X, P)
+    phi_inv = E.Morphism(cat, X, phi.source,
+                         {a: np.linalg.inv(m) for a, m in P.items()})
+    mats = {}
+    for j in range(cat.n_labels):
+        sj = word(j)
+        mats[j] = E.compose_all(
+            E.tensor(phi, E.identity(cat, sj)),
+            E.direct_sum([s.gamma[j], s.gamma[j]]),
+            E.tensor(E.identity(cat, sj), phi_inv))
+    return CenterObject(X=X, gamma=HalfBraiding(X=X, mats=mats))
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z3_modular"])
 def test_object_from_module_round_trips_multiplicities(cats, name):
-    # S + S on X = (+)_a a^(2 d_a), re-based by a random invertible matrix
-    # per label, so every label occurs more than once in X
     cat = cats[name]
     rng = np.random.default_rng(20261018)
     for s in center_simples(cat):
-        dims = {a: 2 * d for a, d in s.X.grading(cat).items()}
-        X = ObjectExpr(tuple(((a,) if a else (), d)
-                             for a, d in sorted(dims.items())))
-        P = {a: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-             for a, d in dims.items()}
-        phi = E.Morphism(cat, ObjectExpr.direct_sum([s.X, s.X]), X, P)
-        phi_inv = E.Morphism(cat, X, phi.source,
-                             {a: np.linalg.inv(m) for a, m in P.items()})
-        mats = {}
-        for j in range(cat.n_labels):
-            sj = word(j)
-            mats[j] = E.compose_all(
-                E.tensor(phi, E.identity(cat, sj)),
-                E.direct_sum([s.gamma[j], s.gamma[j]]),
-                E.tensor(E.identity(cat, sj), phi_inv))
-        obj = CenterObject(X=X, gamma=HalfBraiding(X=X, mats=mats))
+        obj = _rebased_double(cat, s, rng)
+        dims = obj.X.grading(cat)
         back = _object_from_module(cat, dims, tube_module(cat, obj))
-        assert back.X == X
+        assert back.X == obj.X
         for j in range(cat.n_labels):
             assert E.distance(back.gamma[j], obj.gamma[j]) < 1e-12
 

@@ -48,6 +48,15 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert "tcat:" in capsys.readouterr().err
 
 
+def test_zero_pivotal_coefficient_exits_two(tmp_path, capsys):
+    doc = json.loads(serialize_category(catalog("semion")))
+    doc["pivotal"][1]["re"] = 0.0
+    path = tmp_path / "semion_zero_pivotal.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", str(path)]) == 2
+    assert "tcat:" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()

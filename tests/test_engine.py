@@ -315,28 +315,34 @@ def test_omega_loop_around_nothing_is_global_dim(cats):
         assert loop.block(0)[0, 0] == pytest.approx(complex(cat.total_dim))
 
 
-def _close_by_cups(cat, f, X, j):
-    """(1 (x) ev'_j) (f (x) 1) (1 (x) coev_j) for f on X (x) j."""
+def _close_by_cups(cat, f, X, j, Y):
+    """(1 (x) ev'_j) (f (x) 1) (1 (x) coev_j) for f : X (x) j -> Y (x) j."""
     J = ObjectExpr.simple(j)
-    id_X = E.identity(cat, X)
     return E.compose_all(
-        E.tensor(id_X, E.cup_cap(cat, J, "eval'")),
+        E.tensor(E.identity(cat, Y), E.cup_cap(cat, J, "eval'")),
         E.tensor(f, E.identity(cat, J.dual(cat))),
-        E.tensor(id_X, E.cup_cap(cat, J, "coev")))
+        E.tensor(E.identity(cat, X), E.cup_cap(cat, J, "coev")))
 
 
 def test_close_right_matches_cup_cap_closure(cats):
     rng = np.random.default_rng(20261018)
     for cat in cats.values():
         labels = range(1, cat.n_labels)
-        words = [()] + [(a,) for a in labels] \
-            + [(a, b) for a in labels for b in labels]
-        for w in words:
-            X = ObjectExpr.word(w)
+        words = [ObjectExpr.word(w) for w in [()] + [(a,) for a in labels]
+                 + [(a, b) for a in labels for b in labels]]
+        for X in words:
             for j in range(cat.n_labels):
-                f = E.random_endomorphism(cat, X.tensor(word(j)), rng)
+                J = word(j)
+                f = E.random_endomorphism(cat, X.tensor(J), rng)
                 assert E.distance(E._close_right(cat, f, X, j),
-                                  _close_by_cups(cat, f, X, j)) < 1e-12
+                                  _close_by_cups(cat, f, X, j, X)) < 1e-12
+                # a target other than the source
+                for Y in words:
+                    if Y == X:
+                        continue
+                    f = E.random_morphism(cat, X.tensor(J), Y.tensor(J), rng)
+                    assert E.distance(E._close_right(cat, f, X, j, Y),
+                                      _close_by_cups(cat, f, X, j, Y)) < 1e-12
 
 
 def test_censorship_of_opacity_modular(cats):
