@@ -144,6 +144,14 @@ class FSymbolTable:
         self._invs[key] = out
         return out
 
+    def inverse_get(self, ring: FusionRing, a, b, c, d, f, e) -> complex:
+        """Entry (f, e) of the inverse F-matrix (f in b*c, e in a*b), or 0
+        off the fusion rules."""
+        inv, rows, cols = self.inverse(ring, a, b, c, d)
+        if f not in rows or e not in cols:
+            return 0j
+        return inv[rows.index(f), cols.index(e)]
+
 
 class RSymbolTable:
     """Sparse R-symbol storage: ``(a, b, c) -> braiding eigenvalue``."""
@@ -365,7 +373,6 @@ def _hexagon_residual(cat: CategoryData, inverse: bool) -> float:
                     cols = [f for f in ring.fusion(b, c) if ring.admissible(a, f, d)]
                     if not rows or not cols:
                         continue
-                    finv, fi_rows, fi_cols = cat.f.inverse(ring, b, c, a, d)
                     for e in rows:
                         for f in cols:
                             lhs = rsym(a, f, d) * F.get(a, b, c, d, e, f)
@@ -373,11 +380,8 @@ def _hexagon_residual(cat: CategoryData, inverse: bool) -> float:
                             for j in ring.fusion(a, c):
                                 if not ring.admissible(b, j, d):
                                     continue
-                                # Finv rows are channels of c*a ... use stored index lists
-                                if j not in fi_rows or f not in fi_cols:
-                                    continue
                                 rhs += (F.get(b, a, c, d, e, j) * rsym(a, c, j)
-                                        * finv[fi_rows.index(j), fi_cols.index(f)])
+                                        * F.inverse_get(ring, b, c, a, d, j, f))
                             rhs *= rsym(a, b, e)
                             worst = max(worst, abs(lhs - rhs))
     return worst
@@ -410,6 +414,15 @@ def _unit_duality_residual(cat: CategoryData) -> float:
             worst = max(worst, abs(v - 1.0))
     worst = max(worst, abs(cat.piv.t[0] - 1.0))
     return worst
+
+
+#: Ceiling on the condition number of any F-matrix.  Above it an inverse
+#: F-move keeps fewer than four of a double's sixteen digits: the matrix is
+#: singular at working precision, and residuals computed through its
+#: inverse (the hexagons, every recoupling) no longer measure the data.  It
+#: is a singularity cut, not an accuracy bound; the residual checks carry
+#: the tolerances.
+_F_CONDITION_LIMIT = 1e12
 
 
 def _f_condition_number(cat: CategoryData) -> float:
@@ -481,7 +494,7 @@ def validate(cat: CategoryData) -> ValidationReport:
         ("sphericality", _sphericality_residual, eps),
         ("zigzag", _zigzag_residual, eps),
         ("dimension_character", _dimension_character_residual, eps),
-        ("f_condition", _f_condition_number, 1e12),
+        ("f_condition", _f_condition_number, _F_CONDITION_LIMIT),
         ("min_quantum_dim_inverse", lambda c: 1.0 / min(abs(d) for d in c.dims),
          1.0 / cat.tol.eps_identity),
     ]

@@ -14,13 +14,13 @@ with that choice the resolutions of identity carry quantum-dimension
 weights exactly as in the usual premodular graphical calculus.
 
 Loops are closed without drawing the cup and the cap.  Closing a simple
-j strand to the right of f : X (x) j -> Y (x) j only reads channel blocks:
+j strand to the right of f : X (x) j -> X (x) j only reads channel blocks:
 the sector-b block of the closure is the sum over c in b j of the (b, j)
 channel block at sector c times one scalar kappa(j, b, c)
 (``_loop_weight``: two duality scalars and two F-entries).
-``omega_loop`` closes its Omega-loops this way; the center closes the
-coupling loops around i (x) a on two-letter words and reads half-braidings
-off the tube module with the same scalar.  ``quantum_trace`` and
+``omega_loop`` closes its Omega-loops this way, and the center reads
+half-braidings off the tube module and closes the coupling loops around
+i (x) a in closed form with the same scalar.  ``quantum_trace`` and
 ``cup_cap`` stay diagrammatic, so the validator's left-versus-right trace
 check never reads kappa twice.
 
@@ -222,7 +222,7 @@ def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
                                                x combed continuation.
 
     Built by peeling the last letter of ``w`` with one inverse F-move per
-    step; this matrix is the engine's only source of F-symbol data.
+    step; every recoupling matrix of the engine is assembled from it.
     """
     def build():
         rows = _tails(cat, i, w, k)
@@ -852,38 +852,34 @@ def _loop_weight(cat: CategoryData, j: int, b: int, c: int) -> complex:
     of b j: Finv[b,j,j*,b][0,c] F[b,j,j*,b][c,0].
     """
     jd = cat.dual[j]
-    fmat, rows, cols = cat.f.matrix(cat.ring, b, j, jd, b)
-    finv = cat.f.inverse(cat.ring, b, j, jd, b)[0]
     return (cat.coev_scalar(j) * cat.ev_right_scalar(j)
-            * finv[cols.index(0), rows.index(c)]
-            * fmat[rows.index(c), cols.index(0)])
+            * cat.f.inverse_get(cat.ring, b, j, jd, b, 0, c)
+            * cat.f.get(b, j, jd, b, c, 0))
 
 
 def _close_right(cat: CategoryData, f: Morphism, X: ObjectExpr,
-                 j: int, Y: ObjectExpr = None) -> Morphism:
-    """Close the simple right factor of f : X (x) j -> Y (x) j into a loop.
+                 j: int) -> Morphism:
+    """Close the simple right factor of f : X (x) j -> X (x) j into a loop.
 
-    Equal to (1 (x) ev'_j) (f (x) 1) (1 (x) coev_j) : X -> Y, read off the
+    Equal to (1 (x) ev'_j) (f (x) 1) (1 (x) coev_j) : X -> X, read off the
     channel blocks: the sector-b block is the sum over c in b j of
     kappa(j, b, c) times the (b, j) -> (b, j) channel block of f at sector
-    c.  The target ``Y`` defaults to ``X``.
+    c.
     """
-    Y = X if Y is None else Y
     J = ObjectExpr.simple(j)
     blocks = {}
-    for b, (m, n) in enumerate(zip(_sector_dims(cat, Y), _sector_dims(cat, X))):
-        if not m or not n:
+    for b, n in enumerate(_sector_dims(cat, X)):
+        if not n:
             continue
-        acc = np.zeros((m, n), dtype=complex)
+        acc = np.zeros((n, n), dtype=complex)
         for c in cat.ring.fusion(b, j):
-            Q, _pairs, off_s = _product_transform(cat, X, J, c)
-            off_t = _product_transform(cat, Y, J, c)[2]
-            Qinv = _product_transform_inv(cat, Y, J, c)
-            s, t = off_s[(b, j)], off_t[(b, j)]
+            Q, _pairs, off = _product_transform(cat, X, J, c)
+            Qinv = _product_transform_inv(cat, X, J, c)
+            s = off[(b, j)]
             acc += _loop_weight(cat, j, b, c) * (
-                Qinv[t:t + m] @ f.block(c) @ Q[:, s:s + n])
+                Qinv[s:s + n] @ f.block(c) @ Q[:, s:s + n])
         blocks[b] = acc
-    return Morphism(cat, X, Y, blocks)
+    return Morphism(cat, X, X, blocks)
 
 
 def omega_loop(cat: CategoryData, X, mirror: bool = False) -> Morphism:

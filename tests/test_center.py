@@ -3,6 +3,7 @@ the two functors, and the four transformations."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ import pytest
 from tcat import IdempotencyError, engine as E, validate
 from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
-from tcat.center import (CenterObject, HalfBraiding, _object_from_module,
-                         center_hom_dim, center_simples, coupling_gamma,
+from tcat.center import (CenterObject, HalfBraiding, _loop_table,
+                         _object_from_module, center_hom_dim, center_simples, coupling_gamma,
                          functor_F, functor_F_on_morphism, functor_G,
                          functor_G_on_morphism, invertibility_report,
                          nat_transforms, transform_b, transform_d,
-                         transform_p, transform_q, tube_algebra, tube_module,
+                         transform_p, transform_q, tube_algebra,
                          verify_center_object, zc_morphism_defect)
 from tcat.deligne import (DelignePair, deligne_compose, deligne_defect,
                           deligne_distance, deligne_identity, pair_morphism,
@@ -23,6 +24,8 @@ from tcat.deligne import (DelignePair, deligne_compose, deligne_defect,
 from tcat.modularity import is_modular, muger_center
 
 from conftest import ALL_NAMES
+from tube_reference import (associativity_residual, loop_table,
+                            tube_module, tube_structure)
 
 PHI = (1 + math.sqrt(5)) / 2
 RNG = np.random.default_rng(20240812)
@@ -281,7 +284,7 @@ def test_tube_algebra_dimensions(cats):
 def test_tube_algebra_associative_with_unit(cats):
     for cat in cats.values():
         alg = tube_algebra(cat)
-        assert alg.associativity_residual() < 1e-9
+        assert associativity_residual(alg) < 1e-9
         assert alg.unit_residual() < 1e-12
 
 
@@ -438,24 +441,33 @@ def test_center_simples_deterministic(cats):
             assert E.distance(s1.gamma[j], s2.gamma[j]) < 1e-12
 
 
-def _phase_gauge(doc, seed):
-    """Seeded vertex phases u^{ab}_c applied to F and R (u = 1 on unit legs
-    and on the unit channel); the gauged category is equivalent."""
-    rng = np.random.default_rng(seed)
-    theta = {t: 0.0 if 0 in t else rng.uniform(-math.pi, math.pi)
-             for t in sorted(tuple(t) for t in doc["fusion"])}
+def _phase_gauge(doc, seed, modulus=False):
+    """Seeded vertex factors u^{ab}_c applied to F and R (u = 1 on unit legs
+    and on the unit channel); the gauged category is equivalent.
 
-    def rotate(rec, angle):
-        z = complex(rec["re"], rec["im"]) * cmath.exp(1j * angle)
+    Each u is a phase e^{i theta}; with ``modulus`` it is r e^{i theta} with
+    r drawn from [0.5, 2], a non-unitary gauge.
+    """
+    rng = np.random.default_rng(seed)
+    u = {}
+    for t in sorted(tuple(t) for t in doc["fusion"]):
+        if 0 in t:
+            u[t] = 1.0
+            continue
+        u[t] = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        if modulus:
+            u[t] *= rng.uniform(0.5, 2.0)
+
+    def scale(rec, factor):
+        z = complex(rec["re"], rec["im"]) * factor
         return dict(rec, re=z.real, im=z.imag)
 
     out = dict(doc)
-    out["F"] = [rotate(r, theta[r["a"], r["b"], r["e"]]
-                       + theta[r["e"], r["c"], r["d"]]
-                       - theta[r["b"], r["c"], r["f"]]
-                       - theta[r["a"], r["f"], r["d"]]) for r in doc["F"]]
-    out["R"] = [rotate(r, theta[r["a"], r["b"], r["c"]]
-                       - theta[r["b"], r["a"], r["c"]]) for r in doc["R"]]
+    out["F"] = [scale(r, u[r["a"], r["b"], r["e"]] * u[r["e"], r["c"], r["d"]]
+                      / (u[r["b"], r["c"], r["f"]] * u[r["a"], r["f"], r["d"]]))
+                for r in doc["F"]]
+    out["R"] = [scale(r, u[r["a"], r["b"], r["c"]] / u[r["b"], r["a"], r["c"]])
+                for r in doc["R"]]
     return out
 
 
@@ -466,6 +478,79 @@ def test_center_simples_survive_phase_gauge(cats, seed):
     simples = center_simples(cat)
     assert len(simples) == 9
     assert all(verify_center_object(cat, s).ok for s in simples)
+
+
+def _vec_zn_doc(n, k):
+    """Vec_{Z_n} with trivial F and R(a, b) = exp(2 pi i k a b / n)."""
+    return {
+        "name": f"vec_z{n}_k{k}",
+        "labels": [str(a) for a in range(n)],
+        "dual": [(-a) % n for a in range(n)],
+        "fusion": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
+        "F": [{"a": a, "b": b, "c": c, "d": (a + b + c) % n,
+               "e": (a + b) % n, "f": (b + c) % n, "re": 1.0, "im": 0.0}
+              for a in range(n) for b in range(n) for c in range(n)],
+        "R": [{"a": a, "b": b, "c": (a + b) % n,
+               "re": math.cos(2 * math.pi * k * a * b / n),
+               "im": math.sin(2 * math.pi * k * a * b / n)}
+              for a in range(n) for b in range(n)],
+        "pivotal": [{"i": a, "re": 1.0, "im": 0.0} for a in range(n)],
+    }
+
+
+# the catalog, three entries under phase ("@") and non-unitary ("#") vertex
+# gauges, Vec_Z4 with R = i^ab, symmetric Vec_Z3 and Vec_Z5 with
+# R = exp(2 pi i ab / 5)
+TABLE_INPUTS = ALL_NAMES + [
+    f"{base}{mark}{seed}" for mark in "@#"
+    for base in ("ising", "fibonacci", "vec_z3_modular") for seed in (2, 5, 12)
+] + ["vec_z4_k1", "vec_z3_k0", "vec_z5_k1"]
+
+
+def _table_input(cats, name):
+    pointed = re.fullmatch(r"vec_z(\d+)_k(\d+)", name)
+    if pointed:
+        return category_from_dict(_vec_zn_doc(*map(int, pointed.groups())))
+    base, mark, seed = re.fullmatch(r"(\w+?)(?:([@#])(\d+))?", name).groups()
+    if not mark:
+        return cats[base]
+    return category_from_dict(_phase_gauge(
+        category_to_dict(cats[base]), int(seed), modulus=(mark == "#")))
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_tube_structure_matches_diagrams(cats, name):
+    cat = _table_input(cats, name)
+    alg = tube_algebra(cat)
+    assert np.abs(alg.structure - tube_structure(cat, alg.basis)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_loop_table_matches_diagrams(cats, name):
+    cat = _table_input(cats, name)
+    for i in range(cat.n_labels):
+        summed = {}
+        for b, entries in _loop_table(cat, i).items():
+            for j, a, a2, c, w in entries:
+                key = (b, j, a, a2, c)
+                summed[key] = summed.get(key, 0j) + w
+        ref = loop_table(cat, i)
+        assert set(summed) == set(ref)
+        assert max(abs(summed[k] - ref[k]) for k in ref) < 1e-12
+
+
+def test_tables_evaluate_no_diagram(cats, monkeypatch):
+    # a fresh instance, so nothing is served from another test's cache
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagram was evaluated")
+
+    for op in ("tensor", "compose", "braiding", "_close_right"):
+        monkeypatch.setattr(E, op, refuse)
+    tube_algebra(cat)
+    for i in range(cat.n_labels):
+        _loop_table(cat, i)
 
 
 @pytest.mark.parametrize("k", [1, 0])

@@ -1,0 +1,149 @@
+"""Diagrammatic references for the tube algebra and the coupling loops.
+
+The package reads the tube algebra's structure constants and the coupling
+loop table off the F- and R-symbols.  The builders here evaluate the same
+numbers as diagrams on two- and three-letter words with the engine's
+``tensor``, ``compose``, ``braiding`` and ``cup_cap``, so that the tests
+can hold the closed forms against them.  ``tube_module`` realizes the tube
+action of a center object by wrapping the loop around it, the reference for
+``center._object_from_module``.
+"""
+
+import numpy as np
+
+from tcat import engine as E
+from tcat.center import _invert_blocks, tube_algebra
+
+
+def simple(a):
+    return E.ObjectExpr.simple(a)
+
+
+def tube_morphism(cat, a, j, b, c):
+    """The tube channel j a -> b j through c."""
+    return E.Morphism(cat, E.ObjectExpr.word((j, a)), E.ObjectExpr.word((b, j)),
+                      {c: np.ones((1, 1), dtype=complex)})
+
+
+def tube_structure(cat, basis):
+    """Structure constants by stacking annuli: the two loop strands are
+    fused through a complete set of splitting trees."""
+    N = len(basis)
+    index = {q: n for n, q in enumerate(basis)}
+    structure = np.zeros((N, N, N), dtype=complex)
+    for x, (a1, j1, b1, c1) in enumerate(basis):
+        m1 = tube_morphism(cat, a1, j1, b1, c1)
+        for y, (a2, j2, b2, c2) in enumerate(basis):
+            if b2 != a1:
+                continue
+            m2 = tube_morphism(cat, a2, j2, b2, c2)
+            total = E.compose(E.tensor(m1, E.identity(cat, simple(j2))),
+                              E.tensor(E.identity(cat, simple(j1)), m2))
+            jj = E.ObjectExpr.word((j1, j2))
+            for l in range(cat.n_labels):
+                trees = E.word_trees(cat, (j1, j2), l)
+                for t in range(len(trees)):
+                    vec = np.zeros((len(trees), 1), dtype=complex)
+                    vec[t, 0] = 1.0
+                    t_in = E.Morphism(cat, simple(l), jj, {l: vec})
+                    t_out = E.Morphism(cat, jj, simple(l), {l: vec.T.copy()})
+                    res = E.compose_all(
+                        E.tensor(E.identity(cat, simple(b1)), t_out), total,
+                        E.tensor(t_in, E.identity(cat, simple(a2))))
+                    for s in range(cat.n_labels):
+                        blk = res.block(s)
+                        z = index.get((a2, l, b1, s))
+                        if blk.size and z is not None:
+                            structure[x, y, z] += blk[0, 0]
+    return structure
+
+
+def close_by_cups(cat, f, X, j, Y):
+    """(1 (x) ev'_j) (f (x) 1) (1 (x) coev_j) for f : X (x) j -> Y (x) j."""
+    J = simple(j)
+    return E.compose_all(
+        E.tensor(E.identity(cat, Y), E.cup_cap(cat, J, "eval'")),
+        E.tensor(f, E.identity(cat, J.dual(cat))),
+        E.tensor(E.identity(cat, X), E.cup_cap(cat, J, "coev")))
+
+
+def loop_table(cat, i):
+    """``{(b, j, a, a2, c): w}``: d_j / D^2 times the sector-b entry of
+    close_j((1_i (x) tau) (c_{j,i} (x) 1_a) c_{i a, j}) for every tube
+    channel tau : j a -> a2 j through c."""
+    si = simple(i)
+    out = {}
+    for j in range(cat.n_labels):
+        sj = simple(j)
+        weight = cat.dim(j) / cat.total_dim
+        for a in range(cat.n_labels):
+            ia = si.tensor(simple(a))
+            behind = E.compose(
+                E.tensor(E.braiding(cat, sj, si), E.identity(cat, simple(a))),
+                E.braiding(cat, ia, sj))
+            for c in cat.ring.fusion(j, a):
+                for a2 in range(cat.n_labels):
+                    if not cat.ring.admissible(a2, j, c):
+                        continue
+                    ia2 = si.tensor(simple(a2))
+                    around = E.compose(
+                        E.tensor(E.identity(cat, si),
+                                 tube_morphism(cat, a, j, a2, c)), behind)
+                    closed = close_by_cups(cat, around, ia, j, ia2)
+                    for b, blk in closed.blocks.items():
+                        key = (b, j, a, a2, c)
+                        out[key] = out.get(key, 0j) + weight * blk[0, 0]
+    return out
+
+
+def associativity_residual(alg):
+    """max |L_{xy} - L_x L_y| over pairs of basis elements."""
+    eye = np.eye(alg.dim)
+    lefts = [alg.left_mult(e) for e in eye]
+    worst = 0.0
+    for x in range(alg.dim):
+        for y in range(alg.dim):
+            xy = alg.multiply(eye[x], eye[y])
+            worst = max(worst, float(np.abs(
+                alg.left_mult(xy) - lefts[x] @ lefts[y]).max()))
+    return worst
+
+
+def tube_action(cat, X, gamma_inv_j, a, j, b, c):
+    """Matrix of the tube element (a, j, b, c) on Hom(X, a) -> Hom(X, b).
+
+    The j-loop is wrapped around the X strand through the inverse
+    half-braiding and closed by a cup and a cap.
+    """
+    da, db = X.dim_sector(cat, a), X.dim_sector(cat, b)
+    sj, sjd = simple(j), simple(cat.dual[j])
+    sa, sb = simple(a), simple(b)
+    tau = E.Morphism(cat, sj.tensor(sa), sb.tensor(sj),
+                     {c: np.ones((1, 1), dtype=complex)})
+    pre = E.compose(E.tensor(gamma_inv_j, E.identity(cat, sjd)),
+                    E.tensor(E.identity(cat, X), E.cup_cap(cat, sj, "coev")))
+    post = E.compose(E.tensor(E.identity(cat, sb), E.cup_cap(cat, sj, "eval'")),
+                     E.tensor(tau, E.identity(cat, sjd)))
+    mat = np.zeros((db, da), dtype=complex)
+    for col in range(da):
+        eta_blk = np.zeros((1, da), dtype=complex)
+        eta_blk[0, col] = 1.0
+        eta = E.Morphism(cat, X, sa, {a: eta_blk})
+        res = E.compose_all(
+            post,
+            E.tensor(E.identity(cat, sj), E.tensor(eta, E.identity(cat, sjd))),
+            pre)
+        mat[:, col] = res.block(b).ravel()
+    return mat
+
+
+def tube_module(cat, obj):
+    """The tube-algebra module carried by a center object: one matrix on
+    the graded spaces Hom(X, a) per algebra basis quadruple."""
+    alg = tube_algebra(cat)
+    ginv = {j: _invert_blocks(cat, obj.gamma[j]) for j in range(cat.n_labels)}
+    out = {}
+    for (a, j, b, c) in alg.basis:
+        if obj.X.dim_sector(cat, a) and obj.X.dim_sector(cat, b):
+            out[(a, j, b, c)] = tube_action(cat, obj.X, ginv[j], a, j, b, c)
+    return out
