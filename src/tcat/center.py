@@ -27,12 +27,25 @@ through c,
                        Finv(i,a2,j,s; c,b)
                        sum_{e in j i} Finv(j,i,a,s; b,e) R(j,i,e) F(i,j,a,s; e,c),
 
-with kappa the closing scalar of ``engine._loop_weight``.  The functors
-come with natural transformations in both directions whose composites are
-measured against the identity: the composite back into the square is the
-identity unconditionally; the other three composites are identities
-exactly in the modular case, and their defect norms quantify the failure
-of invertibility for degenerate inputs.
+with kappa the closing scalar of ``engine._loop_weight``.
+
+F objects carry their half-braiding in channel form; the combed gamma is
+built on first read.  The braidings are natural in alpha : x -> X and
+beta : y -> Y, so on the channel j (x y)_a -> (x y)_{a2} j through c the
+crossing of F(X [x] Y) is the scalar (``_crossing_table``)
+
+    h_j^{xy}(c; a -> a2) = sum_{e in j x, f in j y} Finv(j,x,y,c; a,e) R(j,x,e)
+                           F(x,j,y,c; e,f) / R(y,j,f) Finv(x,y,j,c; f,a2)
+
+on Hom(a, x y) and the identity on Hom(x, X) x Hom(y, Y); with the slot's
+product transform Q = ``engine._product_transform`` its channel block is
+Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a) (``functor_F``).
+
+The functors come with natural transformations in both directions whose
+composites are measured against the identity: the composite back into the
+square is the identity unconditionally; the other three composites are
+identities exactly in the modular case, and their defect norms quantify
+the failure of invertibility for degenerate inputs.
 
 Simple center objects are materialized through the tube algebra (the
 annular category on one marked point) and verified rather than trusted:
@@ -50,6 +63,7 @@ F-symbols as well (``tube_algebra``):
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,10 +95,47 @@ class HalfBraiding:
     """Per-simple-label crossings gamma_j : j (x) X -> X (x) j."""
 
     X: E.ObjectExpr
-    mats: dict  # label j -> Morphism
+    mats: Mapping  # label j -> Morphism
 
     def __getitem__(self, j: int) -> E.Morphism:
         return self.mats[j]
+
+
+class _CombedGamma(Mapping):
+    """Read-only ``{j: gamma_j}`` for a half-braiding kept in channel form.
+
+    ``channels`` is laid out as ``_gamma_channels`` returns it; each label's
+    crossing is combed on first access,
+    gamma_j[c] = Q(X, j, c) G_j[c] Qinv(j, X, c).
+    """
+
+    def __init__(self, cat: CategoryData, X: E.ObjectExpr, channels: dict):
+        self._cat, self._X, self._channels = cat, X, channels
+        self._combed = {}
+
+    def __getitem__(self, j: int) -> E.Morphism:
+        hit = self._combed.get(j)
+        if hit is None:
+            if j not in self:
+                raise KeyError(j)
+            cat, X = self._cat, self._X
+            J = E.ObjectExpr.simple(j)
+            blocks = {c: (E._product_transform(cat, X, J, c)[0] @ G
+                          @ E._product_transform_inv(cat, J, X, c))
+                      for (jj, c), (G, _s, _t) in self._channels.items()
+                      if jj == j}
+            hit = self._combed[j] = E.Morphism(cat, J.tensor(X), X.tensor(J),
+                                               blocks)
+        return hit
+
+    def __contains__(self, j) -> bool:
+        return j in range(self._cat.n_labels)
+
+    def __iter__(self):
+        return iter(range(self._cat.n_labels))
+
+    def __len__(self) -> int:
+        return self._cat.n_labels
 
 
 @dataclass
@@ -214,17 +265,128 @@ def center_hom_dim(cat: CategoryData, a: CenterObject, b: CenterObject) -> int:
 # the tautological functor
 # ----------------------------------------------------------------------
 
-def _slot_half_braiding(cat: CategoryData, X: E.ObjectExpr, Y: E.ObjectExpr,
-                        j: int) -> E.Morphism:
-    """j (x) (X Y) -> (X Y) (x) j: braid through X, reverse-braid through Y."""
-    sj = E.ObjectExpr.simple(j)
-    step1 = E.tensor(E.braiding(cat, sj, X), E.identity(cat, Y))
-    step2 = E.tensor(E.identity(cat, X), E.braiding(cat, sj, Y, inverse=True))
-    return E.compose(step2, step1)
+def _crossing_table(cat: CategoryData, j: int, x: int, y: int) -> dict:
+    """The crossing of j through x (x) y, ``{(c, a, a2): h}``.
+
+    h is the coefficient of (1_x (x) c^{-1}_{y,j}) (c_{j,x} (x) 1_y) on the
+    channel j (x y)_a -> (x y)_{a2} j at sector c (the formula is in
+    ``functor_F``): an inverse F-move to (j x)_e y, c_{j,x} acting as
+    R(j,x,e), an F-move to x (j y)_f, c^{-1}_{y,j} acting as 1/R(y,j,f) and
+    an inverse F-move to (x y)_{a2} j.  It depends on the category alone and is built once per (j, x, y).
+    """
+    def build():
+        ring, F, R = cat.ring, cat.f, cat.r
+        table = {}
+        for a in ring.fusion(x, y):
+            for c in ring.fusion(j, a):
+                for a2 in ring.fusion(x, y):
+                    if not ring.admissible(a2, j, c):
+                        continue
+                    table[(c, a, a2)] = sum(
+                        F.inverse_get(ring, j, x, y, c, a, e) * R.get(j, x, e)
+                        * F.get(x, j, y, c, e, f) / R.get(y, j, f)
+                        * F.inverse_get(ring, x, y, j, c, f, a2)
+                        for e in ring.fusion(j, x) for f in ring.fusion(j, y))
+        return table
+
+    return E._cached(cat, ("crossing", j, x, y), build)
+
+
+def _slot_channels(cat: CategoryData, X: E.ObjectExpr, Y: E.ObjectExpr) -> dict:
+    """One slot's crossings, ``{(j, c, a, a2): block}``: the map
+    Hom(a, X Y) -> Hom(a2, X Y) that F(X [x] Y)'s gamma_j induces on the
+    channel j a -> a2 j through c.
+
+    The engine's braidings are natural in every alpha : x -> X and
+    beta : y -> Y, so in the product basis of ``engine._product_transform``
+    the crossing acts on Hom(a, x y) as ``_crossing_table`` and as the
+    identity on Hom(x, X) (x) Hom(y, Y):
+
+        block = Q(X, Y, a2) ((+)_{(x,y)} h_j^{xy}(c; a -> a2) I) Qinv(X, Y, a).
+    """
+    n = cat.n_labels
+    dims = E._sector_dims(cat, X.tensor(Y))
+    dX, dY = E._sector_dims(cat, X), E._sector_dims(cat, Y)
+    legs = {}  # (x, y) -> {a: (columns of Q(X, Y, a), rows of Qinv(X, Y, a))}
+    for a in range(n):
+        if not dims[a]:
+            continue
+        Q, pairs, off = E._product_transform(cat, X, Y, a)
+        Qinv = E._product_transform_inv(cat, X, Y, a)
+        for x, y in pairs:
+            o, m = off[(x, y)], dX[x] * dY[y]
+            if m:
+                legs.setdefault((x, y), {})[a] = (Q[:, o:o + m], Qinv[o:o + m])
+    out = {}
+    for (x, y), by_sector in legs.items():
+        through = {}  # (a, a2) -> Q(X, Y, a2)[:, xy] Qinv(X, Y, a)[xy, :]
+        for j in range(n):
+            for (c, a, a2), h in _crossing_table(cat, j, x, y).items():
+                if a not in by_sector or a2 not in by_sector:
+                    continue
+                K = through.get((a, a2))
+                if K is None:
+                    K = through[(a, a2)] = by_sector[a2][0] @ by_sector[a][1]
+                key = (j, c, a, a2)
+                out[key] = out[key] + h * K if key in out else h * K
+    return out
+
+
+def _crossing_channels(cat: CategoryData, slots, total: E.ObjectExpr) -> dict:
+    """F's half-braiding on total = (+)_s X_s Y_s in product bases, laid out
+    as ``_gamma_channels`` returns it: ``{(j, c): (G, src_offset,
+    tgt_offset)}``, with G_j[c][(a2,j) <- (j,a)] stacking each slot's
+    ``_slot_channels`` block in Hom(a, total) = (+)_s Hom(a, X_s Y_s).
+
+    The offsets follow the column layout of ``engine._product_transform``
+    (channels in label order, each as wide as its sector of total), so no
+    transform of j (x) total or total (x) j is built.
+    """
+    ring, n = cat.ring, cat.n_labels
+    dims = E._sector_dims(cat, total)
+    channels = {}
+    for j in range(n):
+        for c in range(n):
+            off_s, off_t = {}, {}
+            ns = nt = 0
+            for a in range(n):
+                if ring.admissible(j, a, c):
+                    off_s[(j, a)] = ns
+                    ns += dims[a]
+                if ring.admissible(a, j, c):
+                    off_t[(a, j)] = nt
+                    nt += dims[a]
+            if ns:
+                channels[(j, c)] = (np.zeros((nt, ns), dtype=complex), off_s, off_t)
+    start = [0] * n  # each slot's offset in Hom(a, total)
+    for X, Y in slots:
+        for (j, c, a, a2), blk in _slot_channels(cat, X, Y).items():
+            G, off_s, off_t = channels[(j, c)]
+            r, s = off_t[(a2, j)] + start[a2], off_s[(j, a)] + start[a]
+            G[r:r + blk.shape[0], s:s + blk.shape[1]] = blk
+        start = [s + d for s, d in zip(start, E._sector_dims(cat, X.tensor(Y)))]
+    return channels
 
 
 def functor_F(cat: CategoryData, D) -> CenterObject:
     """The tautological functor on objects of the exterior square.
+
+    F(X [x] Y) = (X (x) Y, gamma) with gamma_j = (1_X (x) c^{-1}_{Y,j})
+    (c_{j,X} (x) 1_Y), braid past X and reverse-braid past Y.  No diagram
+    is evaluated: F objects carry their half-braiding in channel form, the
+    blocks G_j[c] that ``_gamma_channels`` returns, and the combed gamma is
+    built on first read, which ``invertibility_report`` never does.  On the
+    channel j (x y)_a -> (x y)_{a2} j through c of simples x -> X, y -> Y
+    the crossing is (``_crossing_table``)
+
+        h_j^{xy}(c; a -> a2) = sum_{e in j x, f in j y} Finv(j,x,y,c; a,e)
+                               R(j,x,e) F(x,j,y,c; e,f) / R(y,j,f)
+                               Finv(x,y,j,c; f,a2),
+
+    and per slot, stacked in Hom(a, (+)_s X_s Y_s) (``_slot_channels``),
+
+        G_j[c][(a2,j) <- (j,a)] = Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a),
+        gamma_j[c] = Q(X Y, j, c) G_j[c] Qinv(j, X Y, c)   (on first read).
 
     Results are cached per slot structure so that repeated transforms at
     the same object share the coupling idempotents.
@@ -235,13 +397,11 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
     hit = cat._cache.get(key)
     if hit is not None:
         return hit
-    mats = {}
-    for j in range(cat.n_labels):
-        mats[j] = E.direct_sum([_slot_half_braiding(cat, X, Y, j)
-                                for (X, Y) in D.slots]) if D.slots else \
-            E.zero_morphism(cat, E.ObjectExpr.zero(), E.ObjectExpr.zero())
     total = E.ObjectExpr.direct_sum([X.tensor(Y) for (X, Y) in D.slots])
-    out = CenterObject(X=total, gamma=HalfBraiding(X=total, mats=mats))
+    channels = _crossing_channels(cat, D.slots, total)
+    out = CenterObject(X=total, gamma=HalfBraiding(
+        X=total, mats=_CombedGamma(cat, total, channels)))
+    out._channels[id(cat)] = channels
     cat._cache[key] = out
     return out
 
@@ -437,7 +597,8 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
             P[pt:pt + nt, ps:ps + ns] += w * G[gt:gt + nt, gs:gs + ns]
         blocks[b] = Q @ P @ E._product_transform_inv(cat, si, obj.X, b)
     gamma_mor = E.Morphism(cat, W, W, blocks)
-    resid = E.distance(E.compose(gamma_mor, gamma_mor), gamma_mor)
+    resid = max((float(np.linalg.norm(M @ M - M, 2)) for M in blocks.values()),
+                default=0.0)
     if resid > eps:
         raise IdempotencyError(
             f"coupling morphism at i={cat.label_name(i)} on "

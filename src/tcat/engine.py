@@ -29,7 +29,7 @@ private cache memoizes, as read-only data built once per category:
 
 * the recoupling matrices (tail and product transforms and inverses);
 * the sector-dimension vector of each object;
-* the duality morphisms of each object (``cup_cap``);
+* the identity and the duality morphisms (``cup_cap``) of each object;
 * the braidings of each object pair (``braiding``).
 
 Repeated calls return the same object, shared by every caller, so its
@@ -469,9 +469,9 @@ def morphism_dump(f: Morphism) -> str:
 
 def identity(cat: CategoryData, X: ObjectExpr) -> Morphism:
     X = as_object(X)
-    blocks = {k: np.eye(d, dtype=complex)
-              for k, d in enumerate(_sector_dims(cat, X)) if d}
-    return Morphism(cat, X, X, blocks)
+    return _cached(cat, ("id", X.summands), lambda: Morphism(cat, X, X, {
+        k: np.eye(d, dtype=complex)
+        for k, d in enumerate(_sector_dims(cat, X)) if d}))
 
 
 def zero_morphism(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr) -> Morphism:
@@ -812,8 +812,11 @@ def hom_basis(cat: CategoryData, X, i: int, rotation=None) -> CasimirPair:
                                  for l in range(n))})
             for a in range(n)
         ]
-    gram = np.array([[trace_pairing(cat, candidates[m], basis[l])
-                      for l in range(n)] for m in range(n)])
+    # Tr(c_m o b_l) = sum_k d_k tr((c_m o b_l)_k), and only sector i* is
+    # non-zero: d_{i*} b_l[i*] c_m[i*] by cyclicity of the trace
+    rows = np.vstack([b.block(istar) for b in basis])
+    cols = np.hstack([c.block(istar) for c in candidates])
+    gram = cat.dim(istar) * (rows @ cols).T
     coeffs = np.linalg.inv(gram).T
     duals = []
     for a in range(n):

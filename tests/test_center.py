@@ -11,8 +11,9 @@ import pytest
 from tcat import IdempotencyError, engine as E, validate
 from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
-from tcat.center import (CenterObject, HalfBraiding, _loop_table,
-                         _object_from_module, center_hom_dim, center_simples, coupling_gamma,
+from tcat.center import (CenterObject, HalfBraiding, _gamma_channels, _loop_table,
+                         _object_from_module, _test_objects, center_hom_dim,
+                         center_simples, coupling_gamma,
                          functor_F, functor_F_on_morphism, functor_G,
                          functor_G_on_morphism, invertibility_report,
                          nat_transforms, transform_b, transform_d,
@@ -24,8 +25,8 @@ from tcat.deligne import (DelignePair, deligne_compose, deligne_defect,
 from tcat.modularity import is_modular, muger_center
 
 from conftest import ALL_NAMES
-from tube_reference import (associativity_residual, loop_table,
-                            tube_module, tube_structure)
+from tube_reference import (associativity_residual, functor_f_half_braiding,
+                            loop_table, tube_module, tube_structure)
 
 PHI = (1 + math.sqrt(5)) / 2
 RNG = np.random.default_rng(20240812)
@@ -551,6 +552,66 @@ def test_tables_evaluate_no_diagram(cats, monkeypatch):
     tube_algebra(cat)
     for i in range(cat.n_labels):
         _loop_table(cat, i)
+
+
+def _f_inputs(cat):
+    """Every exterior product of two test objects (words up to length 2),
+    one two-slot pair, and G of every center simple (multi-summand slots)."""
+    objs = _test_objects(cat, 2)
+    n = cat.n_labels
+    a, z = 1 % n, n - 1
+    return ([pair_object(X, Y) for X in objs for Y in objs]
+            + [DelignePair(((word(z), word(a)), (word(a, z), word())))]
+            + [functor_G(cat, s) for s in center_simples(cat)])
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_functor_f_half_braiding_matches_diagrams(cats, name):
+    # the channel blocks F builds from the crossing table, and the gamma
+    # combed from them, against braid-past-X, reverse-braid-past-Y drawn
+    # slot by slot; the "#" gauges tell F from Finv
+    cat = _table_input(cats, name)
+    for D in _f_inputs(cat):
+        obj = functor_F(cat, D)
+        ref = functor_f_half_braiding(cat, D)
+        ref_channels = _gamma_channels(
+            cat, CenterObject(X=obj.X, gamma=HalfBraiding(X=obj.X, mats=ref)))
+        channels = obj._channels[id(cat)]
+        assert set(channels) == set(ref_channels)
+        for key, (G, off_s, off_t) in channels.items():
+            G_ref, off_s_ref, off_t_ref = ref_channels[key]
+            assert all(off_s_ref[p] == o for p, o in off_s.items())
+            assert all(off_t_ref[p] == o for p, o in off_t.items())
+            assert np.abs(G - G_ref).max(initial=0.0) < 1e-12
+        for j in range(cat.n_labels):
+            assert E.distance(obj.gamma[j], ref[j]) < 1e-12
+
+
+def test_factorize_draws_no_f_half_braiding(cats, monkeypatch):
+    # F objects and their couplings come from channel blocks alone; the
+    # combed gamma is drawn only when read (a fresh instance, so nothing is
+    # served from another test's cache)
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+    objs = _test_objects(cat, 2)
+    pairs = [pair_object(X, Y) for X in objs for Y in objs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagram was evaluated")
+
+    with monkeypatch.context() as patch:
+        for op in ("tensor", "braiding", "compose"):
+            patch.setattr(E, op, refuse)
+        fobjs = [functor_F(cat, D) for D in pairs]
+        for obj in fobjs:
+            for i in range(cat.n_labels):
+                coupling_gamma(cat, i, obj)
+    for D, obj in zip(pairs, fobjs):
+        ref = functor_f_half_braiding(cat, D)
+        mats = dict(obj.gamma.mats)
+        assert set(mats) == set(range(cat.n_labels))
+        for j in range(cat.n_labels):
+            assert mats[j] is obj.gamma[j]
+            assert E.distance(obj.gamma[j], ref[j]) < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 0])

@@ -10,6 +10,8 @@ from tcat import (CompositionError, ShapeError, loads_category,
 from tcat import engine as E
 from tcat.engine import ObjectExpr
 
+from test_center import _table_input
+
 PHI = (1 + math.sqrt(5)) / 2
 RNG = np.random.default_rng(20240811)
 
@@ -284,6 +286,42 @@ def test_hom_basis_rotation_keeps_duality(cats):
     assert np.allclose(gram, np.eye(2), atol=1e-9)
 
 
+@pytest.mark.parametrize("name", [
+    "trivial", "fibonacci", "ising", "semion", "vec_z2_sym", "vec_z3_modular",
+    "ising@2", "ising@5", "ising#2", "ising#5"])
+def test_hom_basis_gram_matches_trace_pairing(cats, name):
+    # hom_basis reads its Gram matrix off sector i*; the diagrammatic trace
+    # pairing of the unit columns c_m with the basis is the reference ("@" a
+    # phase vertex gauge, "#" a non-unitary one)
+    cat = _table_input(cats, name)
+    rng = np.random.default_rng(20261018)
+    n_labels = cat.n_labels
+    objs = [ObjectExpr.unit()] + [word(a) for a in range(1, n_labels)] + [
+        word(a, b) for a in range(1, n_labels) for b in range(1, n_labels)]
+    for X in objs:
+        for i in range(n_labels):
+            istar = cat.dual[i]
+            n = X.dim_sector(cat, istar)
+            if not n:
+                continue
+            rot = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for rotation in (None, rot):
+                pair = E.hom_basis(cat, X, i, rotation=rotation)
+                unit_cols = [E.Morphism(cat, word(istar), X,
+                                        {istar: np.eye(n, dtype=complex)[:, [m]]})
+                             for m in range(n)]
+                gram = np.array([[E.trace_pairing(cat, unit_cols[m], pair.basis[l])
+                                  for l in range(n)] for m in range(n)])
+                # the duals are sum_m inv(gram)[a, m] c_m, so their blocks give gram back
+                duals = np.hstack([d.block(istar) for d in pair.dual_basis])
+                assert np.abs(np.linalg.inv(duals).T - gram).max() < 1e-12
+                assert pair.gram_condition == pytest.approx(np.linalg.cond(gram))
+                pairing = np.array([[E.trace_pairing(cat, pair.dual_basis[a],
+                                                     pair.basis[b])
+                                     for b in range(n)] for a in range(n)])
+                assert np.abs(pairing - np.eye(n)).max() < 1e-9
+
+
 def test_identity_resolution_unit(cats):
     cat = cats["semion"]
     triples = E.identity_resolution(cat, ObjectExpr.unit())
@@ -407,7 +445,8 @@ def test_operations_are_deterministic(cats):
 @pytest.mark.parametrize("build", [
     lambda cat: E.cup_cap(cat, word(1, 2), "coev"),
     lambda cat: E.braiding(cat, word(1, 1), word(2)),
-], ids=["cup_cap", "braiding"])
+    lambda cat: E.identity(cat, word(1, 2)),
+], ids=["cup_cap", "braiding", "identity"])
 def test_memoized_morphisms_are_shared_and_read_only(cats, build):
     cat = cats["ising"]
     m = build(cat)

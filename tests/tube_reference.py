@@ -1,8 +1,9 @@
-"""Diagrammatic references for the tube algebra and the coupling loops.
+"""Diagrammatic references for the tube algebra, the coupling loops and the
+half-braidings of the tautological functor.
 
-The package reads the tube algebra's structure constants and the coupling
-loop table off the F- and R-symbols.  The builders here evaluate the same
-numbers as diagrams on two- and three-letter words with the engine's
+The package reads the tube algebra's structure constants, the coupling
+loop table and F(X [x] Y)'s half-braiding off the F- and R-symbols.  The
+builders here evaluate the same numbers as diagrams with the engine's
 ``tensor``, ``compose``, ``braiding`` and ``cup_cap``, so that the tests
 can hold the closed forms against them.  ``tube_module`` realizes the tube
 action of a center object by wrapping the loop around it, the reference for
@@ -94,6 +95,24 @@ def loop_table(cat, i):
                         key = (b, j, a, a2, c)
                         out[key] = out.get(key, 0j) + weight * blk[0, 0]
     return out
+
+
+def slot_half_braiding(cat, X, Y, j):
+    """j (x) (X Y) -> (X Y) (x) j: braid through X, reverse-braid through Y."""
+    sj = simple(j)
+    step1 = E.tensor(E.braiding(cat, sj, X), E.identity(cat, Y))
+    step2 = E.tensor(E.identity(cat, X), E.braiding(cat, sj, Y, inverse=True))
+    return E.compose(step2, step1)
+
+
+def functor_f_half_braiding(cat, D):
+    """``{j: gamma_j}`` of F(D) for a DelignePair D, slot by slot."""
+    if not D.slots:
+        zero = E.ObjectExpr.zero()
+        return {j: E.zero_morphism(cat, zero, zero) for j in range(cat.n_labels)}
+    return {j: E.direct_sum([slot_half_braiding(cat, X, Y, j)
+                             for X, Y in D.slots])
+            for j in range(cat.n_labels)}
 
 
 def associativity_residual(alg):
