@@ -86,10 +86,17 @@ class FusionRing:
             (i, j): tuple(int(k) for k in range(n_labels) if N[i, j, k])
             for i in range(n_labels) for j in range(n_labels)
         }
+        # and the pairs fusing to each channel, in label order
+        self._pairs = [tuple(zip(*(a.tolist() for a in np.nonzero(N[:, :, k]))))
+                       for k in range(n_labels)]
 
     def fusion(self, i: int, j: int) -> tuple:
         """All channels k with N(i, j, k) = 1, in ascending label order."""
         return self._outcomes[(i, j)]
+
+    def pairs(self, k: int) -> tuple:
+        """All (i, j) with N(i, j, k) = 1, in label order (i outer)."""
+        return self._pairs[k]
 
     def admissible(self, i: int, j: int, k: int) -> bool:
         return bool(self.N[i, j, k])

@@ -45,7 +45,20 @@ The functors come with natural transformations in both directions whose
 composites are measured against the identity: the composite back into the
 square is the identity unconditionally; the other three composites are
 identities exactly in the modular case, and their defect norms quantify
-the failure of invertibility for degenerate inputs.
+the failure of invertibility for degenerate inputs.  Each pair is built in
+one loop over the coupling slots i (``_square_transforms``,
+``_center_transforms``).  With w = sqrt(d_i), phi_l a basis of Hom(X, i*)
+and phi^l its trace dual, the small legs
+
+    u_l = (1_i (x) phi^l) coev_i : 1 -> i X,
+    v_l = ev'_i (1_i (x) phi_l) : i X -> 1
+
+are whiskered by Y, which is exact by the interchange law:
+
+    d = sum_{i,l} (w phi_l) [x] proj_i (u_l (x) 1_Y),
+    q = sum_{i,l} (w phi^l) [x] (v_l (x) 1_Y) incl_i,
+    b = stack_i        w (1_{i*} (x) proj_i) (coev'_i (x) 1_X),
+    p = side-by-side_i w (ev_i (x) 1_X) (1_{i*} (x) incl_i).
 
 Simple center objects are materialized through the tube algebra (the
 annular category on one marked point) and verified rather than trusted:
@@ -338,27 +351,19 @@ def _crossing_channels(cat: CategoryData, slots, total: E.ObjectExpr) -> dict:
     tgt_offset)}``, with G_j[c][(a2,j) <- (j,a)] stacking each slot's
     ``_slot_channels`` block in Hom(a, total) = (+)_s Hom(a, X_s Y_s).
 
-    The offsets follow the column layout of ``engine._product_transform``
-    (channels in label order, each as wide as its sector of total), so no
-    transform of j (x) total or total (x) j is built.
+    The offsets are the column layout of ``engine._product_transform``
+    (``engine._channel_layout``), so no transform of j (x) total or
+    total (x) j is built.
     """
-    ring, n = cat.ring, cat.n_labels
-    dims = E._sector_dims(cat, total)
     channels = {}
-    for j in range(n):
-        for c in range(n):
-            off_s, off_t = {}, {}
-            ns = nt = 0
-            for a in range(n):
-                if ring.admissible(j, a, c):
-                    off_s[(j, a)] = ns
-                    ns += dims[a]
-                if ring.admissible(a, j, c):
-                    off_t[(a, j)] = nt
-                    nt += dims[a]
+    for j in range(cat.n_labels):
+        J = E.ObjectExpr.simple(j)
+        for c in range(cat.n_labels):
+            _pairs, off_s, ns = E._channel_layout(cat, J, total, c)
             if ns:
+                _pairs, off_t, nt = E._channel_layout(cat, total, J, c)
                 channels[(j, c)] = (np.zeros((nt, ns), dtype=complex), off_s, off_t)
-    start = [0] * n  # each slot's offset in Hom(a, total)
+    start = [0] * cat.n_labels  # each slot's offset in Hom(a, total)
     for X, Y in slots:
         for (j, c, a, a2), blk in _slot_channels(cat, X, Y).items():
             G, off_s, off_t = channels[(j, c)]
@@ -388,22 +393,16 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
         G_j[c][(a2,j) <- (j,a)] = Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a),
         gamma_j[c] = Q(X Y, j, c) G_j[c] Qinv(j, X Y, c)   (on first read).
 
-    Results are cached per slot structure so that repeated transforms at
-    the same object share the coupling idempotents.
+    Nothing is memoized: each call builds a new object, and its coupling
+    idempotents live on it and are freed with it.
     """
     if not isinstance(D, DelignePair):
         D = pair_object(*D)
-    key = ("F_obj", D.slots)
-    hit = cat._cache.get(key)
-    if hit is not None:
-        return hit
     total = E.ObjectExpr.direct_sum([X.tensor(Y) for (X, Y) in D.slots])
     channels = _crossing_channels(cat, D.slots, total)
-    out = CenterObject(X=total, gamma=HalfBraiding(
-        X=total, mats=_CombedGamma(cat, total, channels)))
-    out._channels[id(cat)] = channels
-    cat._cache[key] = out
-    return out
+    return CenterObject(X=total, gamma=HalfBraiding(
+        X=total, mats=_CombedGamma(cat, total, channels)),
+        _channels={id(cat): channels})
 
 
 def functor_F_on_morphism(cat: CategoryData, m: DeligneMorphism) -> E.Morphism:
@@ -597,7 +596,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
             P[pt:pt + nt, ps:ps + ns] += w * G[gt:gt + nt, gs:gs + ns]
         blocks[b] = Q @ P @ E._product_transform_inv(cat, si, obj.X, b)
     gamma_mor = E.Morphism(cat, W, W, blocks)
-    resid = max((float(np.linalg.norm(M @ M - M, 2)) for M in blocks.values()),
+    resid = max((E._spectral_norm(M @ M - M) for M in blocks.values()),
                 default=0.0)
     if resid > eps:
         raise IdempotencyError(
@@ -679,6 +678,62 @@ def functor_G_on_morphism(cat: CategoryData, src: CenterObject,
     return out
 
 
+def _square_transforms(cat: CategoryData, X, Y, basis=None) -> tuple:
+    """``(d, q)`` at X [x] Y in one loop over the coupling slots of
+    F(X [x] Y), from the legs u_l and v_l of the module docstring; ``basis``
+    is ``transform_d``'s hook."""
+    X, Y = E.as_object(X), E.as_object(Y)
+    XY = pair_object(X, Y)
+    fobj = functor_F(cat, XY)
+    GF = functor_G(cat, fobj)
+    d = DeligneMorphism(cat, XY, GF, {})
+    q = DeligneMorphism(cat, GF, XY, {})
+    id_Y = E.identity(cat, Y)
+    for slot, cp in enumerate(_slot_couplings(cat, fobj)):
+        i = cp.i
+        cas = basis(i) if basis is not None else E.hom_basis(cat, X, i)
+        if not cas.basis:
+            continue
+        w = np.sqrt(complex(cat.dim(i)))
+        si = E.ObjectExpr.simple(i)
+        id_i = E.identity(cat, si)
+        coev, ev = E.cup_cap(cat, si, "coev"), E.cup_cap(cat, si, "eval'")
+        for phi, phi_dual in zip(cas.basis, cas.dual_basis):
+            u = E.compose(E.tensor(id_i, phi_dual), coev)  # 1 -> i X
+            v = E.compose(ev, E.tensor(id_i, phi))  # i X -> 1
+            d = d + pair_morphism(cat, phi * w,
+                                  E.compose(cp.proj, E.tensor(u, id_Y)),
+                                  source=XY, target=GF, t_slot=slot)
+            q = q + pair_morphism(cat, phi_dual * w,
+                                  E.compose(E.tensor(v, id_Y), cp.incl),
+                                  source=GF, target=XY, s_slot=slot)
+    return d, q
+
+
+def _center_transforms(cat: CategoryData, obj: CenterObject) -> tuple:
+    """``(b, p)`` at a center object in one loop over its coupling slots
+    (the formulas are in the module docstring)."""
+    X = obj.X
+    id_X = E.identity(cat, X)
+    bs, ps = [], []
+    for cp in _slot_couplings(cat, obj):
+        i = cp.i
+        w = np.sqrt(complex(cat.dim(i)))
+        si = E.ObjectExpr.simple(i)
+        id_dual = E.identity(cat, E.ObjectExpr.simple(cat.dual[i]))
+        bs.append(E.compose(E.tensor(id_dual, cp.proj),
+                            E.tensor(E.cup_cap(cat, si, "coev'"), id_X)) * w)
+        ps.append(E.compose(E.tensor(E.cup_cap(cat, si, "eval"), id_X),
+                            E.tensor(id_dual, cp.incl)) * w)
+    FG = E.ObjectExpr.direct_sum([m.target for m in bs])
+    sectors = [k for k, n in enumerate(E._sector_dims(cat, X))
+               if n and FG.dim_sector(cat, k)]
+    return (E.Morphism(cat, X, FG, {k: np.vstack([m.block(k) for m in bs])
+                                    for k in sectors}),
+            E.Morphism(cat, FG, X, {k: np.hstack([m.block(k) for m in ps])
+                                    for k in sectors}))
+
+
 def transform_d(cat: CategoryData, X, Y, basis=None) -> DeligneMorphism:
     """The unit-direction transformation X [x] Y -> G(F(X [x] Y)).
 
@@ -689,100 +744,24 @@ def transform_d(cat: CategoryData, X, Y, basis=None) -> DeligneMorphism:
     supplies an alternative dual-basis pair per label (used to check
     basis independence).
     """
-    X, Y = E.as_object(X), E.as_object(Y)
-    src = pair_object(X, Y)
-    fobj = functor_F(cat, src)
-    tgt = functor_G(cat, fobj)
-    out = DeligneMorphism(cat, src, tgt, {})
-    id_Y = E.identity(cat, Y)
-    for t_slot, cp in enumerate(_slot_couplings(cat, fobj)):
-        i = cp.i
-        cas = basis(i) if basis is not None else E.hom_basis(cat, X, i)
-        if not cas.basis:
-            continue
-        w = np.sqrt(complex(cat.dim(i)))
-        si = E.ObjectExpr.simple(i)
-        pre = E.tensor(E.cup_cap(cat, si, "coev"), id_Y)  # Y -> i i* Y
-        for phi, phi_dual in zip(cas.basis, cas.dual_basis):
-            second = E.compose_all(
-                cp.proj,
-                E.tensor(E.identity(cat, si), E.tensor(phi_dual, id_Y)),
-                pre)
-            term = pair_morphism(cat, phi * w, second, source=src, target=tgt,
-                                 t_slot=t_slot, s_slot=0)
-            out = out + term
-    return out
+    return _square_transforms(cat, X, Y, basis)[0]
 
 
 def transform_q(cat: CategoryData, X, Y, basis=None) -> DeligneMorphism:
     """The counit-direction transformation G(F(X [x] Y)) -> X [x] Y."""
-    X, Y = E.as_object(X), E.as_object(Y)
-    tgt = pair_object(X, Y)
-    fobj = functor_F(cat, tgt)
-    src = functor_G(cat, fobj)
-    out = DeligneMorphism(cat, src, tgt, {})
-    id_Y = E.identity(cat, Y)
-    for s_slot, cp in enumerate(_slot_couplings(cat, fobj)):
-        i = cp.i
-        cas = basis(i) if basis is not None else E.hom_basis(cat, X, i)
-        if not cas.basis:
-            continue
-        w = np.sqrt(complex(cat.dim(i)))
-        si = E.ObjectExpr.simple(i)
-        post = E.tensor(E.cup_cap(cat, si, "eval'"), id_Y)  # i i* Y -> Y
-        for phi, phi_dual in zip(cas.basis, cas.dual_basis):
-            second = E.compose_all(
-                post,
-                E.tensor(E.identity(cat, si), E.tensor(phi, id_Y)),
-                cp.incl)
-            term = pair_morphism(cat, phi_dual * w, second, source=src,
-                                 target=tgt, t_slot=0, s_slot=s_slot)
-            out = out + term
-    return out
+    return _square_transforms(cat, X, Y, basis)[1]
 
 
 def transform_b(cat: CategoryData, obj: CenterObject) -> E.Morphism:
     """The unit-direction transformation (X, gamma) -> F(G(X, gamma)),
     as a morphism of the underlying objects (a center morphism by the
     half-braiding-compatibility lemma, which the tests verify)."""
-    parts = []
-    for cp in _slot_couplings(cat, obj):
-        i = cp.i
-        w = np.sqrt(complex(cat.dim(i)))
-        si = E.ObjectExpr.simple(i)
-        sid = E.ObjectExpr.simple(cat.dual[i])
-        m = E.compose_all(
-            E.tensor(E.identity(cat, sid), cp.proj),
-            E.tensor(E.cup_cap(cat, si, "coev'"), E.identity(cat, obj.X)))
-        parts.append(m * w)
-    if not parts:
-        return E.zero_morphism(cat, obj.X, E.ObjectExpr.zero())
-    tgt = E.ObjectExpr.direct_sum([m.target for m in parts])
-    blocks = {k: np.vstack([m.block(k) for m in parts])
-              for k in range(cat.n_labels)
-              if obj.X.dim_sector(cat, k) and tgt.dim_sector(cat, k)}
-    return E.Morphism(cat, obj.X, tgt, blocks)
+    return _center_transforms(cat, obj)[0]
 
 
 def transform_p(cat: CategoryData, obj: CenterObject) -> E.Morphism:
     """The counit-direction transformation F(G(X, gamma)) -> (X, gamma)."""
-    parts = []
-    for cp in _slot_couplings(cat, obj):
-        i = cp.i
-        w = np.sqrt(complex(cat.dim(i)))
-        si = E.ObjectExpr.simple(i)
-        sid = E.ObjectExpr.simple(cat.dual[i])
-        m = E.compose_all(
-            E.tensor(E.cup_cap(cat, si, "eval"), E.identity(cat, obj.X)),
-            E.tensor(E.identity(cat, sid), cp.incl))
-        parts.append(m * w)
-    if not parts:
-        return E.zero_morphism(cat, E.ObjectExpr.zero(), obj.X)
-    src = E.ObjectExpr.direct_sum([m.source for m in parts])
-    blocks = {k: np.hstack([m.block(k) for m in parts])
-              for k in range(cat.n_labels)
-              if obj.X.dim_sector(cat, k) and src.dim_sector(cat, k)}
-    return E.Morphism(cat, src, obj.X, blocks)
+    return _center_transforms(cat, obj)[1]
 
 
 def nat_transforms(cat: CategoryData, arg):
@@ -792,14 +771,14 @@ def nat_transforms(cat: CategoryData, arg):
     CenterObject returns ``(b, p)``.
     """
     if isinstance(arg, CenterObject):
-        return transform_b(cat, arg), transform_p(cat, arg)
+        return _center_transforms(cat, arg)
     if isinstance(arg, DelignePair):
         if len(arg.slots) != 1:
             raise ShapeError("d and q are built at a single exterior product")
         X, Y = arg.slots[0]
     else:
         X, Y = arg
-    return transform_d(cat, X, Y), transform_q(cat, X, Y)
+    return _square_transforms(cat, X, Y)
 
 
 # ----------------------------------------------------------------------
@@ -908,11 +887,7 @@ def tube_algebra(cat: CategoryData) -> TubeAlgebra:
         alg._ideals = [V for _e, _n, V in split]
         return alg
 
-    hit = cat._cache.get("tube_algebra")
-    if hit is None:
-        hit = build()
-        cat._cache["tube_algebra"] = hit
-    return hit
+    return E._cached(cat, "tube_algebra", build)
 
 
 #: Decimals kept when blocks and center simples are sorted by their values.
@@ -1053,11 +1028,7 @@ def center_simples(cat: CategoryData) -> list:
         simples.sort(key=lambda o: _center_sort_key(cat, o))
         return simples
 
-    hit = cat._cache.get("center_simples")
-    if hit is None:
-        hit = build()
-        cat._cache["center_simples"] = hit
-    return hit
+    return E._cached(cat, "center_simples", build)
 
 
 def _invert_blocks(cat: CategoryData, m: E.Morphism) -> E.Morphism:
@@ -1171,17 +1142,17 @@ def invertibility_report(cat: CategoryData,
     eps = cat.tol.eps_identity
     verdict = is_modular(cat)
     qd = dq = 0.0
-    for X in _test_objects(cat, max_word_length):
-        for Y in _test_objects(cat, max_word_length):
-            d = transform_d(cat, X, Y)
-            q = transform_q(cat, X, Y)
+    objs = _test_objects(cat, max_word_length)
+    for X in objs:
+        bases = [E.hom_basis(cat, X, i) for i in range(cat.n_labels)]
+        for Y in objs:
+            d, q = _square_transforms(cat, X, Y, bases.__getitem__)
             qd = max(qd, deligne_defect(deligne_compose(q, d)))
             dq = max(dq, deligne_defect(deligne_compose(d, q)))
     pb = bp = 0.0
     simples = center_simples(cat)
     for obj in simples:
-        b = transform_b(cat, obj)
-        p = transform_p(cat, obj)
+        b, p = _center_transforms(cat, obj)
         pb = max(pb, E.defect_from_identity(E.compose(p, b)))
         bp = max(bp, E.defect_from_identity(E.compose(b, p)))
     factorizable = max(qd, dq, pb, bp) < eps

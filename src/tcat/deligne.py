@@ -119,7 +119,7 @@ class DeligneMorphism:
                 if arr.size:
                     a, b, c, d = arr.shape
                     mat = arr.transpose(0, 2, 1, 3).reshape(a * c, b * d)
-                    worst = max(worst, float(np.linalg.norm(mat, 2)))
+                    worst = max(worst, E._spectral_norm(mat))
         return worst
 
 

@@ -307,6 +307,22 @@ def _split_chain(w: Word, x: Word, chain: Word, k: int):
     return chain[:wl - 2], chain[wl - 2], chain[wl - 1:]
 
 
+def _channel_layout(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
+    """The channels of Hom(k, X (x) Y) in product bases.
+
+    Returns ``(pairs, offsets, width)``: the ``(i, j)`` pairs with
+    N(i, j, k) = 1 in label order (``FusionRing.pairs``), the slice start
+    of each pair's Hom(i, X) x Hom(j, Y) block and the total width.
+    """
+    pairs = cat.ring.pairs(k)
+    dX, dY = _sector_dims(cat, X), _sector_dims(cat, Y)
+    offsets, width = {}, 0
+    for i, j in pairs:
+        offsets[(i, j)] = width
+        width += dX[i] * dY[j]
+    return pairs, offsets, width
+
+
 def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
     """Isomorphism  (+)_{i,j} Hom(k, i j) (x) Hom(i, X) (x) Hom(j, Y)
     -> Hom(k, X (x) Y)  in the combed bases.
@@ -319,19 +335,9 @@ def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
         XY = X.tensor(Y)
         rows = sector_basis(cat, XY, k)
         row_index = {b: n for n, b in enumerate(rows)}
-        pairs = []
-        offsets = {}
-        off = 0
+        pairs, offsets, ncols = _channel_layout(cat, X, Y, k)
         bases_X = {i: sector_basis(cat, X, i) for i in range(cat.n_labels)}
         bases_Y = {j: sector_basis(cat, Y, j) for j in range(cat.n_labels)}
-        for i in range(cat.n_labels):
-            for j in range(cat.n_labels):
-                if not cat.ring.admissible(i, j, k):
-                    continue
-                pairs.append((i, j))
-                offsets[(i, j)] = off
-                off += len(bases_X[i]) * len(bases_Y[j])
-        ncols = off
         Q = np.zeros((len(rows), ncols), dtype=complex)
         nY = len(Y.summands)
         X_index = {i: {b: n for n, b in enumerate(bases_X[i])}
@@ -361,7 +367,7 @@ def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
                     continue
                 col = offsets[(i, j)] + bi * len(bases_Y[j]) + bj
                 Q[rn, col] = v
-        return Q, tuple(pairs), offsets
+        return Q, pairs, offsets
 
     return _cached(cat, ("Q", X.summands, Y.summands, k), build)
 
@@ -399,6 +405,12 @@ def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid) -> np.ndarray:
 # ----------------------------------------------------------------------
 # morphisms
 # ----------------------------------------------------------------------
+
+def _spectral_norm(M: np.ndarray) -> float:
+    """The largest singular value of M, which ``np.linalg.norm(M, 2)`` also
+    returns, without its axis handling."""
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
 
 @dataclass
 class Morphism:
@@ -441,7 +453,7 @@ class Morphism:
         worst = 0.0
         for b in self.blocks.values():
             if b.size:
-                worst = max(worst, float(np.linalg.norm(b, 2)))
+                worst = max(worst, _spectral_norm(b))
         return worst
 
     def is_endomorphism(self) -> bool:

@@ -26,7 +26,8 @@ from tcat.modularity import is_modular, muger_center
 
 from conftest import ALL_NAMES
 from tube_reference import (associativity_residual, functor_f_half_braiding,
-                            loop_table, tube_module, tube_structure)
+                            loop_table, reference_b, reference_d, reference_p,
+                            reference_q, tube_module, tube_structure)
 
 PHI = (1 + math.sqrt(5)) / 2
 RNG = np.random.default_rng(20240812)
@@ -760,6 +761,23 @@ def test_basis_independence_of_d_and_q(cats):
                 transform_q(cat, X, Y, basis=rotated), q_ref) < 1e-9
 
 
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_nat_transforms_match_reference(cats, name):
+    # each pair built in one pass against the four formulas built one at a
+    # time, each with its own F object and hom basis
+    cat = _table_input(cats, name)
+    objs = _test_objects(cat, 2 if name in ALL_NAMES else 1)
+    for X in objs:
+        for Y in objs:
+            d, q = nat_transforms(cat, (X, Y))
+            assert deligne_distance(d, reference_d(cat, X, Y)) < 1e-12
+            assert deligne_distance(q, reference_q(cat, X, Y)) < 1e-12
+    for obj in center_simples(cat):
+        b, p = nat_transforms(cat, obj)
+        assert E.distance(b, reference_b(cat, obj)) < 1e-12
+        assert E.distance(p, reference_p(cat, obj)) < 1e-12
+
+
 def test_b_p_center_morphism_property(cats):
     for cat in cats.values():
         for obj in center_simples(cat):
@@ -805,6 +823,30 @@ def test_invertibility_report_trivial(cats):
     assert rep.factorizable
     assert rep.defect_qd == rep.defect_dq == 0.0
     assert rep.defect_pb == rep.defect_bp == 0.0
+
+
+def test_invertibility_report_keeps_no_f_objects(cats):
+    # each test pair's F object is dropped once the pair is scored (a fresh
+    # instance, so no other test's cache entries are seen)
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+    invertibility_report(cat, max_word_length=2)
+    assert not [key for key in cat._cache
+                if isinstance(key, tuple) and key[0] == "F_obj"]
+
+
+def test_invertibility_report_builds_each_hom_basis_once(cats, monkeypatch):
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+    calls = {}
+    hom_basis = E.hom_basis
+
+    def counted(cat_, X, i, *args, **kwargs):
+        key = (E.as_object(X).summands, i)
+        calls[key] = calls.get(key, 0) + 1
+        return hom_basis(cat_, X, i, *args, **kwargs)
+
+    monkeypatch.setattr(E, "hom_basis", counted)
+    invertibility_report(cat, max_word_length=2)
+    assert calls and max(calls.values()) == 1
 
 
 def test_report_schema(cats):

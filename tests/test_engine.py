@@ -428,6 +428,15 @@ def test_ribbon_regression_identity(cats):
                 assert E.distance(lhs, E.braiding(cat, X, Y)) < 1e-9
 
 
+def test_spectral_norm_matches_numpy():
+    rng = np.random.default_rng(20261018)
+    for rows in range(1, 10):
+        for cols in range(1, 10):
+            M = (rng.standard_normal((rows, cols))
+                 + 1j * rng.standard_normal((rows, cols)))
+            assert E._spectral_norm(M) == float(np.linalg.norm(M, 2))
+
+
 # -- determinism and dumps ----------------------------------------------
 
 def test_operations_are_deterministic(cats):

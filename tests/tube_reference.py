@@ -1,5 +1,6 @@
 """Diagrammatic references for the tube algebra, the coupling loops and the
-half-braidings of the tautological functor.
+half-braidings of the tautological functor, and for the four transformation
+families d, q, b, p.
 
 The package reads the tube algebra's structure constants, the coupling
 loop table and F(X [x] Y)'s half-braiding off the F- and R-symbols.  The
@@ -7,13 +8,17 @@ builders here evaluate the same numbers as diagrams with the engine's
 ``tensor``, ``compose``, ``braiding`` and ``cup_cap``, so that the tests
 can hold the closed forms against them.  ``tube_module`` realizes the tube
 action of a center object by wrapping the loop around it, the reference for
-``center._object_from_module``.
+``center._object_from_module``.  ``reference_d`` .. ``reference_p`` build
+the four transformations one at a time, each with its own F object and hom
+basis, as the reference for the paired builders of ``center``.
 """
 
 import numpy as np
 
 from tcat import engine as E
-from tcat.center import _invert_blocks, tube_algebra
+from tcat.center import (_invert_blocks, coupling_gamma, functor_F, functor_G,
+                         tube_algebra)
+from tcat.deligne import DeligneMorphism, pair_morphism, pair_object
 
 
 def simple(a):
@@ -113,6 +118,114 @@ def functor_f_half_braiding(cat, D):
     return {j: E.direct_sum([slot_half_braiding(cat, X, Y, j)
                              for X, Y in D.slots])
             for j in range(cat.n_labels)}
+
+
+def slot_couplings(cat, obj):
+    """The couplings with a non-zero image, in the slot order of G."""
+    return [cp for cp in (coupling_gamma(cat, i, obj)
+                          for i in range(cat.n_labels))
+            if cp.image.summands]
+
+
+def reference_d(cat, X, Y, basis=None):
+    """X [x] Y -> G(F(X [x] Y)): per slot i and basis element phi_l of
+    Hom(X, i*), sqrt(d_i) phi_l [x] proj_i (1_i (x) phi^l (x) 1_Y)
+    (coev_i (x) 1_Y)."""
+    X, Y = E.as_object(X), E.as_object(Y)
+    src = pair_object(X, Y)
+    fobj = functor_F(cat, src)
+    tgt = functor_G(cat, fobj)
+    out = DeligneMorphism(cat, src, tgt, {})
+    id_Y = E.identity(cat, Y)
+    for t_slot, cp in enumerate(slot_couplings(cat, fobj)):
+        i = cp.i
+        cas = basis(i) if basis is not None else E.hom_basis(cat, X, i)
+        if not cas.basis:
+            continue
+        w = np.sqrt(complex(cat.dim(i)))
+        si = E.ObjectExpr.simple(i)
+        pre = E.tensor(E.cup_cap(cat, si, "coev"), id_Y)  # Y -> i i* Y
+        for phi, phi_dual in zip(cas.basis, cas.dual_basis):
+            second = E.compose_all(
+                cp.proj,
+                E.tensor(E.identity(cat, si), E.tensor(phi_dual, id_Y)),
+                pre)
+            term = pair_morphism(cat, phi * w, second, source=src, target=tgt,
+                                 t_slot=t_slot, s_slot=0)
+            out = out + term
+    return out
+
+
+def reference_q(cat, X, Y, basis=None):
+    """G(F(X [x] Y)) -> X [x] Y: per slot i and basis element phi_l,
+    sqrt(d_i) phi^l [x] (ev'_i (x) 1_Y) (1_i (x) phi_l (x) 1_Y) incl_i."""
+    X, Y = E.as_object(X), E.as_object(Y)
+    tgt = pair_object(X, Y)
+    fobj = functor_F(cat, tgt)
+    src = functor_G(cat, fobj)
+    out = DeligneMorphism(cat, src, tgt, {})
+    id_Y = E.identity(cat, Y)
+    for s_slot, cp in enumerate(slot_couplings(cat, fobj)):
+        i = cp.i
+        cas = basis(i) if basis is not None else E.hom_basis(cat, X, i)
+        if not cas.basis:
+            continue
+        w = np.sqrt(complex(cat.dim(i)))
+        si = E.ObjectExpr.simple(i)
+        post = E.tensor(E.cup_cap(cat, si, "eval'"), id_Y)  # i i* Y -> Y
+        for phi, phi_dual in zip(cas.basis, cas.dual_basis):
+            second = E.compose_all(
+                post,
+                E.tensor(E.identity(cat, si), E.tensor(phi, id_Y)),
+                cp.incl)
+            term = pair_morphism(cat, phi_dual * w, second, source=src,
+                                 target=tgt, t_slot=0, s_slot=s_slot)
+            out = out + term
+    return out
+
+
+def reference_b(cat, obj):
+    """(X, gamma) -> F(G(X, gamma)): the slots' sqrt(d_i)
+    (1_{i*} (x) proj_i) (coev'_i (x) 1_X), stacked."""
+    parts = []
+    for cp in slot_couplings(cat, obj):
+        i = cp.i
+        w = np.sqrt(complex(cat.dim(i)))
+        si = E.ObjectExpr.simple(i)
+        sid = E.ObjectExpr.simple(cat.dual[i])
+        m = E.compose_all(
+            E.tensor(E.identity(cat, sid), cp.proj),
+            E.tensor(E.cup_cap(cat, si, "coev'"), E.identity(cat, obj.X)))
+        parts.append(m * w)
+    if not parts:
+        return E.zero_morphism(cat, obj.X, E.ObjectExpr.zero())
+    tgt = E.ObjectExpr.direct_sum([m.target for m in parts])
+    blocks = {k: np.vstack([m.block(k) for m in parts])
+              for k in range(cat.n_labels)
+              if obj.X.dim_sector(cat, k) and tgt.dim_sector(cat, k)}
+    return E.Morphism(cat, obj.X, tgt, blocks)
+
+
+def reference_p(cat, obj):
+    """F(G(X, gamma)) -> (X, gamma): the slots' sqrt(d_i)
+    (ev_i (x) 1_X) (1_{i*} (x) incl_i), side by side."""
+    parts = []
+    for cp in slot_couplings(cat, obj):
+        i = cp.i
+        w = np.sqrt(complex(cat.dim(i)))
+        si = E.ObjectExpr.simple(i)
+        sid = E.ObjectExpr.simple(cat.dual[i])
+        m = E.compose_all(
+            E.tensor(E.cup_cap(cat, si, "eval"), E.identity(cat, obj.X)),
+            E.tensor(E.identity(cat, sid), cp.incl))
+        parts.append(m * w)
+    if not parts:
+        return E.zero_morphism(cat, E.ObjectExpr.zero(), obj.X)
+    src = E.ObjectExpr.direct_sum([m.source for m in parts])
+    blocks = {k: np.hstack([m.block(k) for m in parts])
+              for k in range(cat.n_labels)
+              if obj.X.dim_sector(cat, k) and src.dim_sector(cat, k)}
+    return E.Morphism(cat, src, obj.X, blocks)
 
 
 def associativity_residual(alg):
