@@ -69,6 +69,23 @@ F-symbols as well (``tube_algebra``):
     structure[x, y, (a2,l,b1,s)] = F(j1,j2,a2,s; l,c2) Finv(j1,a1,j2,s; c2,c1)
                                    F(b1,j1,j2,s; c1,l).
 
+The half-braiding axioms are checked on gamma's channel blocks G_j[c]
+(``verify_center_object``).  Tensoriality at the simples j, k compares,
+on the channel (m, a) -> (a3, m') of j k X -> X j k at sector s, the
+stacked crossings (an F-move to j (k a)_c, gamma_k, an inverse F-move to
+(j a2)_e k, gamma_j, an F-move to a3 (j k)_m')
+
+    stacked  = sum_{c,a2,e} F(j,k,a,s; m,c) Finv(j,a2,k,s; c,e)
+               F(a3,j,k,s; e,m') G_j[e][(a3,j) <- (j,a2)] G_k[c][(a2,k) <- (k,a)]
+
+with the crossing of the fused channel, resolved = delta_{m m'}
+G_m[s][(a3,m) <- (m,a)].  The simples are sorted by the traces of
+gamma_j o c_{X,j} (``_center_sort_key``): the engine's braiding is the
+R-swap conjugated by the same product transforms, and a trace does not
+change under similarity, so
+
+    Tr(gamma_j c_{X,j}) = sum_c d_c sum_a R(a,j,c) tr G_j[c][(a,j) <- (j,a)].
+
 ``F(a,b,c,d; e,f)`` is ``FSymbolTable.get`` (e in a b, f in b c) and
 ``Finv(a,b,c,d; f,e)`` is ``FSymbolTable.inverse_get``.
 """
@@ -78,6 +95,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -175,39 +193,53 @@ class CenterReport:
 
 
 def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
-    """Check unit normalization, tensoriality/naturality, invertibility.
+    """Check unit normalization, tensoriality and invertibility.
 
-    Tensoriality is tested through every fusion tree: extending gamma to a
-    two-letter word by stacking crossings must agree with conjugating the
-    single-label components by the splitting trees.  Because the trees span
-    the full hom spaces this simultaneously checks naturality against the
-    generating morphisms.
+    Tensoriality, for every pair of simples (j, k): stacking the crossings,
+    (gamma_j (x) 1_k)(1_j (x) gamma_k) : j k X -> X j k, must equal
+    resolving j k through each channel m and crossing with gamma_m.  Both
+    sides are read off gamma's channel blocks G (``_gamma_blocks``) in the
+    product bases of sector s, Hom(s, m a) x Hom(a, X) on the source and
+    Hom(s, a3 m') x Hom(a3, X) on the target (the formulas are in the
+    module docstring), over the non-empty channels (m, a) -> s only.  The
+    residual is the largest spectral norm of their difference D in the
+    combed bases, Q(X, j k, s) D Qinv(j k, X, s) (``engine._recouple``),
+    the number that drawing both sides with the engine's diagrams gives.
+    No half-braiding axiom is assumed in reading G, so a broken gamma fails
+    here.  The unit residual is the distance of gamma_0 from the identity,
+    and the condition number is the largest over gamma's sector blocks.
     """
     X, gamma = obj.X, obj.gamma
+    ring, F = cat.ring, cat.f
     eps = cat.tol.eps_identity
-    id_X = E.identity(cat, X)
-    unit_res = E.distance(gamma[0], id_X)
+    unit_res = E.distance(gamma[0], E.identity(cat, X))
+    blocks = _gamma_blocks(cat, obj)
+    into = {}  # a2 -> [(j, c, a, block)]: the crossings ending on a2
+    for (j, c, a2, a), g in blocks.items():
+        into.setdefault(a2, []).append((j, c, a, g))
+    # (j, k, s, (a3, m'), (m, a)) -> that block of stacked - resolved
+    terms = {(j, k, s, (a3, m), (m, a)): -g
+             for (m, s, a3, a), g in blocks.items() for j, k in ring.pairs(m)}
+    for (j, e, a3, a2), gj in blocks.items():
+        for k, c, a, gk in into.get(a2, ()):
+            g = gj @ gk
+            for s in ring.fusion(e, k):
+                f2 = F.inverse_get(ring, j, a2, k, s, c, e)
+                for m in ring.fusion(j, k):
+                    for m2 in ring.fusion(j, k):
+                        f = (F.get(j, k, a, s, m, c) * f2
+                             * F.get(a3, j, k, s, e, m2))
+                        if f:
+                            key = (j, k, s, (a3, m2), (m, a))
+                            terms[key] = terms.get(key, 0) + f * g
+    mids = {}
+    for (j, k, s, pt, ps), blk in terms.items():
+        mids.setdefault((j, k, s), []).append((pt, ps, blk))
     worst = 0.0
-    for j in range(cat.n_labels):
-        sj = E.ObjectExpr.simple(j)
-        for k in range(cat.n_labels):
-            sk = E.ObjectExpr.simple(k)
-            stacked = E.compose(
-                E.tensor(gamma[j], E.identity(cat, sk)),
-                E.tensor(E.identity(cat, sj), gamma[k]))
-            jk = sj.tensor(sk)
-            resolved = E.zero_morphism(cat, jk.tensor(X), X.tensor(jk))
-            for m in range(cat.n_labels):
-                if not cat.ring.admissible(j, k, m):
-                    continue
-                tree_in = E.Morphism(cat, E.ObjectExpr.simple(m), jk,
-                                     {m: np.ones((1, 1), dtype=complex)})
-                tree_out = E.Morphism(cat, jk, E.ObjectExpr.simple(m),
-                                      {m: np.ones((1, 1), dtype=complex)})
-                resolved = resolved + E.compose_all(
-                    E.tensor(id_X, tree_in), gamma[m],
-                    E.tensor(tree_out, id_X))
-            worst = max(worst, E.distance(stacked, resolved))
+    for (j, k, s), mid in mids.items():
+        jk = E.ObjectExpr.word((j, k))
+        worst = max(worst, E._spectral_norm(
+            E._recouple(cat, jk, X, X, jk, s, mid)))
     cond = 1.0
     for j in range(cat.n_labels):
         for k, b in gamma[j].blocks.items():
@@ -353,16 +385,17 @@ def _crossing_channels(cat: CategoryData, slots, total: E.ObjectExpr) -> dict:
 
     The offsets are the column layout of ``engine._product_transform``
     (``engine._channel_layout``), so no transform of j (x) total or
-    total (x) j is built.
+    total (x) j is built, and only the channels through c in j a, a a
+    non-empty sector of total, are laid out.
     """
     channels = {}
+    sectors = [a for a, d in enumerate(E._sector_dims(cat, total)) if d]
     for j in range(cat.n_labels):
         J = E.ObjectExpr.simple(j)
-        for c in range(cat.n_labels):
+        for c in sorted({c for a in sectors for c in cat.ring.fusion(j, a)}):
             _pairs, off_s, ns = E._channel_layout(cat, J, total, c)
-            if ns:
-                _pairs, off_t, nt = E._channel_layout(cat, total, J, c)
-                channels[(j, c)] = (np.zeros((nt, ns), dtype=complex), off_s, off_t)
+            _pairs, off_t, nt = E._channel_layout(cat, total, J, c)
+            channels[(j, c)] = (np.zeros((nt, ns), dtype=complex), off_s, off_t)
     start = [0] * cat.n_labels  # each slot's offset in Hom(a, total)
     for X, Y in slots:
         for (j, c, a, a2), blk in _slot_channels(cat, X, Y).items():
@@ -408,25 +441,20 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
 def functor_F_on_morphism(cat: CategoryData, m: DeligneMorphism) -> E.Morphism:
     """The tautological functor on morphisms: f [x] g |-> f (x) g, extended
     linearly through the recoupling isomorphisms."""
-    src_slots = m.source.slots
-    tgt_slots = m.target.slots
-    src = E.ObjectExpr.direct_sum([X.tensor(Y) for (X, Y) in src_slots])
-    tgt = E.ObjectExpr.direct_sum([X.tensor(Y) for (X, Y) in tgt_slots])
-    blocks = {}
+    src_slots, tgt_slots = m.source.slots, m.target.slots
     src_parts = [X.tensor(Y) for (X, Y) in src_slots]
     tgt_parts = [X.tensor(Y) for (X, Y) in tgt_slots]
+    src = E.ObjectExpr.direct_sum(src_parts)
+    tgt = E.ObjectExpr.direct_sum(tgt_parts)
+    blocks = {}
     for k in range(cat.n_labels):
         ds = src.dim_sector(cat, k)
         dt = tgt.dim_sector(cat, k)
         if not ds or not dt:
             continue
         mat = np.zeros((dt, ds), dtype=complex)
-        r_off = [0]
-        for p in tgt_parts:
-            r_off.append(r_off[-1] + p.dim_sector(cat, k))
-        c_off = [0]
-        for p in src_parts:
-            c_off.append(c_off[-1] + p.dim_sector(cat, k))
+        r_off = [0, *accumulate(p.dim_sector(cat, k) for p in tgt_parts)]
+        c_off = [0, *accumulate(p.dim_sector(cat, k) for p in src_parts)]
         for (t_slot, s_slot), secs in m.blocks.items():
             Xs, Ys = src_slots[s_slot]
             Xt, Yt = tgt_slots[t_slot]
@@ -544,6 +572,24 @@ def _gamma_channels(cat: CategoryData, obj: CenterObject) -> dict:
     return hit
 
 
+def _gamma_blocks(cat: CategoryData, obj: CenterObject) -> dict:
+    """``{(j, c, a2, a): block}``: gamma_j's map Hom(a, X) -> Hom(a2, X) on
+    the channel j a -> a2 j through c, a view into ``_gamma_channels``."""
+    key = (id(cat), "blocks")
+    hit = obj._channels.get(key)
+    if hit is None:
+        dX = E._sector_dims(cat, obj.X)
+        labels = [a for a, n in enumerate(dX) if n]
+        hit = obj._channels[key] = {}
+        for (j, c), (G, off_s, off_t) in _gamma_channels(cat, obj).items():
+            for a in labels:
+                for a2 in labels:
+                    if (j, a) in off_s and (a2, j) in off_t:
+                        r, o = off_t[(a2, j)], off_s[(j, a)]
+                        hit[(j, c, a2, a)] = G[r:r + dX[a2], o:o + dX[a]]
+    return hit
+
+
 def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdempotent:
     """Build the coupling idempotent for a simple i and a center object.
 
@@ -556,11 +602,12 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
 
     No diagram is drawn on i (x) X (x) j.  In the product basis
     Hom(b, i X) = (+)_a Hom(b, i a) x Hom(a, X) the sector-b block is
-    ``Q P_b Qinv`` (``Q = engine._product_transform(i, X, b)``) with
+    ``Q P_b Qinv`` (``engine._recouple``, ``Q = engine._product_transform(i,
+    X, b)``) with
 
         P_b[(i,a2),(i,a)] = sum_{j,c} T_i(j,a,a2,c)[b] G_j[c][(a2,j),(j,a)],
 
-    where ``G_j[c]`` is gamma_j in product bases (``_gamma_channels``) and
+    where ``G_j[c]`` is gamma_j in product bases (``_gamma_blocks``) and
     ``T_i`` is the loop around i (x) a through the tube channel
     a -> a2 (``_loop_table``).  This is exact: the loop is linear in
     gamma_j; c_{i X, j} and c_{j,i} (x) 1_X are natural in every
@@ -578,23 +625,18 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     si = E.ObjectExpr.simple(i)
     W = si.tensor(obj.X)
     loops = _loop_table(cat, i)
-    channels = _gamma_channels(cat, obj)
-    dims_X = E._sector_dims(cat, obj.X)
+    crossings = _gamma_blocks(cat, obj)
     blocks = {}
     for b, n in enumerate(E._sector_dims(cat, W)):
         if not n:
             continue
-        Q, _pairs, off = E._product_transform(cat, si, obj.X, b)
-        P = np.zeros((n, n), dtype=complex)
+        P = {}  # (a2, a) -> the loop's block Hom(a, X) -> Hom(a2, X)
         for j, a, a2, c, w in loops.get(b, ()):
-            ns, nt = dims_X[a], dims_X[a2]
-            if not ns or not nt:
-                continue
-            G, off_s, off_t = channels[(j, c)]
-            ps, pt = off[(i, a)], off[(i, a2)]
-            gs, gt = off_s[(j, a)], off_t[(a2, j)]
-            P[pt:pt + nt, ps:ps + ns] += w * G[gt:gt + nt, gs:gs + ns]
-        blocks[b] = Q @ P @ E._product_transform_inv(cat, si, obj.X, b)
+            g = crossings.get((j, c, a2, a))
+            if g is not None:
+                P[(a2, a)] = P.get((a2, a), 0) + w * g
+        blocks[b] = E._recouple(cat, si, obj.X, si, obj.X, b, [
+            ((i, a2), (i, a), m) for (a2, a), m in P.items()])
     gamma_mor = E.Morphism(cat, W, W, blocks)
     resid = max((E._spectral_norm(M @ M - M) for M in blocks.values()),
                 default=0.0)
@@ -831,14 +873,9 @@ class TubeAlgebra:
 
 
 def _tube_basis(cat: CategoryData) -> tuple:
-    out = []
-    for a in range(cat.n_labels):
-        for j in range(cat.n_labels):
-            for b in range(cat.n_labels):
-                for c in range(cat.n_labels):
-                    if cat.ring.admissible(j, a, c) and cat.ring.admissible(b, j, c):
-                        out.append((a, j, b, c))
-    return tuple(out)
+    ring, n = cat.ring, range(cat.n_labels)
+    return tuple((a, j, b, c) for a in n for j in n for b in n for c in n
+                 if ring.admissible(j, a, c) and ring.admissible(b, j, c))
 
 
 def tube_algebra(cat: CategoryData) -> TubeAlgebra:
@@ -1032,11 +1069,8 @@ def center_simples(cat: CategoryData) -> list:
 
 
 def _invert_blocks(cat: CategoryData, m: E.Morphism) -> E.Morphism:
-    blocks = {}
-    for k, b in m.blocks.items():
-        if b.size:
-            blocks[k] = np.linalg.inv(b)
-    return E.Morphism(cat, m.target, m.source, blocks)
+    return E.Morphism(cat, m.target, m.source, {
+        k: np.linalg.inv(b) for k, b in m.blocks.items() if b.size})
 
 
 def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterObject:
@@ -1074,15 +1108,15 @@ def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterOb
 
 
 def _center_sort_key(cat: CategoryData, obj: CenterObject):
-    dims_sig = tuple(obj.X.dim_sector(cat, a) for a in range(cat.n_labels))
-    finger = []
-    for j in range(cat.n_labels):
-        sj = E.ObjectExpr.simple(j)
-        m = E.compose(obj.gamma[j], E.braiding(cat, obj.X, sj))
-        v = E.quantum_trace(cat, m)
-        finger.append((round(v.real, _SORT_DECIMALS),
-                       round(v.imag, _SORT_DECIMALS)))
-    return (dims_sig, tuple(finger))
+    """Sector dimensions and the rounded traces Tr(gamma_j o c_{X,j}),
+    read off the channel blocks (formula in the module docstring)."""
+    traces = [0j] * cat.n_labels
+    for (j, c, a2, a), g in _gamma_blocks(cat, obj).items():
+        if a2 == a:
+            traces[j] += cat.dim(c) * cat.r.get(a, j, c) * np.trace(g)
+    return (E._sector_dims(cat, obj.X),
+            tuple((round(v.real, _SORT_DECIMALS), round(v.imag, _SORT_DECIMALS))
+                  for v in traces))
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 from tcat import IdempotencyError, engine as E, validate
 from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
-from tcat.center import (CenterObject, HalfBraiding, _gamma_channels, _loop_table,
+from tcat.center import (CenterObject, HalfBraiding, _center_sort_key,
+                         _gamma_channels, _loop_table,
                          _object_from_module, _test_objects, center_hom_dim,
                          center_simples, coupling_gamma,
                          functor_F, functor_F_on_morphism, functor_G,
@@ -27,7 +28,8 @@ from tcat.modularity import is_modular, muger_center
 from conftest import ALL_NAMES
 from tube_reference import (associativity_residual, functor_f_half_braiding,
                             loop_table, reference_b, reference_d, reference_p,
-                            reference_q, tube_module, tube_structure)
+                            reference_q, reference_sort_key,
+                            reference_tensoriality, tube_module, tube_structure)
 
 PHI = (1 + math.sqrt(5)) / 2
 RNG = np.random.default_rng(20240812)
@@ -613,6 +615,92 @@ def test_factorize_draws_no_f_half_braiding(cats, monkeypatch):
         for j in range(cat.n_labels):
             assert mats[j] is obj.gamma[j]
             assert E.distance(obj.gamma[j], ref[j]) < 1e-12
+
+
+def test_crossing_channels_lay_out_non_empty_channels_only(monkeypatch):
+    # F(1 [x] 2) on Vec_Z5 is the single sector 3, so gamma_j has the one
+    # channel j 3 -> 3 j through j + 3; each needs two column layouts (the
+    # first build also lays out the slot's product transforms, then cached)
+    cat = category_from_dict(_vec_zn_doc(5, 1))
+    D = pair_object(word(1), word(2))
+    functor_F(cat, D)
+    calls = []
+    layout = E._channel_layout
+    monkeypatch.setattr(E, "_channel_layout",
+                        lambda *args: calls.append(args[-1]) or layout(*args))
+    obj = functor_F(cat, D)
+    channels = obj._channels[id(cat)]
+    assert sorted(channels) == [(j, (j + 3) % 5) for j in range(5)]
+    assert len(calls) == 2 * len(channels)
+
+
+def _with_crossing_scaled(obj, j, factor, sector=None):
+    """A copy of obj with gamma_j, or only its block at ``sector``, scaled."""
+    mats = dict(obj.gamma.mats)
+    g = mats[j]
+    mats[j] = g * factor if sector is None else E.Morphism(
+        g.cat, g.source, g.target,
+        {c: b * factor if c == sector else b for c, b in g.blocks.items()})
+    return CenterObject(X=obj.X, gamma=HalfBraiding(X=obj.X, mats=mats))
+
+
+def _close(value, ref):
+    """Within 1e-12, relative to the reference once it exceeds one."""
+    return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_verify_center_object_matches_diagrams(cats, name):
+    # the residuals read off the channel blocks against the diagram loop,
+    # on center simples, F objects of (simple, two-letter word) pairs and
+    # copies with one crossing scaled (gamma_0 by -1, gamma_j by i)
+    cat = _table_input(cats, name)
+    n = cat.n_labels
+    simples = center_simples(cat)
+    fobjs = [functor_F(cat, pair_object(word(a), word(b, c)))
+             for a in range(n) for b in range(1, n) for c in range(1, n)]
+    objs = simples + fobjs + [
+        _with_crossing_scaled(obj, j, -1.0 if j == 0 else 1j)
+        for obj in simples + fobjs[:1] for j in range(n)]
+    for obj in objs:
+        rep, ref = verify_center_object(cat, obj), reference_tensoriality(cat, obj)
+        assert _close(rep.unit_residual, ref.unit_residual)
+        assert _close(rep.tensoriality_residual, ref.tensoriality_residual)
+        assert _close(rep.max_condition, ref.max_condition)
+        assert rep.ok == ref.ok
+    # the fingerprint, and so the order of the simples, is the diagrams' own
+    keys = [reference_sort_key(cat, s) for s in simples]
+    assert [_center_sort_key(cat, s) for s in simples] == keys
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci"])
+def test_one_scaled_sector_block_fails_verification(cats, name):
+    # on non-pointed channels: i times any one sector block of any gamma_j
+    # (j != 0) of any center simple breaks tensoriality
+    cat = cats[name]
+    for obj in center_simples(cat):
+        for j in range(1, cat.n_labels):
+            for c in obj.gamma[j].blocks:
+                rep = verify_center_object(
+                    cat, _with_crossing_scaled(obj, j, 1j, sector=c))
+                assert not rep.ok, (j, c)
+                assert rep.tensoriality_residual > 1e-3, (j, c)
+
+
+def test_center_simples_and_verification_draw_no_diagram(cats, monkeypatch):
+    # sorting the simples and checking them and an F object read channel
+    # blocks alone (a fresh instance, so nothing is served from another
+    # test's cache)
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagram was evaluated")
+
+    for op in ("tensor", "compose", "braiding", "quantum_trace", "cup_cap"):
+        monkeypatch.setattr(E, op, refuse)
+    objs = center_simples(cat) + [functor_F(cat, pair_object(word(1), word(2, 1)))]
+    assert all(verify_center_object(cat, obj).ok for obj in objs)
 
 
 @pytest.mark.parametrize("k", [1, 0])

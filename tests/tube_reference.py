@@ -11,13 +11,18 @@ action of a center object by wrapping the loop around it, the reference for
 ``center._object_from_module``.  ``reference_d`` .. ``reference_p`` build
 the four transformations one at a time, each with its own F object and hom
 basis, as the reference for the paired builders of ``center``.
+``reference_tensoriality`` and ``reference_sort_key`` are the diagram loops
+that ``center.verify_center_object`` and the center-simple sort key read
+off the half-braiding's channel blocks instead.
 """
+
+import math
 
 import numpy as np
 
 from tcat import engine as E
-from tcat.center import (_invert_blocks, coupling_gamma, functor_F, functor_G,
-                         tube_algebra)
+from tcat.center import (_SORT_DECIMALS, CenterReport, _invert_blocks,
+                         coupling_gamma, functor_F, functor_G, tube_algebra)
 from tcat.deligne import DeligneMorphism, pair_morphism, pair_object
 
 
@@ -279,3 +284,60 @@ def tube_module(cat, obj):
         if obj.X.dim_sector(cat, a) and obj.X.dim_sector(cat, b):
             out[(a, j, b, c)] = tube_action(cat, obj.X, ginv[j], a, j, b, c)
     return out
+
+
+def reference_tensoriality(cat, obj):
+    """The half-braiding axioms through the engine's diagrams.
+
+    Per pair of simples (j, k), stacking the crossings,
+    (gamma_j (x) 1_k)(1_j (x) gamma_k), must equal resolving j k through
+    every fusion channel m and crossing with gamma_m; the residual is the
+    largest distance over (j, k).
+    """
+    X, gamma = obj.X, obj.gamma
+    eps = cat.tol.eps_identity
+    id_X = E.identity(cat, X)
+    unit_res = E.distance(gamma[0], id_X)
+    worst = 0.0
+    for j in range(cat.n_labels):
+        sj = E.ObjectExpr.simple(j)
+        for k in range(cat.n_labels):
+            sk = E.ObjectExpr.simple(k)
+            stacked = E.compose(
+                E.tensor(gamma[j], E.identity(cat, sk)),
+                E.tensor(E.identity(cat, sj), gamma[k]))
+            jk = sj.tensor(sk)
+            resolved = E.zero_morphism(cat, jk.tensor(X), X.tensor(jk))
+            for m in range(cat.n_labels):
+                if not cat.ring.admissible(j, k, m):
+                    continue
+                tree_in = E.Morphism(cat, E.ObjectExpr.simple(m), jk,
+                                     {m: np.ones((1, 1), dtype=complex)})
+                tree_out = E.Morphism(cat, jk, E.ObjectExpr.simple(m),
+                                      {m: np.ones((1, 1), dtype=complex)})
+                resolved = resolved + E.compose_all(
+                    E.tensor(id_X, tree_in), gamma[m],
+                    E.tensor(tree_out, id_X))
+            worst = max(worst, E.distance(stacked, resolved))
+    cond = 1.0
+    for j in range(cat.n_labels):
+        for k, b in gamma[j].blocks.items():
+            if b.size:
+                cond = max(cond, float(np.linalg.cond(b)))
+    ok = unit_res < eps and worst < eps and math.isfinite(cond)
+    return CenterReport(unit_residual=unit_res, tensoriality_residual=worst,
+                        max_condition=cond, ok=ok)
+
+
+def reference_sort_key(cat, obj):
+    """Sector dimensions and the rounded quantum traces of
+    gamma_j o c_{X,j}, drawn with the engine's braiding and cups."""
+    dims_sig = tuple(obj.X.dim_sector(cat, a) for a in range(cat.n_labels))
+    finger = []
+    for j in range(cat.n_labels):
+        sj = E.ObjectExpr.simple(j)
+        m = E.compose(obj.gamma[j], E.braiding(cat, obj.X, sj))
+        v = E.quantum_trace(cat, m)
+        finger.append((round(v.real, _SORT_DECIMALS),
+                       round(v.imag, _SORT_DECIMALS)))
+    return (dims_sig, tuple(finger))
