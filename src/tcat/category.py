@@ -146,7 +146,11 @@ class FSymbolTable:
         if mat.shape[0] != mat.shape[1]:
             raise InvalidCategoryError(
                 f"F-matrix for {(a, b, c, d)} is not square: {mat.shape}")
-        inv = np.linalg.inv(mat) if mat.size else mat.reshape(0, 0)
+        try:
+            inv = np.linalg.inv(mat) if mat.size else mat.reshape(0, 0)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidCategoryError(
+                f"F-matrix for {(a, b, c, d)} is singular") from exc
         out = (inv, cols, rows)
         self._invs[key] = out
         return out
@@ -509,7 +513,7 @@ def validate(cat: CategoryData) -> ValidationReport:
     for name, residual, threshold in checks:
         try:
             value = residual(cat)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, InvalidCategoryError):
             # a singular F-matrix on the way: the axiom cannot be checked
             value = math.inf
         entries.append(ResidualEntry(name, value, threshold))

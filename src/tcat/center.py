@@ -29,17 +29,21 @@ through c,
 
 with kappa the closing scalar of ``engine._loop_weight``.
 
-F objects carry their half-braiding in channel form; the combed gamma is
-built on first read.  The braidings are natural in alpha : x -> X and
-beta : y -> Y, so on the channel j (x y)_a -> (x y)_{a2} j through c the
-crossing of F(X [x] Y) is the scalar (``_crossing_table``)
+F objects carry their half-braiding in channel form; the channels and
+the combed gamma are built on first read.  The braidings are natural in
+alpha : x -> X and beta : y -> Y, so on the channel j (x y)_a -> (x y)_{a2} j
+through c the crossing of F(X [x] Y) is the scalar (``_crossing_table``)
 
     h_j^{xy}(c; a -> a2) = sum_{e in j x, f in j y} Finv(j,x,y,c; a,e) R(j,x,e)
                            F(x,j,y,c; e,f) / R(y,j,f) Finv(x,y,j,c; f,a2)
 
 on Hom(a, x y) and the identity on Hom(x, X) x Hom(y, Y); with the slot's
 product transform Q = ``engine._product_transform`` its channel block is
-Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a) (``functor_F``).
+Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a) (``functor_F``).  The coupling
+loop of an F object is therefore contracted with h once per category, over
+the loop entries (j, a, a2, c, w) of i (x) a at sector b (``_f_loop_table``):
+
+    t_i^{xy}[b](a -> a2) = sum_{(j, a, a2, c, w)} w h_j^{xy}(c; a -> a2).
 
 The functors come with natural transformations in both directions whose
 composites are measured against the identity: the composite back into the
@@ -132,28 +136,68 @@ class HalfBraiding:
         return self.mats[j]
 
 
-class _CombedGamma(Mapping):
-    """Read-only ``{j: gamma_j}`` for a half-braiding kept in channel form.
+class _FCrossings(Mapping):
+    """F(X [x] Y)'s half-braiding ``{j: gamma_j}``, kept in product bases.
 
-    ``channels`` is laid out as ``_gamma_channels`` returns it; each label's
-    crossing is combed on first access,
-    gamma_j[c] = Q(X, j, c) G_j[c] Qinv(j, X, c).
+    Per slot s, ``legs[s]`` maps each simple pair (x, y) with
+    Hom(x, X_s) x Hom(y, Y_s) != 0 and each a in x y to the (x, y) columns
+    of Q(X_s, Y_s, a) and rows of Qinv(X_s, Y_s, a)
+    (``engine._product_transform``), and ``starts[s]`` holds the slot's
+    offsets in Hom(a, total), total = (+)_s X_s Y_s.  Their products
+    (``through``) serve the crossing channels and every coupling.  The
+    channels (``_crossing_channels``) are built on first read of
+    ``channels``, and gamma_j[c] = Q(total, j, c) G_j[c] Qinv(j, total, c)
+    on first access to j.
     """
 
-    def __init__(self, cat: CategoryData, X: E.ObjectExpr, channels: dict):
-        self._cat, self._X, self._channels = cat, X, channels
-        self._combed = {}
+    def __init__(self, cat: CategoryData, slots, total: E.ObjectExpr):
+        self._cat, self.total = cat, total
+        self.legs, self.starts, self._through = [], [], {}
+        self._channels, self._combed = None, {}
+        start = [0] * cat.n_labels
+        for X, Y in slots:
+            dims = E._sector_dims(cat, X.tensor(Y))
+            dX, dY = E._sector_dims(cat, X), E._sector_dims(cat, Y)
+            legs = {}
+            for a, n in enumerate(dims):
+                if not n:
+                    continue
+                Q, pairs, off = E._product_transform(cat, X, Y, a)
+                Qinv = E._product_transform_inv(cat, X, Y, a)
+                for x, y in pairs:
+                    o, m = off[(x, y)], dX[x] * dY[y]
+                    if m:
+                        legs.setdefault((x, y), {})[a] = (Q[:, o:o + m],
+                                                          Qinv[o:o + m])
+            self.legs.append(legs)
+            self.starts.append(start)
+            start = [s + d for s, d in zip(start, dims)]
+
+    def through(self, s: int, x: int, y: int, a: int, a2: int) -> np.ndarray:
+        """Q(X_s, Y_s, a2)[:, xy] Qinv(X_s, Y_s, a)[xy, :]."""
+        key = (s, x, y, a, a2)
+        K = self._through.get(key)
+        if K is None:
+            by_sector = self.legs[s][(x, y)]
+            K = self._through[key] = by_sector[a2][0] @ by_sector[a][1]
+        return K
+
+    @property
+    def channels(self) -> dict:
+        if self._channels is None:
+            self._channels = _crossing_channels(self._cat, self)
+        return self._channels
 
     def __getitem__(self, j: int) -> E.Morphism:
         hit = self._combed.get(j)
         if hit is None:
             if j not in self:
                 raise KeyError(j)
-            cat, X = self._cat, self._X
+            cat, X = self._cat, self.total
             J = E.ObjectExpr.simple(j)
             blocks = {c: (E._product_transform(cat, X, J, c)[0] @ G
                           @ E._product_transform_inv(cat, J, X, c))
-                      for (jj, c), (G, _s, _t) in self._channels.items()
+                      for (jj, c), (G, _s, _t) in self.channels.items()
                       if jj == j}
             hit = self._combed[j] = E.Morphism(cat, J.tensor(X), X.tensor(J),
                                                blocks)
@@ -177,6 +221,8 @@ class CenterObject:
     gamma: HalfBraiding
     _couplings: dict = field(default_factory=dict, repr=False)
     _channels: dict = field(default_factory=dict, repr=False)
+    #: F(X [x] Y)'s crossings (``functor_F``), None for other objects
+    _f: _FCrossings | None = field(default=None, repr=False)
 
     def describe(self, cat: CategoryData) -> str:
         return self.X.describe(cat)
@@ -337,51 +383,12 @@ def _crossing_table(cat: CategoryData, j: int, x: int, y: int) -> dict:
     return E._cached(cat, ("crossing", j, x, y), build)
 
 
-def _slot_channels(cat: CategoryData, X: E.ObjectExpr, Y: E.ObjectExpr) -> dict:
-    """One slot's crossings, ``{(j, c, a, a2): block}``: the map
-    Hom(a, X Y) -> Hom(a2, X Y) that F(X [x] Y)'s gamma_j induces on the
-    channel j a -> a2 j through c.
-
-    The engine's braidings are natural in every alpha : x -> X and
-    beta : y -> Y, so in the product basis of ``engine._product_transform``
-    the crossing acts on Hom(a, x y) as ``_crossing_table`` and as the
-    identity on Hom(x, X) (x) Hom(y, Y):
-
-        block = Q(X, Y, a2) ((+)_{(x,y)} h_j^{xy}(c; a -> a2) I) Qinv(X, Y, a).
-    """
-    n = cat.n_labels
-    dims = E._sector_dims(cat, X.tensor(Y))
-    dX, dY = E._sector_dims(cat, X), E._sector_dims(cat, Y)
-    legs = {}  # (x, y) -> {a: (columns of Q(X, Y, a), rows of Qinv(X, Y, a))}
-    for a in range(n):
-        if not dims[a]:
-            continue
-        Q, pairs, off = E._product_transform(cat, X, Y, a)
-        Qinv = E._product_transform_inv(cat, X, Y, a)
-        for x, y in pairs:
-            o, m = off[(x, y)], dX[x] * dY[y]
-            if m:
-                legs.setdefault((x, y), {})[a] = (Q[:, o:o + m], Qinv[o:o + m])
-    out = {}
-    for (x, y), by_sector in legs.items():
-        through = {}  # (a, a2) -> Q(X, Y, a2)[:, xy] Qinv(X, Y, a)[xy, :]
-        for j in range(n):
-            for (c, a, a2), h in _crossing_table(cat, j, x, y).items():
-                if a not in by_sector or a2 not in by_sector:
-                    continue
-                K = through.get((a, a2))
-                if K is None:
-                    K = through[(a, a2)] = by_sector[a2][0] @ by_sector[a][1]
-                key = (j, c, a, a2)
-                out[key] = out[key] + h * K if key in out else h * K
-    return out
-
-
-def _crossing_channels(cat: CategoryData, slots, total: E.ObjectExpr) -> dict:
+def _crossing_channels(cat: CategoryData, fx: _FCrossings) -> dict:
     """F's half-braiding on total = (+)_s X_s Y_s in product bases, laid out
     as ``_gamma_channels`` returns it: ``{(j, c): (G, src_offset,
     tgt_offset)}``, with G_j[c][(a2,j) <- (j,a)] stacking each slot's
-    ``_slot_channels`` block in Hom(a, total) = (+)_s Hom(a, X_s Y_s).
+    Q(X,Y,a2) ((+)_{(x,y)} h_j^{xy}(c; a -> a2) I) Qinv(X,Y,a) in
+    Hom(a, total) = (+)_s Hom(a, X_s Y_s) (``_crossing_table``).
 
     The offsets are the column layout of ``engine._product_transform``
     (``engine._channel_layout``), so no transform of j (x) total or
@@ -389,20 +396,21 @@ def _crossing_channels(cat: CategoryData, slots, total: E.ObjectExpr) -> dict:
     non-empty sector of total, are laid out.
     """
     channels = {}
-    sectors = [a for a, d in enumerate(E._sector_dims(cat, total)) if d]
+    sectors = [a for a, d in enumerate(E._sector_dims(cat, fx.total)) if d]
     for j in range(cat.n_labels):
         J = E.ObjectExpr.simple(j)
         for c in sorted({c for a in sectors for c in cat.ring.fusion(j, a)}):
-            _pairs, off_s, ns = E._channel_layout(cat, J, total, c)
-            _pairs, off_t, nt = E._channel_layout(cat, total, J, c)
+            _pairs, off_s, ns = E._channel_layout(cat, J, fx.total, c)
+            _pairs, off_t, nt = E._channel_layout(cat, fx.total, J, c)
             channels[(j, c)] = (np.zeros((nt, ns), dtype=complex), off_s, off_t)
-    start = [0] * cat.n_labels  # each slot's offset in Hom(a, total)
-    for X, Y in slots:
-        for (j, c, a, a2), blk in _slot_channels(cat, X, Y).items():
-            G, off_s, off_t = channels[(j, c)]
-            r, s = off_t[(a2, j)] + start[a2], off_s[(j, a)] + start[a]
-            G[r:r + blk.shape[0], s:s + blk.shape[1]] = blk
-        start = [s + d for s, d in zip(start, E._sector_dims(cat, X.tensor(Y)))]
+    for s, (legs, start) in enumerate(zip(fx.legs, fx.starts)):
+        for x, y in legs:
+            for j in range(cat.n_labels):
+                for (c, a, a2), h in _crossing_table(cat, j, x, y).items():
+                    G, off_s, off_t = channels[(j, c)]
+                    K = fx.through(s, x, y, a, a2)
+                    r, o = off_t[(a2, j)] + start[a2], off_s[(j, a)] + start[a]
+                    G[r:r + K.shape[0], o:o + K.shape[1]] += h * K
     return channels
 
 
@@ -411,9 +419,11 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
 
     F(X [x] Y) = (X (x) Y, gamma) with gamma_j = (1_X (x) c^{-1}_{Y,j})
     (c_{j,X} (x) 1_Y), braid past X and reverse-braid past Y.  No diagram
-    is evaluated: F objects carry their half-braiding in channel form, the
-    blocks G_j[c] that ``_gamma_channels`` returns, and the combed gamma is
-    built on first read, which ``invertibility_report`` never does.  On the
+    is evaluated: F objects keep their slots in product bases
+    (``_FCrossings``), with channels built on first read: the blocks G_j[c]
+    that ``_gamma_channels`` returns and the combed gamma exist only once
+    gamma or ``_gamma_channels`` is read, which ``invertibility_report``
+    never does.  On the
     channel j (x y)_a -> (x y)_{a2} j through c of simples x -> X, y -> Y
     the crossing is (``_crossing_table``)
 
@@ -421,7 +431,7 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
                                R(j,x,e) F(x,j,y,c; e,f) / R(y,j,f)
                                Finv(x,y,j,c; f,a2),
 
-    and per slot, stacked in Hom(a, (+)_s X_s Y_s) (``_slot_channels``),
+    and per slot, stacked in Hom(a, (+)_s X_s Y_s) (``_crossing_channels``),
 
         G_j[c][(a2,j) <- (j,a)] = Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a),
         gamma_j[c] = Q(X Y, j, c) G_j[c] Qinv(j, X Y, c)   (on first read).
@@ -432,10 +442,8 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
     if not isinstance(D, DelignePair):
         D = pair_object(*D)
     total = E.ObjectExpr.direct_sum([X.tensor(Y) for (X, Y) in D.slots])
-    channels = _crossing_channels(cat, D.slots, total)
-    return CenterObject(X=total, gamma=HalfBraiding(
-        X=total, mats=_CombedGamma(cat, total, channels)),
-        _channels={id(cat): channels})
+    fx = _FCrossings(cat, D.slots, total)
+    return CenterObject(X=total, gamma=HalfBraiding(X=total, mats=fx), _f=fx)
 
 
 def functor_F_on_morphism(cat: CategoryData, m: DeligneMorphism) -> E.Morphism:
@@ -547,6 +555,88 @@ def _loop_table(cat: CategoryData, i: int) -> dict:
     return E._cached(cat, ("coupling_loops", i), build)
 
 
+#: A loop entry t_i^{xy}[b](a -> a2) of F objects counts as vanishing below
+#: this fraction of eps_identity.  Entries of a zero-image coupling are sums
+#: of O(1) products cancelling to roundoff (near 1e-16); the blocks they feed
+#: pass through O(1) product transforms, so dropping them moves a coupling
+#: by far less than the eps_identity its idempotency check allows, while an
+#: idempotent with non-zero image has a block of norm >= 1.
+_VANISHING_LOOP_ENTRY = 1e-3
+
+
+def _loop_channels(cat: CategoryData, i: int) -> dict:
+    """``_loop_table(cat, i)`` keyed by tube channel,
+    ``{(j, a, a2, c): [(b, w), ...]}``."""
+    def build():
+        out = {}
+        for b, entries in _loop_table(cat, i).items():
+            for j, a, a2, c, w in entries:
+                out.setdefault((j, a, a2, c), []).append((b, w))
+        return out
+
+    return E._cached(cat, ("coupling_loop_channels", i), build)
+
+
+def _f_loop_table(cat: CategoryData, i: int, x: int, y: int) -> dict:
+    """The coupling loop of ``_loop_table`` contracted with the crossing of
+    j through x (x) y (``_crossing_table``), ``{b: {(a, a2): t}}``:
+
+        t_i^{xy}[b](a -> a2) = sum_{(j, a, a2, c, w) in _loop_table(i)[b]}
+                               w h_j^{xy}(c; a -> a2),
+
+    without the vanishing entries (``_VANISHING_LOOP_ENTRY``).  It depends
+    on the category alone and is shared by every F object.
+    """
+    def build():
+        loops = _loop_channels(cat, i)
+        table = {}
+        for j in range(cat.n_labels):
+            for (c, a, a2), h in _crossing_table(cat, j, x, y).items():
+                for b, w in loops.get((j, a, a2, c), ()):
+                    row = table.setdefault(b, {})
+                    row[(a, a2)] = row.get((a, a2), 0) + w * h
+        cut = _VANISHING_LOOP_ENTRY * cat.tol.eps_identity
+        table = {b: {key: t for key, t in row.items() if abs(t) > cut}
+                 for b, row in table.items()}
+        return {b: row for b, row in table.items() if row}
+
+    return E._cached(cat, ("f_loops", i, x, y), build)
+
+
+def _f_loop_blocks(cat: CategoryData, i: int, obj: CenterObject,
+                   b: int) -> dict:
+    """An F object's loop block at sector b, ``{(a2, a): P_b[(a2 <- a)]}``:
+    per slot, sum_{(x,y)} t_i^{xy}[b](a -> a2) Q(X,Y,a2)[:, xy]
+    Qinv(X,Y,a)[xy, :] at the slot's offsets in Hom(a, total)
+    (``_FCrossings``)."""
+    fx = obj._f
+    dX = E._sector_dims(cat, fx.total)
+    P = {}
+    for s, (legs, start) in enumerate(zip(fx.legs, fx.starts)):
+        for x, y in legs:
+            for (a, a2), t in _f_loop_table(cat, i, x, y).get(b, {}).items():
+                blk = P.get((a2, a))
+                if blk is None:
+                    blk = P[(a2, a)] = np.zeros((dX[a2], dX[a]), dtype=complex)
+                K = fx.through(s, x, y, a, a2)
+                blk[start[a2]:start[a2] + K.shape[0],
+                    start[a]:start[a] + K.shape[1]] += t * K
+    return P
+
+
+def _gamma_loop_blocks(cat: CategoryData, i: int, obj: CenterObject,
+                       b: int) -> dict:
+    """The loop block at sector b read off gamma's channel blocks,
+    ``{(a2, a): sum_{j,c} T_i(j,a,a2,c)[b] G_j[c][(a2,j),(j,a)]}``."""
+    crossings = _gamma_blocks(cat, obj)
+    P = {}
+    for j, a, a2, c, w in _loop_table(cat, i).get(b, ()):
+        g = crossings.get((j, c, a2, a))
+        if g is not None:
+            P[(a2, a)] = P.get((a2, a), 0) + w * g
+    return P
+
+
 def _gamma_channels(cat: CategoryData, obj: CenterObject) -> dict:
     """Each gamma_j in product bases, ``{(j, c): (G, src_offset, tgt_offset)}``.
 
@@ -554,6 +644,8 @@ def _gamma_channels(cat: CategoryData, obj: CenterObject) -> dict:
     Hom(c, j a) x Hom(a, X) to the channels Hom(c, a2 j) x Hom(a2, X); the
     offsets, keyed by ``(j, a)`` and ``(a2, j)``, locate the blocks.
     """
+    if obj._f is not None:
+        return obj._f.channels
     hit = obj._channels.get(id(cat))
     if hit is None:
         X = obj.X
@@ -609,7 +701,15 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
 
     where ``G_j[c]`` is gamma_j in product bases (``_gamma_blocks``) and
     ``T_i`` is the loop around i (x) a through the tube channel
-    a -> a2 (``_loop_table``).  This is exact: the loop is linear in
+    a -> a2 (``_loop_table``).  For an F object the same finite sum is
+    regrouped through the per-category table t_i^{xy} of the module
+    docstring (``_f_loop_table``, ``_f_loop_blocks``):
+
+        P_b[(a2 <- a)] = sum_{(x,y)} t_i^{xy}[b](a -> a2)
+                         Q(X,Y,a2)[:, xy] Qinv(X,Y,a)[xy, :],
+
+    stacked per slot, and a sector with no loop entry is a zero block, with
+    no recoupling or SVD.  This is exact: the loop is linear in
     gamma_j; c_{i X, j} and c_{j,i} (x) 1_X are natural in every
     alpha : a -> X (the engine's braiding is the R-swap conjugated by
     recoupling, natural by construction); and closing j commutes with
@@ -624,22 +724,22 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     eps = cat.tol.eps_identity
     si = E.ObjectExpr.simple(i)
     W = si.tensor(obj.X)
-    loops = _loop_table(cat, i)
-    crossings = _gamma_blocks(cat, obj)
-    blocks = {}
+    loop_blocks = _gamma_loop_blocks if obj._f is None else _f_loop_blocks
+    blocks, live = {}, []
     for b, n in enumerate(E._sector_dims(cat, W)):
         if not n:
             continue
-        P = {}  # (a2, a) -> the loop's block Hom(a, X) -> Hom(a2, X)
-        for j, a, a2, c, w in loops.get(b, ()):
-            g = crossings.get((j, c, a2, a))
-            if g is not None:
-                P[(a2, a)] = P.get((a2, a), 0) + w * g
+        P = loop_blocks(cat, i, obj, b)  # (a2, a) -> Hom(a, X) -> Hom(a2, X)
+        if not P:
+            # a zero map: idempotent with residual 0 and no image
+            blocks[b] = np.zeros((n, n), dtype=complex)
+            continue
         blocks[b] = E._recouple(cat, si, obj.X, si, obj.X, b, [
             ((i, a2), (i, a), m) for (a2, a), m in P.items()])
+        live.append(b)
     gamma_mor = E.Morphism(cat, W, W, blocks)
-    resid = max((E._spectral_norm(M @ M - M) for M in blocks.values()),
-                default=0.0)
+    resid = max((E._spectral_norm(blocks[b] @ blocks[b] - blocks[b])
+                 for b in live), default=0.0)
     if resid > eps:
         raise IdempotencyError(
             f"coupling morphism at i={cat.label_name(i)} on "
@@ -648,10 +748,8 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     ranks = {}
     incl_blocks = {}
     proj_blocks = {}
-    for k in range(cat.n_labels):
-        M = gamma_mor.block(k)
-        if M.size == 0:
-            continue
+    for k in live:
+        M = blocks[k]
         # each eigenvalue is already within sqrt(resid) of 0 or 1:
         # min(|l|, |l - 1|)^2 <= |l^2 - l| <= ||M^2 - M||_2 = resid
         u, s, _vh = np.linalg.svd(M)
@@ -682,8 +780,13 @@ def _slot_couplings(cat: CategoryData, obj: CenterObject) -> list:
     key = (id(cat), "slots")
     hit = obj._couplings.get(key)
     if hit is None:
-        hit = [cp for cp in (coupling_gamma(cat, i, obj)
-                             for i in range(cat.n_labels))
+        labels = range(cat.n_labels)
+        if obj._f is not None:
+            # every loop entry of the others vanishes: a zero image
+            labels = [i for i in labels
+                      if any(_f_loop_table(cat, i, x, y)
+                             for legs in obj._f.legs for x, y in legs)]
+        hit = [cp for cp in (coupling_gamma(cat, i, obj) for i in labels)
                if cp.image.summands]
         obj._couplings[key] = hit
     return hit
@@ -720,11 +823,39 @@ def functor_G_on_morphism(cat: CategoryData, src: CenterObject,
     return out
 
 
-def _square_transforms(cat: CategoryData, X, Y, basis=None) -> tuple:
+def _leg_table(cat: CategoryData, X: E.ObjectExpr, basis=None):
+    """``legs(i)``: the terms (w phi_l, w phi^l, u_l, v_l) of d and q at a
+    slot i (module docstring), built on first use and kept per label, so a
+    test object's legs serve every partner Y; ``basis`` is
+    ``transform_d``'s hook."""
+    memo = {}
+
+    def legs(i: int) -> list:
+        hit = memo.get(i)
+        if hit is None:
+            cas = basis(i) if basis is not None else E.hom_basis(cat, X, i)
+            hit = memo[i] = []
+            if cas.basis:
+                w = np.sqrt(complex(cat.dim(i)))
+                si = E.ObjectExpr.simple(i)
+                id_i = E.identity(cat, si)
+                coev = E.cup_cap(cat, si, "coev")
+                ev = E.cup_cap(cat, si, "eval'")
+                hit += [(phi * w, phi_dual * w,
+                         E.compose(E.tensor(id_i, phi_dual), coev),  # 1 -> i X
+                         E.compose(ev, E.tensor(id_i, phi)))  # i X -> 1
+                        for phi, phi_dual in zip(cas.basis, cas.dual_basis)]
+        return hit
+
+    return legs
+
+
+def _square_transforms(cat: CategoryData, X, Y, legs=None) -> tuple:
     """``(d, q)`` at X [x] Y in one loop over the coupling slots of
-    F(X [x] Y), from the legs u_l and v_l of the module docstring; ``basis``
-    is ``transform_d``'s hook."""
+    F(X [x] Y), from X's legs (``_leg_table``) whiskered by Y."""
     X, Y = E.as_object(X), E.as_object(Y)
+    if legs is None:
+        legs = _leg_table(cat, X)
     XY = pair_object(X, Y)
     fobj = functor_F(cat, XY)
     GF = functor_G(cat, fobj)
@@ -732,21 +863,11 @@ def _square_transforms(cat: CategoryData, X, Y, basis=None) -> tuple:
     q = DeligneMorphism(cat, GF, XY, {})
     id_Y = E.identity(cat, Y)
     for slot, cp in enumerate(_slot_couplings(cat, fobj)):
-        i = cp.i
-        cas = basis(i) if basis is not None else E.hom_basis(cat, X, i)
-        if not cas.basis:
-            continue
-        w = np.sqrt(complex(cat.dim(i)))
-        si = E.ObjectExpr.simple(i)
-        id_i = E.identity(cat, si)
-        coev, ev = E.cup_cap(cat, si, "coev"), E.cup_cap(cat, si, "eval'")
-        for phi, phi_dual in zip(cas.basis, cas.dual_basis):
-            u = E.compose(E.tensor(id_i, phi_dual), coev)  # 1 -> i X
-            v = E.compose(ev, E.tensor(id_i, phi))  # i X -> 1
-            d = d + pair_morphism(cat, phi * w,
+        for phi_w, dual_w, u, v in legs(cp.i):
+            d = d + pair_morphism(cat, phi_w,
                                   E.compose(cp.proj, E.tensor(u, id_Y)),
                                   source=XY, target=GF, t_slot=slot)
-            q = q + pair_morphism(cat, phi_dual * w,
+            q = q + pair_morphism(cat, dual_w,
                                   E.compose(E.tensor(v, id_Y), cp.incl),
                                   source=GF, target=XY, s_slot=slot)
     return d, q
@@ -786,12 +907,14 @@ def transform_d(cat: CategoryData, X, Y, basis=None) -> DeligneMorphism:
     supplies an alternative dual-basis pair per label (used to check
     basis independence).
     """
-    return _square_transforms(cat, X, Y, basis)[0]
+    return _square_transforms(cat, X, Y,
+                              _leg_table(cat, E.as_object(X), basis))[0]
 
 
 def transform_q(cat: CategoryData, X, Y, basis=None) -> DeligneMorphism:
     """The counit-direction transformation G(F(X [x] Y)) -> X [x] Y."""
-    return _square_transforms(cat, X, Y, basis)[1]
+    return _square_transforms(cat, X, Y,
+                              _leg_table(cat, E.as_object(X), basis))[1]
 
 
 def transform_b(cat: CategoryData, obj: CenterObject) -> E.Morphism:
@@ -1178,9 +1301,9 @@ def invertibility_report(cat: CategoryData,
     qd = dq = 0.0
     objs = _test_objects(cat, max_word_length)
     for X in objs:
-        bases = [E.hom_basis(cat, X, i) for i in range(cat.n_labels)]
+        legs = _leg_table(cat, X)
         for Y in objs:
-            d, q = _square_transforms(cat, X, Y, bases.__getitem__)
+            d, q = _square_transforms(cat, X, Y, legs)
             qd = max(qd, deligne_defect(deligne_compose(q, d)))
             dq = max(dq, deligne_defect(deligne_compose(d, q)))
     pb = bp = 0.0

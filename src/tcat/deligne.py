@@ -117,10 +117,15 @@ class DeligneMorphism:
         for secs in self.blocks.values():
             for arr in secs.values():
                 if arr.size:
-                    a, b, c, d = arr.shape
-                    mat = arr.transpose(0, 2, 1, 3).reshape(a * c, b * d)
-                    worst = max(worst, E._spectral_norm(mat))
+                    worst = max(worst, E._spectral_norm(_as_matrix(arr)))
         return worst
+
+
+def _as_matrix(arr: np.ndarray) -> np.ndarray:
+    """A block's 4-index array as the matrix Hom(s, X_s) x Hom(s', Y_s) ->
+    Hom(s, X_t) x Hom(s', Y_t)."""
+    a, b, c, d = arr.shape
+    return arr.transpose(0, 2, 1, 3).reshape(a * c, b * d)
 
 
 def pair_morphism(cat: CategoryData, f: E.Morphism, g: E.Morphism,
@@ -190,7 +195,28 @@ def deligne_distance(f: DeligneMorphism, g: DeligneMorphism) -> float:
 
 
 def deligne_defect(f: DeligneMorphism) -> float:
-    """Distance from the identity of an endomorphism."""
+    """Distance from the identity of an endomorphism: the largest spectral
+    norm over the blocks of f - 1, with the identity subtracted block by
+    block (at a diagonal slot it is the unit matrix of every sector pair)."""
     if f.source != f.target:
         raise ShapeError("identity defect of a non-endomorphism")
-    return deligne_distance(f, deligne_identity(f.cat, f.source))
+    cat = f.cat
+    worst = 0.0
+    diagonal = set()
+    for idx, (X, Y) in enumerate(f.source.slots):
+        secs = f.blocks.get((idx, idx), {})
+        dY = E._sector_dims(cat, Y)
+        for s, dx in enumerate(E._sector_dims(cat, X)):
+            for sp, dy in enumerate(dY):
+                if dx and dy:
+                    diagonal.add((idx, s, sp))
+                    arr = secs.get((s, sp))
+                    eye = np.eye(dx * dy)
+                    worst = max(worst, E._spectral_norm(
+                        -eye if arr is None else _as_matrix(arr) - eye))
+    for (t_slot, s_slot), secs in f.blocks.items():
+        for sec, arr in secs.items():
+            if arr.size and (t_slot != s_slot
+                             or (t_slot, *sec) not in diagonal):
+                worst = max(worst, E._spectral_norm(_as_matrix(arr)))
+    return worst

@@ -67,17 +67,23 @@ def double_braiding(cat: CategoryData, x: int, y: int) -> E.Morphism:
 
 
 def s_matrix(cat: CategoryData) -> SMatrix:
-    n = cat.n_labels
-    S = np.zeros((n, n), dtype=complex)
-    for x in range(n):
-        for y in range(x, n):
-            v = E.quantum_trace(cat, double_braiding(cat, x, y))
-            S[x, y] = v
-            S[y, x] = v
-    sv = np.linalg.svd(S, compute_uv=False)
-    cutoff = cat.tol.eps_identity * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    return SMatrix(entries=S, rank=rank, det=complex(np.linalg.det(S)))
+    """The S-matrix, built once per category and shared by every caller, so
+    its ``entries`` are read-only."""
+    def build():
+        n = cat.n_labels
+        S = np.zeros((n, n), dtype=complex)
+        for x in range(n):
+            for y in range(x, n):
+                v = E.quantum_trace(cat, double_braiding(cat, x, y))
+                S[x, y] = v
+                S[y, x] = v
+        S.flags.writeable = False
+        sv = np.linalg.svd(S, compute_uv=False)
+        cutoff = cat.tol.eps_identity * (sv[0] if sv.size else 0.0)
+        rank = int(np.sum(sv > cutoff))
+        return SMatrix(entries=S, rank=rank, det=complex(np.linalg.det(S)))
+
+    return E._cached(cat, "s_matrix", build)
 
 
 def is_modular(cat: CategoryData) -> ModularityVerdict:

@@ -12,7 +12,7 @@ from tcat import IdempotencyError, engine as E, validate
 from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
 from tcat.center import (CenterObject, HalfBraiding, _center_sort_key,
-                         _gamma_channels, _loop_table,
+                         _gamma_channels, _loop_table, _slot_couplings,
                          _object_from_module, _test_objects, center_hom_dim,
                          center_simples, coupling_gamma,
                          functor_F, functor_F_on_morphism, functor_G,
@@ -579,7 +579,7 @@ def test_functor_f_half_braiding_matches_diagrams(cats, name):
         ref = functor_f_half_braiding(cat, D)
         ref_channels = _gamma_channels(
             cat, CenterObject(X=obj.X, gamma=HalfBraiding(X=obj.X, mats=ref)))
-        channels = obj._channels[id(cat)]
+        channels = _gamma_channels(cat, obj)
         assert set(channels) == set(ref_channels)
         for key, (G, off_s, off_t) in channels.items():
             G_ref, off_s_ref, off_t_ref = ref_channels[key]
@@ -617,6 +617,36 @@ def test_factorize_draws_no_f_half_braiding(cats, monkeypatch):
             assert E.distance(obj.gamma[j], ref[j]) < 1e-12
 
 
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_f_couplings_from_loop_table_match_gamma_blocks(cats, name):
+    # an F object's couplings read the per-category loop-crossing table; a
+    # plain CenterObject around the same gamma takes the _gamma_blocks path
+    cat = _table_input(cats, name)
+    for D in _f_inputs(cat):
+        obj = functor_F(cat, D)
+        plain = CenterObject(X=obj.X, gamma=obj.gamma)
+        assert ([(cp.i, cp.image) for cp in _slot_couplings(cat, obj)]
+                == [(cp.i, cp.image) for cp in _slot_couplings(cat, plain)])
+        for i in range(cat.n_labels):
+            cp, ref = coupling_gamma(cat, i, obj), coupling_gamma(cat, i, plain)
+            assert E.distance(cp.gamma_mor, ref.gamma_mor) < 1e-12
+            assert cp.image == ref.image
+
+
+def test_invertibility_report_builds_no_f_channels(cats, monkeypatch):
+    # the report reads F objects' couplings off the loop-crossing table
+    # alone (a fresh instance, so nothing is served from another test's
+    # cache)
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("F's crossing channels were built")
+
+    monkeypatch.setattr("tcat.center._crossing_channels", refuse)
+    rep = invertibility_report(cat, max_word_length=2)
+    assert rep.factorizable
+
+
 def test_crossing_channels_lay_out_non_empty_channels_only(monkeypatch):
     # F(1 [x] 2) on Vec_Z5 is the single sector 3, so gamma_j has the one
     # channel j 3 -> 3 j through j + 3; each needs two column layouts (the
@@ -629,7 +659,7 @@ def test_crossing_channels_lay_out_non_empty_channels_only(monkeypatch):
     monkeypatch.setattr(E, "_channel_layout",
                         lambda *args: calls.append(args[-1]) or layout(*args))
     obj = functor_F(cat, D)
-    channels = obj._channels[id(cat)]
+    channels = _gamma_channels(cat, obj)
     assert sorted(channels) == [(j, (j + 3) % 5) for j in range(5)]
     assert len(calls) == 2 * len(channels)
 

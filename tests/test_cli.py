@@ -147,6 +147,20 @@ def test_validate_reports_singular_f_matrix(tmp_path, capsys):
         assert out["residuals"][name]["value"] == float("inf")
 
 
+@pytest.mark.parametrize("command", ["center", "factorize", "smatrix"])
+def test_singular_f_matrix_exits_one(tmp_path, capsys, command):
+    # the same singular fibonacci: no command past validate can invert it
+    doc = json.loads(serialize_category(catalog("fibonacci")))
+    for rec in doc["F"]:
+        if (rec["a"], rec["b"], rec["c"], rec["d"]) == (1, 1, 1, 1):
+            rec["re"], rec["im"] = 1.0, 0.0
+    path = tmp_path / "fib_singular.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tcat:") and "singular" in err
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_validate_machine_format_parses(name, capsys):
     assert run(["validate", name, "--format", "machine"]) == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tcat.category import category_from_dict, category_to_dict
 from tcat.modularity import double_braiding, is_modular, muger_center, s_matrix
 from tcat import engine as E
 
@@ -118,3 +119,12 @@ def test_double_braiding_cross_module_consistency(cats):
         for j in range(cat.n_labels):
             tr = E.quantum_trace(cat, double_braiding(cat, i, j))
             assert tr == pytest.approx(complex(S[i, j]), abs=1e-12)
+
+
+def test_s_matrix_built_once_and_read_only(cats):
+    # a fresh instance, so no other test's cache entry is seen
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+    S = s_matrix(cat)
+    assert s_matrix(cat) is S
+    with pytest.raises(ValueError):
+        S.entries[0, 0] = 0.0
