@@ -25,6 +25,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -72,6 +73,70 @@ class ToleranceCfg:
                 f"got ({self.eps_structural}, {self.eps_identity})")
 
 
+# ----------------------------------------------------------------------
+# dense linear algebra on small blocks
+# ----------------------------------------------------------------------
+# Most blocks are 1x1.  A finite block [[z]] is answered in Python with
+# LAPACK's conventions; any other block, and a NaN, inf, zero or subnormal
+# pivot, goes to NumPy unchanged, so errors and non-finite results are
+# NumPy's own.
+
+def _entry(M: np.ndarray):
+    """``(z, |z|)`` for a finite 1x1 block, else None.  |z| is taken as
+    LAPACK's dlapy3 takes it, which is the singular value its SVD returns."""
+    if M.shape != (1, 1):
+        return None
+    z = M.item()
+    if not cmath.isfinite(z):
+        return None
+    x, y = abs(z.real), abs(z.imag)
+    w = x if x > y else y
+    r = w * math.sqrt((x / w) ** 2 + (y / w) ** 2) if w else 0.0
+    return (z, r) if r < math.inf else None
+
+
+_TINY = float(np.finfo(float).tiny)
+
+
+def _pivot(M: np.ndarray):
+    """``(z, |z|)`` for a 1x1 block with a normal, finite pivot, else None."""
+    e = _entry(M)
+    return e if e is not None and e[1] >= _TINY else None
+
+
+def _spectral_norm(M: np.ndarray) -> float:
+    """The largest singular value of M (``np.linalg.norm(M, 2)``)."""
+    e = _entry(M)
+    if e is not None:
+        return e[1]
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def _inverse(M: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv(M)``."""
+    p = _pivot(M)
+    if p is not None:
+        return np.array([[1 / p[0]]])
+    return np.linalg.inv(M)
+
+
+def _condition(M: np.ndarray) -> float:
+    """The 2-norm condition number (``np.linalg.cond(M)``)."""
+    if _pivot(M) is not None:
+        return 1.0
+    return float(np.linalg.cond(M))
+
+
+def _svd(M: np.ndarray) -> tuple:
+    """``np.linalg.svd(M)``; for [[z]] it is U = [[z/|z|]], s = [|z|],
+    Vh = [[1]]."""
+    p = _pivot(M)
+    if p is not None:
+        z, r = p
+        return np.array([[z / r]]), np.array([r]), np.ones((1, 1), M.dtype)
+    return np.linalg.svd(M)
+
+
 class FusionRing:
     """Multiplicity-free fusion coefficients ``N[i, j, k] in {0, 1}``."""
 
@@ -81,6 +146,7 @@ class FusionRing:
         for (i, j, k) in triples:
             N[i, j, k] = 1
         self.N = N
+        self._triples = frozenset(zip(*(a.tolist() for a in np.nonzero(N))))
         # fusion outcome lists, precomputed in label order
         self._outcomes = {
             (i, j): tuple(int(k) for k in range(n_labels) if N[i, j, k])
@@ -99,7 +165,7 @@ class FusionRing:
         return self._pairs[k]
 
     def admissible(self, i: int, j: int, k: int) -> bool:
-        return bool(self.N[i, j, k])
+        return (i, j, k) in self._triples
 
     def triples(self):
         n = self.n_labels
@@ -147,7 +213,7 @@ class FSymbolTable:
             raise InvalidCategoryError(
                 f"F-matrix for {(a, b, c, d)} is not square: {mat.shape}")
         try:
-            inv = np.linalg.inv(mat) if mat.size else mat.reshape(0, 0)
+            inv = _inverse(mat) if mat.size else mat.reshape(0, 0)
         except np.linalg.LinAlgError as exc:
             raise InvalidCategoryError(
                 f"F-matrix for {(a, b, c, d)} is singular") from exc
@@ -449,7 +515,7 @@ def _f_condition_number(cat: CategoryData) -> float:
                         continue
                     if mat.shape[0] != mat.shape[1]:
                         return math.inf
-                    worst = max(worst, float(np.linalg.cond(mat)))
+                    worst = max(worst, _condition(mat))
     return worst
 
 

@@ -103,7 +103,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .category import CategoryData
+from .category import CategoryData, _condition, _inverse, _svd
 from .errors import DecompositionError, IdempotencyError, ShapeError
 from . import engine as E
 from .deligne import (DeligneMorphism, DelignePair, deligne_compose,
@@ -290,7 +290,7 @@ def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
     for j in range(cat.n_labels):
         for k, b in gamma[j].blocks.items():
             if b.size:
-                cond = max(cond, float(np.linalg.cond(b)))
+                cond = max(cond, _condition(b))
     ok = unit_res < eps and worst < eps and math.isfinite(cond)
     return CenterReport(unit_residual=unit_res, tensoriality_residual=worst,
                         max_condition=cond, ok=ok)
@@ -555,12 +555,13 @@ def _loop_table(cat: CategoryData, i: int) -> dict:
     return E._cached(cat, ("coupling_loops", i), build)
 
 
-#: A loop entry t_i^{xy}[b](a -> a2) of F objects counts as vanishing below
-#: this fraction of eps_identity.  Entries of a zero-image coupling are sums
-#: of O(1) products cancelling to roundoff (near 1e-16); the blocks they feed
-#: pass through O(1) product transforms, so dropping them moves a coupling
-#: by far less than the eps_identity its idempotency check allows, while an
-#: idempotent with non-zero image has a block of norm >= 1.
+#: A loop entry counts as vanishing below this fraction of eps_identity:
+#: an entry t_i^{xy}[b](a -> a2) of F objects, or an entry of a center
+#: simple's loop block P_b.  Entries of a zero-image sector are sums of O(1)
+#: products cancelling to roundoff (near 1e-16); the blocks they feed pass
+#: through O(1) product transforms, so dropping them moves a coupling by far
+#: less than the eps_identity its idempotency check allows, while a sector
+#: with non-zero image has loop entries of order one.
 _VANISHING_LOOP_ENTRY = 1e-3
 
 
@@ -708,8 +709,9 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
         P_b[(a2 <- a)] = sum_{(x,y)} t_i^{xy}[b](a -> a2)
                          Q(X,Y,a2)[:, xy] Qinv(X,Y,a)[xy, :],
 
-    stacked per slot, and a sector with no loop entry is a zero block, with
-    no recoupling or SVD.  This is exact: the loop is linear in
+    stacked per slot.  A sector whose loop entries all vanish
+    (``_VANISHING_LOOP_ENTRY``) is a zero block, with no recoupling or SVD.
+    The sum is exact: the loop is linear in
     gamma_j; c_{i X, j} and c_{j,i} (x) 1_X are natural in every
     alpha : a -> X (the engine's braiding is the R-swap conjugated by
     recoupling, natural by construction); and closing j commutes with
@@ -722,6 +724,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     if cached is not None:
         return cached
     eps = cat.tol.eps_identity
+    cut = _VANISHING_LOOP_ENTRY * eps
     si = E.ObjectExpr.simple(i)
     W = si.tensor(obj.X)
     loop_blocks = _gamma_loop_blocks if obj._f is None else _f_loop_blocks
@@ -730,7 +733,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
         if not n:
             continue
         P = loop_blocks(cat, i, obj, b)  # (a2, a) -> Hom(a, X) -> Hom(a2, X)
-        if not P:
+        if all(np.abs(m).max() <= cut for m in P.values()):
             # a zero map: idempotent with residual 0 and no image
             blocks[b] = np.zeros((n, n), dtype=complex)
             continue
@@ -752,7 +755,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
         M = blocks[k]
         # each eigenvalue is already within sqrt(resid) of 0 or 1:
         # min(|l|, |l - 1|)^2 <= |l^2 - l| <= ||M^2 - M||_2 = resid
-        u, s, _vh = np.linalg.svd(M)
+        u, s, _vh = _svd(M)
         r = int(np.sum(s > _IMAGE_SINGULAR_VALUE))
         if r == 0:
             continue
@@ -1193,7 +1196,7 @@ def center_simples(cat: CategoryData) -> list:
 
 def _invert_blocks(cat: CategoryData, m: E.Morphism) -> E.Morphism:
     return E.Morphism(cat, m.target, m.source, {
-        k: np.linalg.inv(b) for k, b in m.blocks.items() if b.size})
+        k: _inverse(b) for k, b in m.blocks.items() if b.size})
 
 
 def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterObject:

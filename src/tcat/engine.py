@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .category import CategoryData, Scalar
+from .category import (CategoryData, Scalar, _condition, _inverse,
+                       _spectral_norm)
 from .errors import CompositionError, ShapeError
 
 __all__ = [
@@ -378,7 +379,7 @@ def _product_transform_inv(cat, X, Y, k):
         if Q.shape[0] != Q.shape[1]:
             raise ShapeError(
                 f"recoupling matrix is not square at sector {k}: {Q.shape}")
-        return np.linalg.inv(Q) if Q.size else Q.reshape(Q.shape[::-1])
+        return _inverse(Q) if Q.size else Q.reshape(Q.shape[::-1])
 
     return _cached(cat, ("Qinv", X.summands, Y.summands, k), build)
 
@@ -405,12 +406,6 @@ def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid) -> np.ndarray:
 # ----------------------------------------------------------------------
 # morphisms
 # ----------------------------------------------------------------------
-
-def _spectral_norm(M: np.ndarray) -> float:
-    """The largest singular value of M, which ``np.linalg.norm(M, 2)`` also
-    returns, without its axis handling."""
-    return float(np.linalg.svd(M, compute_uv=False)[0])
-
 
 @dataclass
 class Morphism:
@@ -635,8 +630,9 @@ def _simple_ev(cat, a, right=False) -> Morphism:
 
 
 def _word_coev(cat, w: Word, right=False) -> Morphism:
-    if len(w) == 0:
-        return identity(cat, ObjectExpr.unit())
+    if len(w) <= 1:
+        return (_simple_coev(cat, w[0], right) if w
+                else identity(cat, ObjectExpr.unit()))
     a, u = w[0], w[1:]
     if right:
         # coev'(w): 1 -> w* (x) w, peeling the first letter outermost
@@ -652,8 +648,9 @@ def _word_coev(cat, w: Word, right=False) -> Morphism:
 
 
 def _word_ev(cat, w: Word, right=False) -> Morphism:
-    if len(w) == 0:
-        return identity(cat, ObjectExpr.unit())
+    if len(w) <= 1:
+        return (_simple_ev(cat, w[0], right) if w
+                else identity(cat, ObjectExpr.unit()))
     a, u = w[0], w[1:]
     if right:
         # ev'(w): w (x) w* -> 1, the first letter closes outermost
@@ -707,6 +704,10 @@ def cup_cap(cat: CategoryData, X, kind: str) -> Morphism:
 
 def _build_cup_cap(cat: CategoryData, X: ObjectExpr, kind: str) -> Morphism:
     right = kind in ("coev'", "eval'")
+    if len(X.summands) == 1 and X.summands[0][1] == 1:
+        # one word: its inclusion and projection are identities
+        build = _word_coev if kind.startswith("coev") else _word_ev
+        return build(cat, X.summands[0][0], right=right)
     Xd = X.dual(cat)
     if kind.startswith("coev"):
         tgt = X.tensor(Xd) if not right else Xd.tensor(X)
@@ -829,12 +830,12 @@ def hom_basis(cat: CategoryData, X, i: int, rotation=None) -> CasimirPair:
     rows = np.vstack([b.block(istar) for b in basis])
     cols = np.hstack([c.block(istar) for c in candidates])
     gram = cat.dim(istar) * (rows @ cols).T
-    coeffs = np.linalg.inv(gram).T
+    coeffs = _inverse(gram).T
     duals = []
     for a in range(n):
         col = sum(coeffs[m, a] * candidates[m].block(istar) for m in range(n))
         duals.append(Morphism(cat, tgt, X, {istar: col}))
-    return CasimirPair(basis, duals, float(np.linalg.cond(gram)))
+    return CasimirPair(basis, duals, _condition(gram))
 
 
 def identity_resolution(cat: CategoryData, W) -> list:

@@ -264,6 +264,20 @@ def test_coupling_draws_no_braiding_on_i_x(cats):
         assert word(i).tensor(obj.X).summands not in firsts
 
 
+def test_center_simple_couplings_recouple_live_sectors_only(monkeypatch):
+    # on Vec_Z5 every coupling sector of a center simple is either roundoff
+    # or a rank-one image, and only the images are recoupled
+    cat = category_from_dict(_vec_zn_doc(5, 1))
+    simples = center_simples(cat)
+    calls = []
+    recouple = E._recouple
+    monkeypatch.setattr(E, "_recouple",
+                        lambda *args: calls.append(args) or recouple(*args))
+    images = sum(len(coupling_gamma(cat, i, s).image.summands)
+                 for s in simples for i in range(cat.n_labels))
+    assert len(calls) == images == 25
+
+
 def test_coupling_rejects_invalid_half_braiding(cats):
     cat = cats["vec_z2_sym"]
     obj = functor_F(cat, pair_object(word(1), ObjectExpr.unit()))
@@ -965,6 +979,32 @@ def test_invertibility_report_builds_each_hom_basis_once(cats, monkeypatch):
     monkeypatch.setattr(E, "hom_basis", counted)
     invertibility_report(cat, max_word_length=2)
     assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_scalar_blocks_never_reach_lapack(monkeypatch, n):
+    # every block of Vec_Z5 is 1x1; Vec_Z4 (R = i^ab) also has the 2x2
+    # blocks of center simples on a + (a + 2), which still go to LAPACK
+    cat = category_from_dict(_vec_zn_doc(n, 1))
+    simples = center_simples(cat)  # the tube split and the S-matrix are
+    is_modular(cat)                # built before the check
+    X, Y = word(1), word(n - 1)
+    d, q = transform_d(cat, X, Y), transform_q(cat, X, Y)
+
+    def refusing(name):
+        numpy_call = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            if n == 5 or np.shape(a) == (1, 1):
+                raise AssertionError(f"np.linalg.{name} got a {np.shape(a)} block")
+            return numpy_call(a, *args, **kwargs)
+        return call
+
+    for name in ("svd", "inv", "cond"):
+        monkeypatch.setattr(np.linalg, name, refusing(name))
+    assert all(verify_center_object(cat, s).ok for s in simples)
+    assert deligne_defect(deligne_compose(q, d)) < 1e-12
+    assert invertibility_report(cat, max_word_length=1).agrees_with_modularity
 
 
 def test_report_schema(cats):

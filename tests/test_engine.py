@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from tcat import (CompositionError, ShapeError, loads_category,
-                  serialize_category)
+                  serialize_category, validate)
 from tcat import engine as E
+from tcat.category import (_condition, _inverse, _spectral_norm, _svd,
+                           category_from_dict, category_to_dict)
 from tcat.engine import ObjectExpr
 
-from test_center import _table_input
+from test_center import TABLE_INPUTS, _table_input
 
 PHI = (1 + math.sqrt(5)) / 2
 RNG = np.random.default_rng(20240811)
@@ -435,6 +437,109 @@ def test_spectral_norm_matches_numpy():
             M = (rng.standard_normal((rows, cols))
                  + 1j * rng.standard_normal((rows, cols)))
             assert E._spectral_norm(M) == float(np.linalg.norm(M, 2))
+
+
+def test_scalar_block_helpers_match_numpy():
+    rng = np.random.default_rng(20261019)
+    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+        for _ in range(200):
+            z = complex(*(scale * rng.standard_normal(2)))
+            M = np.array([[z]])
+            assert _spectral_norm(M) == pytest.approx(
+                float(np.linalg.norm(M, 2)), rel=1e-15)
+            assert _condition(M) == np.linalg.cond(M) == 1.0
+            inv, ref = _inverse(M), np.linalg.inv(M)
+            assert inv.shape == (1, 1) and inv.dtype == ref.dtype
+            assert abs(inv[0, 0] - ref[0, 0]) <= 1e-15 * abs(ref[0, 0])
+            u, s, vh = _svd(M)
+            u0, s0, vh0 = np.linalg.svd(M)
+            assert s == pytest.approx(s0, rel=1e-15)
+            # the same phase convention: U carries z / |z|, Vh is 1
+            assert abs(u[0, 0] - u0[0, 0]) <= 1e-15
+            assert vh[0, 0] == vh0[0, 0] == 1.0
+            assert u.dtype == u0.dtype and vh.dtype == vh0.dtype
+    # real 1x1 blocks keep their dtype
+    u, s, vh = _svd(np.array([[-2.0]]))
+    assert u.dtype == vh.dtype == float and (u[0, 0], s[0]) == (-1.0, 2.0)
+
+
+def test_scalar_block_helpers_leave_singular_and_nan_blocks_to_numpy():
+    zero = np.zeros((1, 1), dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        _inverse(zero)
+    assert _condition(zero) == math.inf
+    assert _spectral_norm(zero) == 0.0
+    nan = np.array([[complex(math.nan, 0.0)]])
+    for helper in (_condition, _spectral_norm, _svd):
+        with pytest.raises(np.linalg.LinAlgError):
+            helper(nan)
+    assert np.isnan(_inverse(nan)).all()
+
+
+def test_nan_f_matrix_reads_as_infinite_f_condition(cats):
+    doc = category_to_dict(cats["fibonacci"])
+    for r in doc["F"]:
+        if (r["a"], r["b"], r["c"], r["d"]) == (1, 1, 1, 0):  # a 1x1 F-matrix
+            r["re"] = math.nan
+    report = validate(category_from_dict(doc))
+    assert report.residual("f_condition") == math.inf
+    assert not report.ok
+
+
+def _peeled_word_duality(cat, w, kind):
+    """A word's duality morphism peeled letter by letter down to the empty
+    word, every step a tensor with identities."""
+    if not w:
+        return E.identity(cat, ObjectExpr.unit())
+    a, u = w[0], w[1:]
+    inner = _peeled_word_duality(cat, u, kind)
+    ida = E.identity(cat, word(a))
+    idad = E.identity(cat, word(cat.dual[a]))
+    idu = E.identity(cat, ObjectExpr.word(u))
+    idud = E.identity(cat, ObjectExpr.word(u).dual(cat))
+    if kind == "coev":
+        return E.compose(E.tensor(ida, E.tensor(inner, idad)),
+                         E._simple_coev(cat, a))
+    if kind == "coev'":
+        return E.compose(E.tensor(idud, E.tensor(
+            E._simple_coev(cat, a, right=True), idu)), inner)
+    if kind == "eval":
+        return E.compose(inner, E.tensor(idud, E.tensor(
+            E._simple_ev(cat, a), idu)))
+    return E.compose(E._simple_ev(cat, a, right=True),
+                     E.tensor(ida, E.tensor(inner, idad)))
+
+
+def _embedded_cup_cap(cat, X, kind):
+    """Every word summand's duality morphism between the tensored
+    inclusions (cups) or projections (caps) of X and X*."""
+    coev, right = kind.startswith("coev"), kind.endswith("'")
+    Xd = X.dual(cat)
+    first, second = (X, Xd) if coev != right else (Xd, X)
+    leg = E.inclusion if coev else E.projection
+    out = None
+    for si, (w, m) in enumerate(X.summands):
+        base = _peeled_word_duality(cat, w, kind)
+        for c in range(m):
+            emb = E.tensor(leg(cat, first, si, c), leg(cat, second, si, c))
+            term = E.compose(emb, base) if coev else E.compose(base, emb)
+            out = term if out is None else out + term
+    return out
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_cup_cap_matches_embedding_assembly(cats, name):
+    cat = _table_input(cats, name)
+    labels = range(1, min(cat.n_labels, 4))
+    words = [ObjectExpr.unit()] + [word(a) for a in labels] + [
+        word(a, b) for a in labels for b in labels]
+    a, b = (labels[0], labels[-1]) if labels else (0, 0)  # 0: the unit
+    sums = [ObjectExpr.word((a,), 2),
+            ObjectExpr.direct_sum([word(a), word(a, b), ObjectExpr.unit()])]
+    for X in words + sums:
+        for kind in ("coev", "eval", "coev'", "eval'"):
+            assert E.distance(E.cup_cap(cat, X, kind),
+                              _embedded_cup_cap(cat, X, kind)) < 1e-12
 
 
 # -- determinism and dumps ----------------------------------------------
