@@ -380,6 +380,12 @@ class ValidationReport:
         }
 
 
+def _fold(worst: float, value: float) -> float:
+    """``max(worst, value)`` that keeps a NaN on either side: ``max`` keeps
+    ``worst`` past a NaN, so NaN data would read as a zero residual."""
+    return worst if value <= worst or worst != worst else value
+
+
 def _pentagon_residual(cat: CategoryData) -> float:
     """Max deviation of the F-symbols from the pentagon equation.
 
@@ -417,7 +423,7 @@ def _pentagon_residual(cat: CategoryData) -> float:
                                             for h in ring.fusion(b, c)
                                             if ring.admissible(a, h, g)
                                             and ring.admissible(h, d, k))
-                                        worst = max(worst, abs(lhs - rhs))
+                                        worst = _fold(worst, abs(lhs - rhs))
     return worst
 
 
@@ -460,7 +466,7 @@ def _hexagon_residual(cat: CategoryData, inverse: bool) -> float:
                                 rhs += (F.get(b, a, c, d, e, j) * rsym(a, c, j)
                                         * F.inverse_get(ring, b, c, a, d, j, f))
                             rhs *= rsym(a, b, e)
-                            worst = max(worst, abs(lhs - rhs))
+                            worst = _fold(worst, abs(lhs - rhs))
     return worst
 
 
@@ -471,25 +477,25 @@ def _unit_duality_residual(cat: CategoryData) -> float:
     worst = 0.0
     for i in range(n):
         for k in range(n):
-            worst = max(worst, abs(float(ring.N[i, 0, k]) - (1.0 if i == k else 0.0)))
-            worst = max(worst, abs(float(ring.N[0, i, k]) - (1.0 if i == k else 0.0)))
+            worst = _fold(worst, abs(float(ring.N[i, 0, k]) - (1.0 if i == k else 0.0)))
+            worst = _fold(worst, abs(float(ring.N[0, i, k]) - (1.0 if i == k else 0.0)))
         for j in range(n):
             want = 1.0 if j == cat.dual[i] else 0.0
-            worst = max(worst, abs(float(ring.N[i, j, 0]) - want))
+            worst = _fold(worst, abs(float(ring.N[i, j, 0]) - want))
     # ring associativity
     N = ring.N.astype(float)
     lhs = np.einsum("ijm,mkl->ijkl", N, N)
     rhs = np.einsum("jkm,iml->ijkl", N, N)
-    worst = max(worst, float(np.abs(lhs - rhs).max()))
+    worst = _fold(worst, float(np.abs(lhs - rhs).max()))
     # unit coherence: F-symbols with a unit leg and R-symbols with a unit
     # factor must be exactly 1 on admissible entries
     for (a, b, c, d, e, f), v in cat.f.entries.items():
         if 0 in (a, b, c):
-            worst = max(worst, abs(v - 1.0))
+            worst = _fold(worst, abs(v - 1.0))
     for (a, b, c), v in cat.r.entries.items():
         if a == 0 or b == 0:
-            worst = max(worst, abs(v - 1.0))
-    worst = max(worst, abs(cat.piv.t[0] - 1.0))
+            worst = _fold(worst, abs(v - 1.0))
+    worst = _fold(worst, abs(cat.piv.t[0] - 1.0))
     return worst
 
 
@@ -515,7 +521,7 @@ def _f_condition_number(cat: CategoryData) -> float:
                         continue
                     if mat.shape[0] != mat.shape[1]:
                         return math.inf
-                    worst = max(worst, _condition(mat))
+                    worst = _fold(worst, _condition(mat))
     return worst
 
 
@@ -538,7 +544,7 @@ def _sphericality_residual(cat: CategoryData) -> float:
         f = engine.random_endomorphism(cat, X, rng)
         left = engine.quantum_trace(cat, f, side="left")
         right = engine.quantum_trace(cat, f, side="right")
-        worst = max(worst, abs(left - right))
+        worst = _fold(worst, abs(left - right))
     return worst
 
 
@@ -556,7 +562,7 @@ def _zigzag_residual(cat: CategoryData) -> float:
     for a in range(cat.n_labels):
         X = engine.ObjectExpr.simple(a)
         for m in engine.zigzag_defects(cat, X):
-            worst = max(worst, m)
+            worst = _fold(worst, m)
     return worst
 
 

@@ -17,7 +17,7 @@ objects assemble into the inverse functor
 
 The loop is never drawn on i (x) X (x) j.  It is linear in gamma_j, and
 the ambient braidings are natural in every alpha : a -> X, so it is
-assembled from gamma_j's channel blocks in the product basis
+assembled from gamma_j's crossing blocks (below) in the product basis
 Hom(b, i X) = (+)_a Hom(b, i a) x Hom(a, X) and from one table of loops
 around i (x) a per category (``coupling_gamma``).  That table is read off
 the F- and R-symbols (``_loop_table``): for a tube channel j a -> a2 j
@@ -29,17 +29,20 @@ through c,
 
 with kappa the closing scalar of ``engine._loop_weight``.
 
-F objects carry their half-braiding in channel form; the channels and
-the combed gamma are built on first read.  The braidings are natural in
-alpha : x -> X and beta : y -> Y, so on the channel j (x y)_a -> (x y)_{a2} j
-through c the crossing of F(X [x] Y) is the scalar (``_crossing_table``)
+A half-braiding is read in one product-basis form, its crossing blocks
+G_j[c][(a2,j) <- (j,a)] : Hom(a, X) -> Hom(a2, X) on the channels
+j a -> a2 j through c (``_gamma_blocks``).  F(X [x] Y) builds them without
+gamma: the braidings are natural in alpha : x -> X and beta : y -> Y, so on
+the channel j (x y)_a -> (x y)_{a2} j through c its crossing is the scalar
+(``_crossing_table``)
 
     h_j^{xy}(c; a -> a2) = sum_{e in j x, f in j y} Finv(j,x,y,c; a,e) R(j,x,e)
                            F(x,j,y,c; e,f) / R(y,j,f) Finv(x,y,j,c; f,a2)
 
-on Hom(a, x y) and the identity on Hom(x, X) x Hom(y, Y); with the slot's
-product transform Q = ``engine._product_transform`` its channel block is
-Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a) (``functor_F``).  The coupling
+on Hom(a, x y) and the identity on Hom(x, X) x Hom(y, Y), so with the
+product transform Q = ``engine._product_transform`` each slot adds
+Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a) to the block (``_FCrossings``), and
+gamma_j[c] = Q(X Y, j, c) G_j[c] Qinv(j, X Y, c) on first read.  The coupling
 loop of an F object is therefore contracted with h once per category, over
 the loop entries (j, a, a2, c, w) of i (x) a at sector b (``_f_loop_table``):
 
@@ -73,7 +76,7 @@ F-symbols as well (``tube_algebra``):
     structure[x, y, (a2,l,b1,s)] = F(j1,j2,a2,s; l,c2) Finv(j1,a1,j2,s; c2,c1)
                                    F(b1,j1,j2,s; c1,l).
 
-The half-braiding axioms are checked on gamma's channel blocks G_j[c]
+The half-braiding axioms are checked on the crossing blocks G_j[c]
 (``verify_center_object``).  Tensoriality at the simples j, k compares,
 on the channel (m, a) -> (a3, m') of j k X -> X j k at sector s, the
 stacked crossings (an F-move to j (k a)_c, gamma_k, an inverse F-move to
@@ -143,17 +146,15 @@ class _FCrossings(Mapping):
     Hom(x, X_s) x Hom(y, Y_s) != 0 and each a in x y to the (x, y) columns
     of Q(X_s, Y_s, a) and rows of Qinv(X_s, Y_s, a)
     (``engine._product_transform``), and ``starts[s]`` holds the slot's
-    offsets in Hom(a, total), total = (+)_s X_s Y_s.  Their products
-    (``through``) serve the crossing channels and every coupling.  The
-    channels (``_crossing_channels``) are built on first read of
-    ``channels``, and gamma_j[c] = Q(total, j, c) G_j[c] Qinv(j, total, c)
-    on first access to j.
+    offsets in Hom(a, total), total = (+)_s X_s Y_s.  ``stack`` sums their
+    products into blocks; the crossing blocks and each combed gamma_j are
+    built on first read.
     """
 
     def __init__(self, cat: CategoryData, slots, total: E.ObjectExpr):
         self._cat, self.total = cat, total
-        self.legs, self.starts, self._through = [], [], {}
-        self._channels, self._combed = None, {}
+        self.legs, self.starts = [], []
+        self._blocks, self._combed, self._products = None, {}, {}
         start = [0] * cat.n_labels
         for X, Y in slots:
             dims = E._sector_dims(cat, X.tensor(Y))
@@ -173,34 +174,52 @@ class _FCrossings(Mapping):
             self.starts.append(start)
             start = [s + d for s, d in zip(start, dims)]
 
-    def through(self, s: int, x: int, y: int, a: int, a2: int) -> np.ndarray:
-        """Q(X_s, Y_s, a2)[:, xy] Qinv(X_s, Y_s, a)[xy, :]."""
-        key = (s, x, y, a, a2)
-        K = self._through.get(key)
-        if K is None:
-            by_sector = self.legs[s][(x, y)]
-            K = self._through[key] = by_sector[a2][0] @ by_sector[a][1]
-        return K
+    def stack(self, terms) -> dict:
+        """``{key: block}`` with block Hom(a, total) -> Hom(a2, total) the
+        sum over slots and over ``(key, a, a2, t) in terms(x, y)`` of
+        t Q(X_s, Y_s, a2)[:, xy] Qinv(X_s, Y_s, a)[xy, :] at the slot's
+        offsets."""
+        dims = E._sector_dims(self._cat, self.total)
+        out = {}
+        for s, (legs, start) in enumerate(zip(self.legs, self.starts)):
+            for (x, y), by_sector in legs.items():
+                for key, a, a2, t in terms(x, y):
+                    K = self._products.get((s, x, y, a, a2))
+                    if K is None:
+                        K = self._products[(s, x, y, a, a2)] = (
+                            by_sector[a2][0] @ by_sector[a][1])
+                    blk = out.get(key)
+                    if blk is None:
+                        blk = out[key] = np.zeros((dims[a2], dims[a]),
+                                                  dtype=complex)
+                    blk[start[a2]:start[a2] + K.shape[0],
+                        start[a]:start[a] + K.shape[1]] += t * K
+        return out
 
     @property
-    def channels(self) -> dict:
-        if self._channels is None:
-            self._channels = _crossing_channels(self._cat, self)
-        return self._channels
+    def blocks(self) -> dict:
+        """G_j[c][(a2,j) <- (j,a)] of the module docstring, keyed
+        ``(j, c, a2, a)`` (``_gamma_blocks``)."""
+        if self._blocks is None:
+            cat = self._cat
+            self._blocks = self.stack(lambda x, y: (
+                ((j, c, a2, a), a, a2, h) for j in range(cat.n_labels)
+                for (c, a, a2), h in _crossing_table(cat, j, x, y).items()))
+        return self._blocks
 
     def __getitem__(self, j: int) -> E.Morphism:
         hit = self._combed.get(j)
         if hit is None:
             if j not in self:
                 raise KeyError(j)
-            cat, X = self._cat, self.total
-            J = E.ObjectExpr.simple(j)
-            blocks = {c: (E._product_transform(cat, X, J, c)[0] @ G
-                          @ E._product_transform_inv(cat, J, X, c))
-                      for (jj, c), (G, _s, _t) in self.channels.items()
-                      if jj == j}
-            hit = self._combed[j] = E.Morphism(cat, J.tensor(X), X.tensor(J),
-                                               blocks)
+            cat, X, J = self._cat, self.total, E.ObjectExpr.simple(j)
+            mids = {}
+            for (jj, c, a2, a), g in self.blocks.items():
+                if jj == j:
+                    mids.setdefault(c, []).append(((a2, j), (j, a), g))
+            hit = self._combed[j] = E.Morphism(cat, J.tensor(X), X.tensor(J), {
+                c: E._recouple(cat, J, X, X, J, c, mid)
+                for c, mid in sorted(mids.items())})
         return hit
 
     def __contains__(self, j) -> bool:
@@ -220,7 +239,7 @@ class CenterObject:
     X: E.ObjectExpr
     gamma: HalfBraiding
     _couplings: dict = field(default_factory=dict, repr=False)
-    _channels: dict = field(default_factory=dict, repr=False)
+    _blocks: dict = field(default_factory=dict, repr=False)
     #: F(X [x] Y)'s crossings (``functor_F``), None for other objects
     _f: _FCrossings | None = field(default=None, repr=False)
 
@@ -244,7 +263,7 @@ def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
     Tensoriality, for every pair of simples (j, k): stacking the crossings,
     (gamma_j (x) 1_k)(1_j (x) gamma_k) : j k X -> X j k, must equal
     resolving j k through each channel m and crossing with gamma_m.  Both
-    sides are read off gamma's channel blocks G (``_gamma_blocks``) in the
+    sides are read off the crossing blocks G (``_gamma_blocks``) in the
     product bases of sector s, Hom(s, m a) x Hom(a, X) on the source and
     Hom(s, a3 m') x Hom(a3, X) on the target (the formulas are in the
     module docstring), over the non-empty channels (m, a) -> s only.  The
@@ -383,61 +402,16 @@ def _crossing_table(cat: CategoryData, j: int, x: int, y: int) -> dict:
     return E._cached(cat, ("crossing", j, x, y), build)
 
 
-def _crossing_channels(cat: CategoryData, fx: _FCrossings) -> dict:
-    """F's half-braiding on total = (+)_s X_s Y_s in product bases, laid out
-    as ``_gamma_channels`` returns it: ``{(j, c): (G, src_offset,
-    tgt_offset)}``, with G_j[c][(a2,j) <- (j,a)] stacking each slot's
-    Q(X,Y,a2) ((+)_{(x,y)} h_j^{xy}(c; a -> a2) I) Qinv(X,Y,a) in
-    Hom(a, total) = (+)_s Hom(a, X_s Y_s) (``_crossing_table``).
-
-    The offsets are the column layout of ``engine._product_transform``
-    (``engine._channel_layout``), so no transform of j (x) total or
-    total (x) j is built, and only the channels through c in j a, a a
-    non-empty sector of total, are laid out.
-    """
-    channels = {}
-    sectors = [a for a, d in enumerate(E._sector_dims(cat, fx.total)) if d]
-    for j in range(cat.n_labels):
-        J = E.ObjectExpr.simple(j)
-        for c in sorted({c for a in sectors for c in cat.ring.fusion(j, a)}):
-            _pairs, off_s, ns = E._channel_layout(cat, J, fx.total, c)
-            _pairs, off_t, nt = E._channel_layout(cat, fx.total, J, c)
-            channels[(j, c)] = (np.zeros((nt, ns), dtype=complex), off_s, off_t)
-    for s, (legs, start) in enumerate(zip(fx.legs, fx.starts)):
-        for x, y in legs:
-            for j in range(cat.n_labels):
-                for (c, a, a2), h in _crossing_table(cat, j, x, y).items():
-                    G, off_s, off_t = channels[(j, c)]
-                    K = fx.through(s, x, y, a, a2)
-                    r, o = off_t[(a2, j)] + start[a2], off_s[(j, a)] + start[a]
-                    G[r:r + K.shape[0], o:o + K.shape[1]] += h * K
-    return channels
-
-
 def functor_F(cat: CategoryData, D) -> CenterObject:
     """The tautological functor on objects of the exterior square.
 
     F(X [x] Y) = (X (x) Y, gamma) with gamma_j = (1_X (x) c^{-1}_{Y,j})
     (c_{j,X} (x) 1_Y), braid past X and reverse-braid past Y.  No diagram
-    is evaluated: F objects keep their slots in product bases
-    (``_FCrossings``), with channels built on first read: the blocks G_j[c]
-    that ``_gamma_channels`` returns and the combed gamma exist only once
-    gamma or ``_gamma_channels`` is read, which ``invertibility_report``
-    never does.  On the
-    channel j (x y)_a -> (x y)_{a2} j through c of simples x -> X, y -> Y
-    the crossing is (``_crossing_table``)
-
-        h_j^{xy}(c; a -> a2) = sum_{e in j x, f in j y} Finv(j,x,y,c; a,e)
-                               R(j,x,e) F(x,j,y,c; e,f) / R(y,j,f)
-                               Finv(x,y,j,c; f,a2),
-
-    and per slot, stacked in Hom(a, (+)_s X_s Y_s) (``_crossing_channels``),
-
-        G_j[c][(a2,j) <- (j,a)] = Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a),
-        gamma_j[c] = Q(X Y, j, c) G_j[c] Qinv(j, X Y, c)   (on first read).
-
-    Nothing is memoized: each call builds a new object, and its coupling
-    idempotents live on it and are freed with it.
+    is evaluated: the object keeps its slots in product bases
+    (``_FCrossings``), and its crossing blocks (module docstring) and
+    combed gamma are built on first read, which ``invertibility_report``
+    never does.  Nothing is memoized: each call builds a new object, and
+    its coupling idempotents live on it and are freed with it.
     """
     if not isinstance(D, DelignePair):
         D = pair_object(*D)
@@ -608,26 +582,15 @@ def _f_loop_blocks(cat: CategoryData, i: int, obj: CenterObject,
                    b: int) -> dict:
     """An F object's loop block at sector b, ``{(a2, a): P_b[(a2 <- a)]}``:
     per slot, sum_{(x,y)} t_i^{xy}[b](a -> a2) Q(X,Y,a2)[:, xy]
-    Qinv(X,Y,a)[xy, :] at the slot's offsets in Hom(a, total)
-    (``_FCrossings``)."""
-    fx = obj._f
-    dX = E._sector_dims(cat, fx.total)
-    P = {}
-    for s, (legs, start) in enumerate(zip(fx.legs, fx.starts)):
-        for x, y in legs:
-            for (a, a2), t in _f_loop_table(cat, i, x, y).get(b, {}).items():
-                blk = P.get((a2, a))
-                if blk is None:
-                    blk = P[(a2, a)] = np.zeros((dX[a2], dX[a]), dtype=complex)
-                K = fx.through(s, x, y, a, a2)
-                blk[start[a2]:start[a2] + K.shape[0],
-                    start[a]:start[a] + K.shape[1]] += t * K
-    return P
+    Qinv(X,Y,a)[xy, :] (``_FCrossings.stack``)."""
+    return obj._f.stack(lambda x, y: (
+        ((a2, a), a, a2, t)
+        for (a, a2), t in _f_loop_table(cat, i, x, y).get(b, {}).items()))
 
 
 def _gamma_loop_blocks(cat: CategoryData, i: int, obj: CenterObject,
                        b: int) -> dict:
-    """The loop block at sector b read off gamma's channel blocks,
+    """The loop block at sector b read off the crossing blocks,
     ``{(a2, a): sum_{j,c} T_i(j,a,a2,c)[b] G_j[c][(a2,j),(j,a)]}``."""
     crossings = _gamma_blocks(cat, obj)
     P = {}
@@ -638,19 +601,21 @@ def _gamma_loop_blocks(cat: CategoryData, i: int, obj: CenterObject,
     return P
 
 
-def _gamma_channels(cat: CategoryData, obj: CenterObject) -> dict:
-    """Each gamma_j in product bases, ``{(j, c): (G, src_offset, tgt_offset)}``.
-
-    ``G = Qinv(X, j, c) gamma_j[c] Q(j, X, c)`` maps the channels
-    Hom(c, j a) x Hom(a, X) to the channels Hom(c, a2 j) x Hom(a2, X); the
-    offsets, keyed by ``(j, a)`` and ``(a2, j)``, locate the blocks.
+def _gamma_blocks(cat: CategoryData, obj: CenterObject) -> dict:
+    """Gamma in product bases, ``{(j, c, a2, a): G_j[c][(a2,j) <- (j,a)]}``:
+    gamma_j's map Hom(a, X) -> Hom(a2, X) on the channel j a -> a2 j
+    through c.  An F object stacks them from the crossing table
+    (``_FCrossings.blocks``); otherwise they are slices of
+    Qinv(X, j, c) gamma_j[c] Q(j, X, c) over X's non-empty sectors.
     """
     if obj._f is not None:
-        return obj._f.channels
-    hit = obj._channels.get(id(cat))
+        return obj._f.blocks
+    hit = obj._blocks.get(id(cat))
     if hit is None:
         X = obj.X
-        hit = {}
+        dX = E._sector_dims(cat, X)
+        labels = [a for a, n in enumerate(dX) if n]
+        hit = obj._blocks[id(cat)] = {}
         for j in range(cat.n_labels):
             J = E.ObjectExpr.simple(j)
             for c, n in enumerate(E._sector_dims(cat, X.tensor(J))):
@@ -660,26 +625,11 @@ def _gamma_channels(cat: CategoryData, obj: CenterObject) -> dict:
                 Qs, _ps, off_s = E._product_transform(cat, J, X, c)
                 G = (E._product_transform_inv(cat, X, J, c)
                      @ obj.gamma[j].block(c) @ Qs)
-                hit[(j, c)] = (G, off_s, off_t)
-        obj._channels[id(cat)] = hit
-    return hit
-
-
-def _gamma_blocks(cat: CategoryData, obj: CenterObject) -> dict:
-    """``{(j, c, a2, a): block}``: gamma_j's map Hom(a, X) -> Hom(a2, X) on
-    the channel j a -> a2 j through c, a view into ``_gamma_channels``."""
-    key = (id(cat), "blocks")
-    hit = obj._channels.get(key)
-    if hit is None:
-        dX = E._sector_dims(cat, obj.X)
-        labels = [a for a, n in enumerate(dX) if n]
-        hit = obj._channels[key] = {}
-        for (j, c), (G, off_s, off_t) in _gamma_channels(cat, obj).items():
-            for a in labels:
-                for a2 in labels:
-                    if (j, a) in off_s and (a2, j) in off_t:
-                        r, o = off_t[(a2, j)], off_s[(j, a)]
-                        hit[(j, c, a2, a)] = G[r:r + dX[a2], o:o + dX[a]]
+                for a in labels:
+                    for a2 in labels:
+                        if (j, a) in off_s and (a2, j) in off_t:
+                            r, o = off_t[(a2, j)], off_s[(j, a)]
+                            hit[(j, c, a2, a)] = G[r:r + dX[a2], o:o + dX[a]]
     return hit
 
 
@@ -700,19 +650,13 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
 
         P_b[(i,a2),(i,a)] = sum_{j,c} T_i(j,a,a2,c)[b] G_j[c][(a2,j),(j,a)],
 
-    where ``G_j[c]`` is gamma_j in product bases (``_gamma_blocks``) and
-    ``T_i`` is the loop around i (x) a through the tube channel
-    a -> a2 (``_loop_table``).  For an F object the same finite sum is
-    regrouped through the per-category table t_i^{xy} of the module
-    docstring (``_f_loop_table``, ``_f_loop_blocks``):
-
-        P_b[(a2 <- a)] = sum_{(x,y)} t_i^{xy}[b](a -> a2)
-                         Q(X,Y,a2)[:, xy] Qinv(X,Y,a)[xy, :],
-
-    stacked per slot.  A sector whose loop entries all vanish
-    (``_VANISHING_LOOP_ENTRY``) is a zero block, with no recoupling or SVD.
-    The sum is exact: the loop is linear in
-    gamma_j; c_{i X, j} and c_{j,i} (x) 1_X are natural in every
+    with G_j[c] the crossing blocks (``_gamma_blocks``) and T_i the loop
+    around i (x) a through the tube channel a -> a2 (``_loop_table``).  An
+    F object regroups the same sum through the per-category table t_i^{xy}
+    of the module docstring, stacked per slot (``_f_loop_blocks``).  A
+    sector whose loop entries all vanish (``_VANISHING_LOOP_ENTRY``) is a
+    zero block, with no recoupling or SVD.  The sum is exact: the loop is
+    linear in gamma_j; c_{i X, j} and c_{j,i} (x) 1_X are natural in every
     alpha : a -> X (the engine's braiding is the R-swap conjugated by
     recoupling, natural by construction); and closing j commutes with
     alpha2 (x) 1_j.  No half-braiding axiom is used, so an invalid gamma
@@ -1235,7 +1179,7 @@ def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterOb
 
 def _center_sort_key(cat: CategoryData, obj: CenterObject):
     """Sector dimensions and the rounded traces Tr(gamma_j o c_{X,j}),
-    read off the channel blocks (formula in the module docstring)."""
+    read off the crossing blocks (formula in the module docstring)."""
     traces = [0j] * cat.n_labels
     for (j, c, a2, a), g in _gamma_blocks(cat, obj).items():
         if a2 == a:

@@ -123,7 +123,11 @@ def _run_validate(cat, args) -> int:
                          f"(< {e.threshold:.1e})  "
                          f"{'ok' if e.ok else 'FAIL'}")
         _emit("\n".join(lines), args.out)
-    return 0 if report.ok else 1
+    if report.ok:
+        return 0
+    failed = ", ".join(e.name for e in report.entries if not e.ok)
+    sys.stderr.write(f"tcat: {cat.name} fails validation: {failed}\n")
+    return 1
 
 
 def _run_smatrix(cat, args) -> int:

@@ -39,6 +39,7 @@ arrays are marked read-only and writing into one raises ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -308,38 +309,24 @@ def _split_chain(w: Word, x: Word, chain: Word, k: int):
     return chain[:wl - 2], chain[wl - 2], chain[wl - 1:]
 
 
-def _channel_layout(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
-    """The channels of Hom(k, X (x) Y) in product bases.
-
-    Returns ``(pairs, offsets, width)``: the ``(i, j)`` pairs with
-    N(i, j, k) = 1 in label order (``FusionRing.pairs``), the slice start
-    of each pair's Hom(i, X) x Hom(j, Y) block and the total width.
-    """
-    pairs = cat.ring.pairs(k)
-    dX, dY = _sector_dims(cat, X), _sector_dims(cat, Y)
-    offsets, width = {}, 0
-    for i, j in pairs:
-        offsets[(i, j)] = width
-        width += dX[i] * dY[j]
-    return pairs, offsets, width
-
-
 def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
     """Isomorphism  (+)_{i,j} Hom(k, i j) (x) Hom(i, X) (x) Hom(j, Y)
     -> Hom(k, X (x) Y)  in the combed bases.
 
     Returns ``(Q, cols, col_offset)`` where cols lists ``(i, j)`` channel
-    pairs in label order and ``col_offset[(i, j)]`` is the slice start of
-    that pair's ``Hom(i, X) x Hom(j, Y)`` block (bi outer, bj inner).
+    pairs in label order (``FusionRing.pairs``) and ``col_offset[(i, j)]``
+    is the slice start of that pair's ``Hom(i, X) x Hom(j, Y)`` block (bi
+    outer, bj inner).
     """
     def build():
         XY = X.tensor(Y)
         rows = sector_basis(cat, XY, k)
-        row_index = {b: n for n, b in enumerate(rows)}
-        pairs, offsets, ncols = _channel_layout(cat, X, Y, k)
         bases_X = {i: sector_basis(cat, X, i) for i in range(cat.n_labels)}
         bases_Y = {j: sector_basis(cat, Y, j) for j in range(cat.n_labels)}
-        Q = np.zeros((len(rows), ncols), dtype=complex)
+        pairs = cat.ring.pairs(k)
+        widths = [len(bases_X[i]) * len(bases_Y[j]) for i, j in pairs]
+        offsets = dict(zip(pairs, accumulate(widths, initial=0)))
+        Q = np.zeros((len(rows), sum(widths)), dtype=complex)
         nY = len(Y.summands)
         X_index = {i: {b: n for n, b in enumerate(bases_X[i])}
                    for i in range(cat.n_labels)}

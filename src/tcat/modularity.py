@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .category import CategoryData
+from .errors import InvalidCategoryError
 from . import engine as E
 
 __all__ = ["SMatrix", "ModularityVerdict", "MugerReport",
@@ -68,7 +69,8 @@ def double_braiding(cat: CategoryData, x: int, y: int) -> E.Morphism:
 
 def s_matrix(cat: CategoryData) -> SMatrix:
     """The S-matrix, built once per category and shared by every caller, so
-    its ``entries`` are read-only."""
+    its ``entries`` are read-only.  Raises ``InvalidCategoryError`` if an
+    entry is not finite (NaN or infinite input data)."""
     def build():
         n = cat.n_labels
         S = np.zeros((n, n), dtype=complex)
@@ -77,6 +79,10 @@ def s_matrix(cat: CategoryData) -> SMatrix:
                 v = E.quantum_trace(cat, double_braiding(cat, x, y))
                 S[x, y] = v
                 S[y, x] = v
+        if not np.isfinite(S).all():
+            raise InvalidCategoryError(
+                f"S-matrix of '{cat.name}' has non-finite entries; "
+                "the F-, R- or pivotal data are not finite")
         S.flags.writeable = False
         sv = np.linalg.svd(S, compute_uv=False)
         cutoff = cat.tol.eps_identity * (sv[0] if sv.size else 0.0)
@@ -96,6 +102,7 @@ def is_modular(cat: CategoryData) -> ModularityVerdict:
 def muger_center(cat: CategoryData) -> MugerReport:
     n = cat.n_labels
     eps = cat.tol.eps_identity
+    S = s_matrix(cat).entries  # first: it rejects non-finite data
     defects = []
     for x in range(n):
         worst = 0.0
@@ -104,7 +111,6 @@ def muger_center(cat: CategoryData) -> MugerReport:
         defects.append(worst)
     transparent = [x for x in range(n) if defects[x] < eps]
     # cross-check: X transparent iff its S-row is dim(X) dim(Y)
-    S = s_matrix(cat).entries
     consistent = True
     for x in range(n):
         row_flat = max(abs(S[x, y] - cat.dim(x) * cat.dim(y)) for y in range(n))

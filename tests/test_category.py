@@ -9,7 +9,7 @@ import pytest
 from tcat import (SchemaError, UnknownCategoryError, catalog, catalog_names,
                   global_dim, loads_category, quantum_dim, serialize_category,
                   validate)
-from tcat.category import (CategoryData, FSymbolTable, ToleranceCfg,
+from tcat.category import (CategoryData, FSymbolTable, ToleranceCfg, _fold,
                            category_from_dict, category_to_dict)
 from tcat.engine import ObjectExpr
 
@@ -171,6 +171,35 @@ def test_perturbed_f_symbol_fails_pentagon(cats):
     report = validate(broken)
     assert not report.ok
     assert report.residual("pentagon") >= 1e-4
+
+
+def _fibonacci_with_nan(cats, table, key):
+    """The serialized fibonacci with the real part of one F or R record NaN."""
+    doc = category_to_dict(cats["fibonacci"])
+    legs = "abcdef" if table == "F" else "abc"
+    for rec in doc[table]:
+        if tuple(rec[k] for k in legs) == key:
+            rec["re"] = math.nan
+    return category_from_dict(doc)
+
+
+def test_residual_fold_keeps_nan():
+    assert _fold(1.0, 2.0) == 2.0 and _fold(2.0, 1.0) == 2.0
+    assert math.isnan(_fold(1.0, math.nan))
+    assert math.isnan(_fold(math.nan, 1.0))
+
+
+def test_nan_r_symbol_fails_both_hexagons(cats):
+    report = validate(_fibonacci_with_nan(cats, "R", (1, 1, 1)))
+    assert not report.ok
+    for name in ("hexagon_forward", "hexagon_reverse"):
+        assert math.isnan(report.residual(name))
+
+
+def test_nan_f_symbol_fails_pentagon(cats):
+    report = validate(_fibonacci_with_nan(cats, "F", (1, 1, 1, 1, 1, 1)))
+    assert not report.ok
+    assert math.isnan(report.residual("pentagon"))
 
 
 # -- quantum dimensions -------------------------------------------------

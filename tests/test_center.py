@@ -11,10 +11,10 @@ import pytest
 from tcat import IdempotencyError, engine as E, validate
 from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
-from tcat.center import (CenterObject, HalfBraiding, _center_sort_key,
-                         _gamma_channels, _loop_table, _slot_couplings,
-                         _object_from_module, _test_objects, center_hom_dim,
-                         center_simples, coupling_gamma,
+from tcat.center import (CenterObject, HalfBraiding, _FCrossings,
+                         _center_sort_key, _gamma_blocks, _loop_table,
+                         _slot_couplings, _object_from_module, _test_objects,
+                         center_hom_dim, center_simples, coupling_gamma,
                          functor_F, functor_F_on_morphism, functor_G,
                          functor_G_on_morphism, invertibility_report,
                          nat_transforms, transform_b, transform_d,
@@ -25,7 +25,7 @@ from tcat.deligne import (DelignePair, deligne_compose, deligne_defect,
                           pair_object)
 from tcat.modularity import is_modular, muger_center
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, product_doc
 from tube_reference import (associativity_residual, functor_f_half_braiding,
                             loop_table, reference_b, reference_d, reference_p,
                             reference_q, reference_sort_key,
@@ -524,11 +524,18 @@ TABLE_INPUTS = ALL_NAMES + [
     for base in ("ising", "fibonacci", "vec_z3_modular") for seed in (2, 5, 12)
 ] + ["vec_z4_k1", "vec_z3_k0", "vec_z5_k1"]
 
+#: a non-pointed Deligne product ("C*D"), whose F objects have slots with
+#: several summands per sector
+PRODUCT_INPUT = "fibonacci*semion"
+
 
 def _table_input(cats, name):
     pointed = re.fullmatch(r"vec_z(\d+)_k(\d+)", name)
     if pointed:
         return category_from_dict(_vec_zn_doc(*map(int, pointed.groups())))
+    if "*" in name:
+        return category_from_dict(product_doc(
+            *(category_to_dict(cats[n]) for n in name.split("*"))))
     base, mark, seed = re.fullmatch(r"(\w+?)(?:([@#])(\d+))?", name).groups()
     if not mark:
         return cats[base]
@@ -582,23 +589,23 @@ def _f_inputs(cat):
             + [functor_G(cat, s) for s in center_simples(cat)])
 
 
-@pytest.mark.parametrize("name", TABLE_INPUTS)
+@pytest.mark.parametrize("name", TABLE_INPUTS + [PRODUCT_INPUT])
 def test_functor_f_half_braiding_matches_diagrams(cats, name):
-    # the channel blocks F builds from the crossing table, and the gamma
+    # the crossing blocks F stacks from the crossing table, and the gamma
     # combed from them, against braid-past-X, reverse-braid-past-Y drawn
     # slot by slot; the "#" gauges tell F from Finv
     cat = _table_input(cats, name)
     for D in _f_inputs(cat):
         obj = functor_F(cat, D)
         ref = functor_f_half_braiding(cat, D)
-        ref_channels = _gamma_channels(
+        ref_blocks = _gamma_blocks(
             cat, CenterObject(X=obj.X, gamma=HalfBraiding(X=obj.X, mats=ref)))
-        channels = _gamma_channels(cat, obj)
-        assert set(channels) == set(ref_channels)
-        for key, (G, off_s, off_t) in channels.items():
-            G_ref, off_s_ref, off_t_ref = ref_channels[key]
-            assert all(off_s_ref[p] == o for p, o in off_s.items())
-            assert all(off_t_ref[p] == o for p, o in off_t.items())
+        blocks = _gamma_blocks(cat, obj)
+        assert set(blocks) <= set(ref_blocks)
+        # a block F does not stack is zero
+        for key, G_ref in ref_blocks.items():
+            G = blocks.get(key, np.zeros_like(G_ref))
+            assert G.shape == G_ref.shape
             assert np.abs(G - G_ref).max(initial=0.0) < 1e-12
         for j in range(cat.n_labels):
             assert E.distance(obj.gamma[j], ref[j]) < 1e-12
@@ -631,7 +638,7 @@ def test_factorize_draws_no_f_half_braiding(cats, monkeypatch):
             assert E.distance(obj.gamma[j], ref[j]) < 1e-12
 
 
-@pytest.mark.parametrize("name", TABLE_INPUTS)
+@pytest.mark.parametrize("name", TABLE_INPUTS + [PRODUCT_INPUT])
 def test_f_couplings_from_loop_table_match_gamma_blocks(cats, name):
     # an F object's couplings read the per-category loop-crossing table; a
     # plain CenterObject around the same gamma takes the _gamma_blocks path
@@ -649,33 +656,25 @@ def test_f_couplings_from_loop_table_match_gamma_blocks(cats, name):
 
 def test_invertibility_report_builds_no_f_channels(cats, monkeypatch):
     # the report reads F objects' couplings off the loop-crossing table
-    # alone (a fresh instance, so nothing is served from another test's
-    # cache)
+    # alone: no crossing blocks, so no combed gamma either (a fresh
+    # instance, so nothing is served from another test's cache)
     cat = category_from_dict(category_to_dict(cats["ising"]))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("F's crossing channels were built")
+        raise AssertionError("F's crossing blocks were built")
 
-    monkeypatch.setattr("tcat.center._crossing_channels", refuse)
+    monkeypatch.setattr(_FCrossings, "blocks", property(refuse))
     rep = invertibility_report(cat, max_word_length=2)
     assert rep.factorizable
 
 
-def test_crossing_channels_lay_out_non_empty_channels_only(monkeypatch):
+def test_crossing_channels_lay_out_non_empty_channels_only():
     # F(1 [x] 2) on Vec_Z5 is the single sector 3, so gamma_j has the one
-    # channel j 3 -> 3 j through j + 3; each needs two column layouts (the
-    # first build also lays out the slot's product transforms, then cached)
+    # crossing block on the channel j 3 -> 3 j through j + 3
     cat = category_from_dict(_vec_zn_doc(5, 1))
-    D = pair_object(word(1), word(2))
-    functor_F(cat, D)
-    calls = []
-    layout = E._channel_layout
-    monkeypatch.setattr(E, "_channel_layout",
-                        lambda *args: calls.append(args[-1]) or layout(*args))
-    obj = functor_F(cat, D)
-    channels = _gamma_channels(cat, obj)
-    assert sorted(channels) == [(j, (j + 3) % 5) for j in range(5)]
-    assert len(calls) == 2 * len(channels)
+    obj = functor_F(cat, pair_object(word(1), word(2)))
+    assert sorted(_gamma_blocks(cat, obj)) == [(j, (j + 3) % 5, 3, 3)
+                                               for j in range(5)]
 
 
 def _with_crossing_scaled(obj, j, factor, sector=None):
@@ -770,6 +769,23 @@ def test_vec_z5_center_has_25_verified_simples(k):
     simples = center_simples(cat)
     assert len(simples) == n * n
     assert all(verify_center_object(cat, s).ok for s in simples)
+
+
+@pytest.mark.parametrize("left, right, factorizable", [
+    ("fibonacci", "semion", True), ("vec_z2_sym", "fibonacci", False)])
+def test_product_center_counts_multiply(cats, left, right, factorizable):
+    # Z(C [x] D) = Z(C) [x] Z(D) (Muger 2003), so the center counts multiply;
+    # the verdict follows modularity, which a transparent factor breaks
+    cat = category_from_dict(product_doc(category_to_dict(cats[left]),
+                                         category_to_dict(cats[right])))
+    assert validate(cat).ok
+    simples = center_simples(cat)
+    assert len(simples) == (len(center_simples(cats[left]))
+                            * len(center_simples(cats[right]))) == 16
+    assert all(verify_center_object(cat, s).ok for s in simples)
+    rep = invertibility_report(cat, max_word_length=1)
+    assert rep.modular is is_modular(cat).modular is factorizable
+    assert rep.factorizable is factorizable and rep.agrees_with_modularity
 
 
 # -- the inverse functor ---------------------------------------------------

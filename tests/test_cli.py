@@ -161,6 +161,23 @@ def test_singular_f_matrix_exits_one(tmp_path, capsys, command):
     assert err.startswith("tcat:") and "singular" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "smatrix", "factorize", "muger"])
+def test_nan_r_symbol_exits_one(tmp_path, capsys, command):
+    # R[1,1,1] of fibonacci set to NaN: validate fails both hexagons, and the
+    # S-matrix, which the other commands need, has non-finite entries
+    doc = json.loads(serialize_category(catalog("fibonacci")))
+    for rec in doc["R"]:
+        if (rec["a"], rec["b"], rec["c"]) == (1, 1, 1):
+            rec["re"] = float("nan")
+    path = tmp_path / "fib_nan_r.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tcat:") and "Traceback" not in err
+    assert ("hexagon_forward, hexagon_reverse" if command == "validate"
+            else "non-finite") in err
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_validate_machine_format_parses(name, capsys):
     assert run(["validate", name, "--format", "machine"]) == 0
