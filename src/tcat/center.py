@@ -315,6 +315,15 @@ def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
                         max_condition=cond, ok=ok)
 
 
+def _intertwining_residual(cat: CategoryData, f: E.Morphism,
+                           src: CenterObject, tgt: CenterObject,
+                           j: int) -> E.Morphism:
+    """(f (x) 1_j) o gamma_j - beta_j o (1_j (x) f) for f : X -> Y."""
+    id_j = E.identity(cat, E.ObjectExpr.simple(j))
+    return (E.compose(E.tensor(f, id_j), src.gamma[j])
+            - E.compose(tgt.gamma[j], E.tensor(id_j, f)))
+
+
 def zc_morphism_defect(cat: CategoryData, f: E.Morphism, src: CenterObject,
                        tgt: CenterObject) -> float:
     """How far f : X -> Y is from intertwining the half-braidings.
@@ -322,13 +331,8 @@ def zc_morphism_defect(cat: CategoryData, f: E.Morphism, src: CenterObject,
     Zero (within tolerance) iff f is a morphism of the center, i.e.
     (f (x) 1_j) o gamma_j = beta_j o (1_j (x) f) for every simple j.
     """
-    worst = 0.0
-    for j in range(cat.n_labels):
-        sj = E.ObjectExpr.simple(j)
-        lhs = E.compose(E.tensor(f, E.identity(cat, sj)), src.gamma[j])
-        rhs = E.compose(tgt.gamma[j], E.tensor(E.identity(cat, sj), f))
-        worst = max(worst, E.distance(lhs, rhs))
-    return worst
+    return max(_intertwining_residual(cat, f, src, tgt, j).norm()
+               for j in range(cat.n_labels))
 
 
 #: The intertwiner constraints are built from O(1) data, so a genuine
@@ -352,21 +356,16 @@ def center_hom_dim(cat: CategoryData, a: CenterObject, b: CenterObject) -> int:
                 units.append(E.Morphism(cat, a.X, b.X, blocks))
     if not units:
         return 0
+    labels = range(cat.n_labels)
     for u in units:
-        cols = []
-        for j in range(cat.n_labels):
-            sj = E.ObjectExpr.simple(j)
-            resid = (E.compose(E.tensor(u, E.identity(cat, sj)), a.gamma[j])
-                     - E.compose(b.gamma[j], E.tensor(E.identity(cat, sj), u)))
-            for k in range(cat.n_labels):
-                cols.append(resid.block(k).ravel())
-        rows.append(np.concatenate(cols) if cols else np.zeros(0, dtype=complex))
+        resids = [_intertwining_residual(cat, u, a, b, j) for j in labels]
+        rows.append(np.concatenate([r.block(k).ravel()
+                                    for r in resids for k in labels]))
     mat = np.array(rows).T
     if mat.size == 0:
         return len(units)
     sv = np.linalg.svd(mat, compute_uv=False)
-    cutoff = _INTERTWINER_RANK_CUTOFF * max(
-        1.0, float(sv[0]) if sv.size else 1.0)
+    cutoff = _INTERTWINER_RANK_CUTOFF * max(1.0, float(sv[0]))
     rank = int(np.sum(sv > cutoff))
     return len(units) - rank
 
@@ -437,19 +436,13 @@ def functor_F_on_morphism(cat: CategoryData, m: DeligneMorphism) -> E.Morphism:
         mat = np.zeros((dt, ds), dtype=complex)
         r_off = [0, *accumulate(p.dim_sector(cat, k) for p in tgt_parts)]
         c_off = [0, *accumulate(p.dim_sector(cat, k) for p in src_parts)]
-        for (t_slot, s_slot), secs in m.blocks.items():
-            Xs, Ys = src_slots[s_slot]
-            Xt, Yt = tgt_slots[t_slot]
-            mid = []
-            for (i, j), arr in secs.items():
-                if not cat.ring.admissible(i, j, k):
-                    continue
-                a, b, c, d = arr.shape
-                rect = arr.transpose(0, 2, 1, 3).reshape(a * c, b * d)
-                mid.append(((i, j), (i, j), rect))
-            rect_full = E._recouple(cat, Xs, Ys, Xt, Yt, k, mid)
-            mat[r_off[t_slot]:r_off[t_slot + 1],
-                c_off[s_slot]:c_off[s_slot + 1]] += rect_full
+        pairs = [p for p in m.blocks if cat.ring.admissible(*p, k)]
+        for t_slot, (Xt, Yt) in enumerate(tgt_slots):
+            for s_slot, (Xs, Ys) in enumerate(src_slots):
+                mid = [(p, p, m.slot_block(t_slot, s_slot, p)) for p in pairs]
+                mat[r_off[t_slot]:r_off[t_slot + 1],
+                    c_off[s_slot]:c_off[s_slot + 1]] = E._recouple(
+                        cat, Xs, Ys, Xt, Yt, k, mid)
         blocks[k] = mat
     return E.Morphism(cat, src, tgt, blocks)
 
@@ -539,19 +532,6 @@ def _loop_table(cat: CategoryData, i: int) -> dict:
 _VANISHING_LOOP_ENTRY = 1e-3
 
 
-def _loop_channels(cat: CategoryData, i: int) -> dict:
-    """``_loop_table(cat, i)`` keyed by tube channel,
-    ``{(j, a, a2, c): [(b, w), ...]}``."""
-    def build():
-        out = {}
-        for b, entries in _loop_table(cat, i).items():
-            for j, a, a2, c, w in entries:
-                out.setdefault((j, a, a2, c), []).append((b, w))
-        return out
-
-    return E._cached(cat, ("coupling_loop_channels", i), build)
-
-
 def _f_loop_table(cat: CategoryData, i: int, x: int, y: int) -> dict:
     """The coupling loop of ``_loop_table`` contracted with the crossing of
     j through x (x) y (``_crossing_table``), ``{b: {(a, a2): t}}``:
@@ -563,12 +543,14 @@ def _f_loop_table(cat: CategoryData, i: int, x: int, y: int) -> dict:
     on the category alone and is shared by every F object.
     """
     def build():
-        loops = _loop_channels(cat, i)
+        crossings = [_crossing_table(cat, j, x, y)
+                     for j in range(cat.n_labels)]
         table = {}
-        for j in range(cat.n_labels):
-            for (c, a, a2), h in _crossing_table(cat, j, x, y).items():
-                for b, w in loops.get((j, a, a2, c), ()):
-                    row = table.setdefault(b, {})
+        for b, entries in _loop_table(cat, i).items():
+            row = table[b] = {}
+            for j, a, a2, c, w in entries:
+                h = crossings[j].get((c, a, a2))
+                if h is not None:
                     row[(a, a2)] = row.get((a, a2), 0) + w * h
         cut = _VANISHING_LOOP_ENTRY * cat.tol.eps_identity
         table = {b: {key: t for key, t in row.items() if abs(t) > cut}

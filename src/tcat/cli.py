@@ -3,7 +3,9 @@
 Exit codes: 0 = success/pass, 1 = mathematical failure (validation failed,
 or defects above tolerance under --expect-modular), 2 = usage or IO error.
 Reports are written atomically; the machine format is schema-versioned
-JSON and carries exactly the same numbers as the human tables.
+JSON and carries exactly the same numbers as the human tables.  JSON has no
+NaN or infinity, so a non-finite number is written as the string "nan",
+"inf" or "-inf".
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -23,7 +26,7 @@ from .modularity import is_modular, muger_center, s_matrix
 from .center import center_simples, invertibility_report, verify_center_object
 from . import engine as E
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,10 +104,21 @@ def _emit(text: str, out_path) -> None:
         raise
 
 
+def _strict(value):
+    """``value`` with every non-finite float written as a string."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _machine(command: str, payload: dict) -> str:
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _fmt_complex(z: complex) -> str:

@@ -399,7 +399,9 @@ class Morphism:
     """A morphism X -> Y as per-sector block matrices.
 
     ``blocks[k]`` maps Hom(k, X) -> Hom(k, Y); sectors where either space
-    is zero-dimensional may be omitted.
+    is zero-dimensional may be omitted.  Sums and scalar multiples keep the
+    subclass, so ``deligne.DeligneMorphism`` (sectors keyed by label pairs)
+    inherits them.
     """
 
     cat: CategoryData
@@ -418,15 +420,15 @@ class Morphism:
         if self.source != other.source or self.target != other.target:
             raise CompositionError("cannot add morphisms with different objects")
         keys = set(self.blocks) | set(other.blocks)
-        return Morphism(self.cat, self.source, self.target,
-                        {k: self.block(k) + other.block(k) for k in keys})
+        return type(self)(self.cat, self.source, self.target,
+                          {k: self.block(k) + other.block(k) for k in keys})
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar) -> "Morphism":
-        return Morphism(self.cat, self.source, self.target,
-                        {k: b * complex(scalar) for k, b in self.blocks.items()})
+        return type(self)(self.cat, self.source, self.target,
+                          {k: b * complex(scalar) for k, b in self.blocks.items()})
 
     __rmul__ = __mul__
 
@@ -446,16 +448,17 @@ class Morphism:
 
 
 def morphism_dump(f: Morphism) -> str:
-    """Structured-text debug dump (sector -> matrix), for golden tests."""
+    """Structured-text debug dump (sector -> matrix), for golden tests.
+    A sector is a label, or a label pair for ``deligne.DeligneMorphism``."""
     cat = f.cat
     lines = [f"source: {f.source.describe(cat)}",
              f"target: {f.target.describe(cat)}"]
-    for k in range(cat.n_labels):
-        b = f.block(k)
-        if b.size == 0:
-            continue
-        lines.append(f"sector {cat.label_name(k)}:")
-        for row in b:
+    shared = f.source.grading(cat).keys() & f.target.grading(cat).keys()
+    for k in sorted(shared):
+        labels = k if isinstance(k, tuple) else (k,)
+        name = " [x] ".join(map(cat.label_name, labels))
+        lines.append(f"sector {name}:")
+        for row in f.block(k):
             lines.append("  [" + ", ".join(
                 f"{v.real:+.12e}{v.imag:+.12e}j" for v in row) + "]")
     return "\n".join(lines)
@@ -523,6 +526,13 @@ def defect_from_identity(f: Morphism) -> float:
     return distance(f, identity(f.cat, f.source))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices, without its overhead: the layout of
+    Hom(i, X) x Hom(j, Y) in the product bases, a's index outer."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def tensor(f: Morphism, g: Morphism) -> Morphism:
     """Monoidal product, realized through recoupling onto combed bases."""
     cat = f.cat
@@ -530,12 +540,11 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     Xt, Yt = f.target, g.target
     src = Xs.tensor(Ys)
     tgt = Xt.tensor(Yt)
-    # the channel block f_i (x) g_j, laid out as np.kron, feeds every k in i j
+    # the channel block f_i (x) g_j feeds every k in i j
     mids = {}
     for i, fb in f.blocks.items():
         for j, gb in g.blocks.items():
-            prod = (fb[:, None, :, None] * gb[None, :, None, :]).reshape(
-                fb.shape[0] * gb.shape[0], fb.shape[1] * gb.shape[1])
+            prod = _kron(fb, gb)
             for k in cat.ring.fusion(i, j):
                 mids.setdefault(k, []).append(((i, j), (i, j), prod))
     dims_s = _sector_dims(cat, src)

@@ -20,9 +20,9 @@ from tcat.center import (CenterObject, HalfBraiding, _FCrossings,
                          nat_transforms, transform_b, transform_d,
                          transform_p, transform_q, tube_algebra,
                          verify_center_object, zc_morphism_defect)
-from tcat.deligne import (DelignePair, deligne_compose, deligne_defect,
-                          deligne_distance, deligne_identity, pair_morphism,
-                          pair_object)
+from tcat.deligne import (DeligneMorphism, DelignePair, deligne_compose,
+                          deligne_defect, deligne_distance, deligne_identity,
+                          pair_morphism, pair_object)
 from tcat.modularity import is_modular, muger_center
 
 from conftest import ALL_NAMES, product_doc
@@ -67,6 +67,84 @@ def test_deligne_hom_spaces_factor(cats):
     g1, g2 = D1.grading(cat), D2.grading(cat)
     assert dim == sum(m * g2.get(p, 0) for p, m in g1.items())
     assert dim > 0
+
+
+#: two-slot objects of ising whose slots share the simple pair (sigma, sigma)
+#: (sigma psi = sigma), so a block at that pair stacks both slots
+TWO_SLOT_SRC = DelignePair(((word(1), word(1)), (word(1, 2), word(1))))
+TWO_SLOT_MID = DelignePair(((word(1, 1), word(1)), (word(2, 1), word(1))))
+TWO_SLOT_TGT = DelignePair(((word(1), word(1, 2)), (word(2, 1), word(1))))
+
+
+def _two_slot_morphism(cat, source, target):
+    """A random sum of exterior products, one at every slot pair."""
+    out = DeligneMorphism(cat, source, target, {})
+    for t, (Xt, Yt) in enumerate(target.slots):
+        for s, (Xs, Ys) in enumerate(source.slots):
+            out = out + pair_morphism(
+                cat, E.random_morphism(cat, Xs, Xt, RNG),
+                E.random_morphism(cat, Ys, Yt, RNG),
+                source=source, target=target, t_slot=t, s_slot=s)
+    return out
+
+
+def test_pair_morphism_fills_one_slot_pair(cats):
+    # f [x] g at slot pair (t, s) is f_a (x) g_b (np.kron) there at every
+    # simple pair (a, b), and zero at every other slot pair
+    cat = cats["ising"]
+    src, tgt = TWO_SLOT_SRC, TWO_SLOT_TGT
+    n = cat.n_labels
+    assert src.dim_sector(cat, (1, 1)) == 2 == tgt.dim_sector(cat, (1, 1))
+    for t, (Xt, Yt) in enumerate(tgt.slots):
+        for s, (Xs, Ys) in enumerate(src.slots):
+            f = E.random_morphism(cat, Xs, Xt, RNG)
+            g = E.random_morphism(cat, Ys, Yt, RNG)
+            m = pair_morphism(cat, f, g, source=src, target=tgt,
+                              t_slot=t, s_slot=s)
+            for a in range(n):
+                for b in range(n):
+                    for t2, (Xt2, Yt2) in enumerate(tgt.slots):
+                        for s2, (Xs2, Ys2) in enumerate(src.slots):
+                            blk = m.slot_block(t2, s2, (a, b))
+                            assert blk.shape == (
+                                Xt2.dim_sector(cat, a) * Yt2.dim_sector(cat, b),
+                                Xs2.dim_sector(cat, a) * Ys2.dim_sector(cat, b))
+                            want = (np.kron(f.block(a), g.block(b))
+                                    if (t2, s2) == (t, s)
+                                    else np.zeros(blk.shape))
+                            assert np.array_equal(blk, want)
+    # the debug dump names the sectors by label pair
+    assert "sector sigma [x] sigma:" in m.dump()
+
+
+def test_functor_f_functorial_on_two_slot_pairs(cats):
+    cat = cats["ising"]
+    m1 = _two_slot_morphism(cat, TWO_SLOT_MID, TWO_SLOT_TGT)
+    m2 = _two_slot_morphism(cat, TWO_SLOT_SRC, TWO_SLOT_MID)
+    lhs = functor_F_on_morphism(cat, deligne_compose(m1, m2))
+    rhs = E.compose(functor_F_on_morphism(cat, m1),
+                    functor_F_on_morphism(cat, m2))
+    assert lhs.norm() > 1.0
+    assert E.distance(lhs, rhs) < 1e-9
+    ident = functor_F_on_morphism(cat, deligne_identity(cat, TWO_SLOT_SRC))
+    assert E.defect_from_identity(ident) < 1e-12
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_g_of_f_slots_meet_distinct_simple_pairs(cats, name):
+    # the slots i* [x] image_i of G(F(X [x] Y)) have distinct first factors,
+    # so each simple pair meets at most one slot, and the norm of a block of
+    # d, q or their composites is the norm of its one slot-pair part
+    cat = cats[name]
+    objs = _test_objects(cat, 2)
+    for X in objs:
+        for Y in objs:
+            GF = functor_G(cat, functor_F(cat, pair_object(X, Y)))
+            firsts = [Xs.summands for Xs, _Ys in GF.slots]
+            assert len(set(firsts)) == len(firsts)
+            for k in GF.grading(cat):
+                starts = GF.starts(cat, k)
+                assert sum(b > a for a, b in zip(starts, starts[1:])) == 1
 
 
 # -- center objects and the tautological functor --------------------------

@@ -65,7 +65,7 @@ def test_usage_error_exits_two(capsys):
 def test_machine_format_is_schema_versioned_json(capsys):
     assert run(["factorize", "semion", "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "factorize"
     assert doc["verdict"] == "factorizable"
 
@@ -144,7 +144,7 @@ def test_validate_reports_singular_f_matrix(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] is False
     for name in ("hexagon_forward", "sphericality", "zigzag"):
-        assert out["residuals"][name]["value"] == float("inf")
+        assert out["residuals"][name]["value"] == "inf"
 
 
 @pytest.mark.parametrize("command", ["center", "factorize", "smatrix"])
@@ -176,6 +176,26 @@ def test_nan_r_symbol_exits_one(tmp_path, capsys, command):
     assert err.startswith("tcat:") and "Traceback" not in err
     assert ("hexagon_forward, hexagon_reverse" if command == "validate"
             else "non-finite") in err
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_machine_format_writes_non_finite_values_as_strings(tmp_path, capsys):
+    # the NaN-R fibonacci fails both hexagons with NaN residuals; the
+    # document must still parse under a parser that refuses NaN and Infinity
+    doc = json.loads(serialize_category(catalog("fibonacci")))
+    for rec in doc["R"]:
+        if (rec["a"], rec["b"], rec["c"]) == (1, 1, 1):
+            rec["re"] = float("nan")
+    path = tmp_path / "fib_nan_r.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", str(path), "--format", "machine"]) == 1
+    out = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    for name in ("hexagon_forward", "hexagon_reverse"):
+        assert out["residuals"][name]["value"] == "nan"
+        assert out["residuals"][name]["pass"] is False
 
 
 @pytest.mark.parametrize("name", catalog_names())
