@@ -29,22 +29,23 @@ through c,
 
 with kappa the closing scalar of ``engine._loop_weight``.
 
-A half-braiding is read in one product-basis form, its crossing blocks
-G_j[c][(a2,j) <- (j,a)] : Hom(a, X) -> Hom(a2, X) on the channels
-j a -> a2 j through c (``_gamma_blocks``).  F(X [x] Y) builds them without
-gamma: the braidings are natural in alpha : x -> X and beta : y -> Y, so on
-the channel j (x y)_a -> (x y)_{a2} j through c its crossing is the scalar
-(``_crossing_table``)
+A half-braiding is stored in one form (``HalfBraiding``), its crossing
+blocks G_j[c][(a2,j) <- (j,a)] : Hom(a, X) -> Hom(a2, X) on the channels
+j a -> a2 j through c.  They are slices of Qinv(X, j, c) gamma_j[c]
+Q(j, X, c) for a combed gamma, and gamma_j[c] = Q(X, j, c) G_j[c]
+Qinv(j, X, c) is combed from them when read.  F(X [x] Y) builds them without gamma: the braidings are natural in
+alpha : x -> X and beta : y -> Y, so on the channel j (x y)_a -> (x y)_{a2} j
+through c its crossing is the scalar (``_crossing_table``)
 
     h_j^{xy}(c; a -> a2) = sum_{e in j x, f in j y} Finv(j,x,y,c; a,e) R(j,x,e)
                            F(x,j,y,c; e,f) / R(y,j,f) Finv(x,y,j,c; f,a2)
 
 on Hom(a, x y) and the identity on Hom(x, X) x Hom(y, Y), so with the
 product transform Q = ``engine._product_transform`` each slot adds
-Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a) to the block (``_FCrossings``), and
-gamma_j[c] = Q(X Y, j, c) G_j[c] Qinv(j, X Y, c) on first read.  The coupling
-loop of an F object is therefore contracted with h once per category, over
-the loop entries (j, a, a2, c, w) of i (x) a at sector b (``_f_loop_table``):
+Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a) to the block
+(``HalfBraiding.stack``).  The coupling loop of an F object is therefore
+contracted with h once per category, over the loop entries (j, a, a2, c, w)
+of i (x) a at sector b (``_f_loop_table``):
 
     t_i^{xy}[b](a -> a2) = sum_{(j, a, a2, c, w)} w h_j^{xy}(c; a -> a2).
 
@@ -110,7 +111,7 @@ from .category import CategoryData, _condition, _inverse, _svd
 from .errors import DecompositionError, IdempotencyError, ShapeError
 from . import engine as E
 from .deligne import (DeligneMorphism, DelignePair, deligne_compose,
-                      deligne_defect, pair_morphism, pair_object)
+                      pair_morphism, pair_object)
 from .modularity import is_modular
 
 __all__ = [
@@ -128,33 +129,41 @@ __all__ = [
 # center objects
 # ----------------------------------------------------------------------
 
-@dataclass
-class HalfBraiding:
-    """Per-simple-label crossings gamma_j : j (x) X -> X (x) j."""
+class HalfBraiding(Mapping):
+    """The crossings gamma_j : j (x) X -> X (x) j of a center object.
 
-    X: E.ObjectExpr
-    mats: Mapping  # label j -> Morphism
+    They are stored as the crossing blocks of the module docstring,
+    ``blocks = {(j, c, a2, a): G_j[c][(a2,j) <- (j,a)]}``, and a combed
+    gamma_j not given is built from them when read (``engine._recouple``).
+    The blocks are built on first read, in one of two ways:
 
-    def __getitem__(self, j: int) -> E.Morphism:
-        return self.mats[j]
-
-
-class _FCrossings(Mapping):
-    """F(X [x] Y)'s half-braiding ``{j: gamma_j}``, kept in product bases.
-
-    Per slot s, ``legs[s]`` maps each simple pair (x, y) with
-    Hom(x, X_s) x Hom(y, Y_s) != 0 and each a in x y to the (x, y) columns
-    of Q(X_s, Y_s, a) and rows of Qinv(X_s, Y_s, a)
-    (``engine._product_transform``), and ``starts[s]`` holds the slot's
-    offsets in Hom(a, total), total = (+)_s X_s Y_s.  ``stack`` sums their
-    products into blocks; the crossing blocks and each combed gamma_j are
-    built on first read.
+    - ``HalfBraiding(X, mats)`` takes combed morphisms ``{j: gamma_j}`` (the
+      category is theirs) and slices Qinv(X, j, c) gamma_j[c] Q(j, X, c)
+      over X's non-empty sectors;
+    - ``functor_F`` passes the ``slots`` of X [x] Y, and the blocks are
+      stacked from the crossing table.  Per slot s, ``legs[s]`` maps each
+      simple pair (x, y) with Hom(x, X_s) x Hom(y, Y_s) != 0 and each a in
+      x y to the (x, y) columns of Q(X_s, Y_s, a) and rows of
+      Qinv(X_s, Y_s, a) (``engine._product_transform``), and ``starts[s]``
+      holds the slot's offsets in Hom(a, X).  ``legs`` is None otherwise.
     """
 
-    def __init__(self, cat: CategoryData, slots, total: E.ObjectExpr):
-        self._cat, self.total = cat, total
-        self.legs, self.starts = [], []
-        self._blocks, self._combed, self._products = None, {}, {}
+    def __init__(self, X: E.ObjectExpr, mats: Mapping | None = None, *,
+                 cat: CategoryData | None = None, slots=None):
+        if cat is None:
+            if not mats:
+                raise ValueError("a half-braiding needs combed mats or a "
+                                 "category")
+            cat = next(iter(mats.values())).cat
+        self.X, self.cat = X, cat
+        self._combed, self._blocks = dict(mats or {}), None
+        self.legs = self.starts = None
+        if slots is not None:
+            self._lay_out(slots)
+
+    def _lay_out(self, slots) -> None:
+        cat = self.cat
+        self.legs, self.starts, self._products = [], [], {}
         start = [0] * cat.n_labels
         for X, Y in slots:
             dims = E._sector_dims(cat, X.tensor(Y))
@@ -175,11 +184,11 @@ class _FCrossings(Mapping):
             start = [s + d for s, d in zip(start, dims)]
 
     def stack(self, terms) -> dict:
-        """``{key: block}`` with block Hom(a, total) -> Hom(a2, total) the
-        sum over slots and over ``(key, a, a2, t) in terms(x, y)`` of
+        """``{key: block}`` with block Hom(a, X) -> Hom(a2, X) the sum over
+        slots and over ``(key, a, a2, t) in terms(x, y)`` of
         t Q(X_s, Y_s, a2)[:, xy] Qinv(X_s, Y_s, a)[xy, :] at the slot's
         offsets."""
-        dims = E._sector_dims(self._cat, self.total)
+        dims = E._sector_dims(self.cat, self.X)
         out = {}
         for s, (legs, start) in enumerate(zip(self.legs, self.starts)):
             for (x, y), by_sector in legs.items():
@@ -196,15 +205,40 @@ class _FCrossings(Mapping):
                         start[a]:start[a] + K.shape[1]] += t * K
         return out
 
+    def _stack_crossings(self) -> dict:
+        cat = self.cat
+        return self.stack(lambda x, y: (
+            ((j, c, a2, a), a, a2, h) for j in range(cat.n_labels)
+            for (c, a, a2), h in _crossing_table(cat, j, x, y).items()))
+
+    def _slice_combed(self) -> dict:
+        cat, X = self.cat, self.X
+        dX = E._sector_dims(cat, X)
+        labels = [a for a, n in enumerate(dX) if n]
+        out = {}
+        for j in range(cat.n_labels):
+            J = E.ObjectExpr.simple(j)
+            for c, n in enumerate(E._sector_dims(cat, X.tensor(J))):
+                if not n:
+                    continue
+                _Qt, _pt, off_t = E._product_transform(cat, X, J, c)
+                Qs, _ps, off_s = E._product_transform(cat, J, X, c)
+                G = (E._product_transform_inv(cat, X, J, c)
+                     @ self._combed[j].block(c) @ Qs)
+                for a in labels:
+                    for a2 in labels:
+                        if (j, a) in off_s and (a2, j) in off_t:
+                            r, o = off_t[(a2, j)], off_s[(j, a)]
+                            out[(j, c, a2, a)] = G[r:r + dX[a2], o:o + dX[a]]
+        return out
+
     @property
     def blocks(self) -> dict:
         """G_j[c][(a2,j) <- (j,a)] of the module docstring, keyed
-        ``(j, c, a2, a)`` (``_gamma_blocks``)."""
+        ``(j, c, a2, a)``."""
         if self._blocks is None:
-            cat = self._cat
-            self._blocks = self.stack(lambda x, y: (
-                ((j, c, a2, a), a, a2, h) for j in range(cat.n_labels)
-                for (c, a, a2), h in _crossing_table(cat, j, x, y).items()))
+            self._blocks = (self._slice_combed() if self.legs is None
+                            else self._stack_crossings())
         return self._blocks
 
     def __getitem__(self, j: int) -> E.Morphism:
@@ -212,7 +246,7 @@ class _FCrossings(Mapping):
         if hit is None:
             if j not in self:
                 raise KeyError(j)
-            cat, X, J = self._cat, self.total, E.ObjectExpr.simple(j)
+            cat, X, J = self.cat, self.X, E.ObjectExpr.simple(j)
             mids = {}
             for (jj, c, a2, a), g in self.blocks.items():
                 if jj == j:
@@ -223,13 +257,13 @@ class _FCrossings(Mapping):
         return hit
 
     def __contains__(self, j) -> bool:
-        return j in range(self._cat.n_labels)
+        return j in range(self.cat.n_labels)
 
     def __iter__(self):
-        return iter(range(self._cat.n_labels))
+        return iter(range(self.cat.n_labels))
 
     def __len__(self) -> int:
-        return self._cat.n_labels
+        return self.cat.n_labels
 
 
 @dataclass
@@ -239,9 +273,6 @@ class CenterObject:
     X: E.ObjectExpr
     gamma: HalfBraiding
     _couplings: dict = field(default_factory=dict, repr=False)
-    _blocks: dict = field(default_factory=dict, repr=False)
-    #: F(X [x] Y)'s crossings (``functor_F``), None for other objects
-    _f: _FCrossings | None = field(default=None, repr=False)
 
     def describe(self, cat: CategoryData) -> str:
         return self.X.describe(cat)
@@ -263,7 +294,7 @@ def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
     Tensoriality, for every pair of simples (j, k): stacking the crossings,
     (gamma_j (x) 1_k)(1_j (x) gamma_k) : j k X -> X j k, must equal
     resolving j k through each channel m and crossing with gamma_m.  Both
-    sides are read off the crossing blocks G (``_gamma_blocks``) in the
+    sides are read off the crossing blocks G (``HalfBraiding.blocks``) in the
     product bases of sector s, Hom(s, m a) x Hom(a, X) on the source and
     Hom(s, a3 m') x Hom(a3, X) on the target (the formulas are in the
     module docstring), over the non-empty channels (m, a) -> s only.  The
@@ -278,7 +309,7 @@ def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
     ring, F = cat.ring, cat.f
     eps = cat.tol.eps_identity
     unit_res = E.distance(gamma[0], E.identity(cat, X))
-    blocks = _gamma_blocks(cat, obj)
+    blocks = gamma.blocks
     into = {}  # a2 -> [(j, c, a, block)]: the crossings ending on a2
     for (j, c, a2, a), g in blocks.items():
         into.setdefault(a2, []).append((j, c, a, g))
@@ -378,10 +409,11 @@ def _crossing_table(cat: CategoryData, j: int, x: int, y: int) -> dict:
     """The crossing of j through x (x) y, ``{(c, a, a2): h}``.
 
     h is the coefficient of (1_x (x) c^{-1}_{y,j}) (c_{j,x} (x) 1_y) on the
-    channel j (x y)_a -> (x y)_{a2} j at sector c (the formula is in
-    ``functor_F``): an inverse F-move to (j x)_e y, c_{j,x} acting as
+    channel j (x y)_a -> (x y)_{a2} j at sector c (the formula is in the
+    module docstring): an inverse F-move to (j x)_e y, c_{j,x} acting as
     R(j,x,e), an F-move to x (j y)_f, c^{-1}_{y,j} acting as 1/R(y,j,f) and
-    an inverse F-move to (x y)_{a2} j.  It depends on the category alone and is built once per (j, x, y).
+    an inverse F-move to (x y)_{a2} j.  It depends on the category alone
+    and is built once per (j, x, y).
     """
     def build():
         ring, F, R = cat.ring, cat.f, cat.r
@@ -406,8 +438,8 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
 
     F(X [x] Y) = (X (x) Y, gamma) with gamma_j = (1_X (x) c^{-1}_{Y,j})
     (c_{j,X} (x) 1_Y), braid past X and reverse-braid past Y.  No diagram
-    is evaluated: the object keeps its slots in product bases
-    (``_FCrossings``), and its crossing blocks (module docstring) and
+    is evaluated: the half-braiding keeps the slots in product bases
+    (``HalfBraiding``), and its crossing blocks (module docstring) and
     combed gamma are built on first read, which ``invertibility_report``
     never does.  Nothing is memoized: each call builds a new object, and
     its coupling idempotents live on it and are freed with it.
@@ -415,8 +447,8 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
     if not isinstance(D, DelignePair):
         D = pair_object(*D)
     total = E.ObjectExpr.direct_sum([X.tensor(Y) for (X, Y) in D.slots])
-    fx = _FCrossings(cat, D.slots, total)
-    return CenterObject(X=total, gamma=HalfBraiding(X=total, mats=fx), _f=fx)
+    return CenterObject(X=total, gamma=HalfBraiding(total, cat=cat,
+                                                    slots=D.slots))
 
 
 def functor_F_on_morphism(cat: CategoryData, m: DeligneMorphism) -> E.Morphism:
@@ -564,8 +596,8 @@ def _f_loop_blocks(cat: CategoryData, i: int, obj: CenterObject,
                    b: int) -> dict:
     """An F object's loop block at sector b, ``{(a2, a): P_b[(a2 <- a)]}``:
     per slot, sum_{(x,y)} t_i^{xy}[b](a -> a2) Q(X,Y,a2)[:, xy]
-    Qinv(X,Y,a)[xy, :] (``_FCrossings.stack``)."""
-    return obj._f.stack(lambda x, y: (
+    Qinv(X,Y,a)[xy, :] (``HalfBraiding.stack``)."""
+    return obj.gamma.stack(lambda x, y: (
         ((a2, a), a, a2, t)
         for (a, a2), t in _f_loop_table(cat, i, x, y).get(b, {}).items()))
 
@@ -574,45 +606,13 @@ def _gamma_loop_blocks(cat: CategoryData, i: int, obj: CenterObject,
                        b: int) -> dict:
     """The loop block at sector b read off the crossing blocks,
     ``{(a2, a): sum_{j,c} T_i(j,a,a2,c)[b] G_j[c][(a2,j),(j,a)]}``."""
-    crossings = _gamma_blocks(cat, obj)
+    crossings = obj.gamma.blocks
     P = {}
     for j, a, a2, c, w in _loop_table(cat, i).get(b, ()):
         g = crossings.get((j, c, a2, a))
         if g is not None:
             P[(a2, a)] = P.get((a2, a), 0) + w * g
     return P
-
-
-def _gamma_blocks(cat: CategoryData, obj: CenterObject) -> dict:
-    """Gamma in product bases, ``{(j, c, a2, a): G_j[c][(a2,j) <- (j,a)]}``:
-    gamma_j's map Hom(a, X) -> Hom(a2, X) on the channel j a -> a2 j
-    through c.  An F object stacks them from the crossing table
-    (``_FCrossings.blocks``); otherwise they are slices of
-    Qinv(X, j, c) gamma_j[c] Q(j, X, c) over X's non-empty sectors.
-    """
-    if obj._f is not None:
-        return obj._f.blocks
-    hit = obj._blocks.get(id(cat))
-    if hit is None:
-        X = obj.X
-        dX = E._sector_dims(cat, X)
-        labels = [a for a, n in enumerate(dX) if n]
-        hit = obj._blocks[id(cat)] = {}
-        for j in range(cat.n_labels):
-            J = E.ObjectExpr.simple(j)
-            for c, n in enumerate(E._sector_dims(cat, X.tensor(J))):
-                if not n:
-                    continue
-                _Qt, _pt, off_t = E._product_transform(cat, X, J, c)
-                Qs, _ps, off_s = E._product_transform(cat, J, X, c)
-                G = (E._product_transform_inv(cat, X, J, c)
-                     @ obj.gamma[j].block(c) @ Qs)
-                for a in labels:
-                    for a2 in labels:
-                        if (j, a) in off_s and (a2, j) in off_t:
-                            r, o = off_t[(a2, j)], off_s[(j, a)]
-                            hit[(j, c, a2, a)] = G[r:r + dX[a2], o:o + dX[a]]
-    return hit
 
 
 def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdempotent:
@@ -632,7 +632,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
 
         P_b[(i,a2),(i,a)] = sum_{j,c} T_i(j,a,a2,c)[b] G_j[c][(a2,j),(j,a)],
 
-    with G_j[c] the crossing blocks (``_gamma_blocks``) and T_i the loop
+    with G_j[c] the crossing blocks (``HalfBraiding.blocks``) and T_i the loop
     around i (x) a through the tube channel a -> a2 (``_loop_table``).  An
     F object regroups the same sum through the per-category table t_i^{xy}
     of the module docstring, stacked per slot (``_f_loop_blocks``).  A
@@ -653,7 +653,8 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     cut = _VANISHING_LOOP_ENTRY * eps
     si = E.ObjectExpr.simple(i)
     W = si.tensor(obj.X)
-    loop_blocks = _gamma_loop_blocks if obj._f is None else _f_loop_blocks
+    loop_blocks = (_gamma_loop_blocks if obj.gamma.legs is None
+                   else _f_loop_blocks)
     blocks, live = {}, []
     for b, n in enumerate(E._sector_dims(cat, W)):
         if not n:
@@ -710,11 +711,11 @@ def _slot_couplings(cat: CategoryData, obj: CenterObject) -> list:
     hit = obj._couplings.get(key)
     if hit is None:
         labels = range(cat.n_labels)
-        if obj._f is not None:
+        if obj.gamma.legs is not None:
             # every loop entry of the others vanishes: a zero image
             labels = [i for i in labels
                       if any(_f_loop_table(cat, i, x, y)
-                             for legs in obj._f.legs for x, y in legs)]
+                             for legs in obj.gamma.legs for x, y in legs)]
         hit = [cp for cp in (coupling_gamma(cat, i, obj) for i in labels)
                if cp.image.summands]
         obj._couplings[key] = hit
@@ -1120,11 +1121,6 @@ def center_simples(cat: CategoryData) -> list:
     return E._cached(cat, "center_simples", build)
 
 
-def _invert_blocks(cat: CategoryData, m: E.Morphism) -> E.Morphism:
-    return E.Morphism(cat, m.target, m.source, {
-        k: _inverse(b) for k, b in m.blocks.items() if b.size})
-
-
 def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterObject:
     """Convert a tube-algebra module into a half-braided object.
 
@@ -1139,7 +1135,7 @@ def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterOb
     mats = {}
     for j in range(cat.n_labels):
         sj = E.ObjectExpr.simple(j)
-        ginv_blocks = {}
+        gamma_blocks = {}
         for c in range(cat.n_labels):
             rows = [a for a in labels if cat.ring.admissible(j, a, c)]
             cols = [b for b in labels if cat.ring.admissible(b, j, c)]
@@ -1151,19 +1147,18 @@ def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterOb
                     f"the loop of color {cat.label_name(j)} closes to zero at "
                     f"sector {cat.label_name(c)}; the F-symbols or duality "
                     "scalars are degenerate")
-            ginv_blocks[c] = np.block([[action[(a, j, b, c)].T / k
-                                        for b, k in zip(cols, kappas)]
-                                       for a in rows])
-        ginv = E.Morphism(cat, X.tensor(sj), sj.tensor(X), ginv_blocks)
-        mats[j] = _invert_blocks(cat, ginv)
-    return CenterObject(X=X, gamma=HalfBraiding(X=X, mats=mats))
+            gamma_blocks[c] = _inverse(np.block([
+                [action[(a, j, b, c)].T / k for b, k in zip(cols, kappas)]
+                for a in rows]))
+        mats[j] = E.Morphism(cat, sj.tensor(X), X.tensor(sj), gamma_blocks)
+    return CenterObject(X=X, gamma=HalfBraiding(X, mats))
 
 
 def _center_sort_key(cat: CategoryData, obj: CenterObject):
     """Sector dimensions and the rounded traces Tr(gamma_j o c_{X,j}),
     read off the crossing blocks (formula in the module docstring)."""
     traces = [0j] * cat.n_labels
-    for (j, c, a2, a), g in _gamma_blocks(cat, obj).items():
+    for (j, c, a2, a), g in obj.gamma.blocks.items():
         if a2 == a:
             traces[j] += cat.dim(c) * cat.r.get(a, j, c) * np.trace(g)
     return (E._sector_dims(cat, obj.X),
@@ -1233,8 +1228,8 @@ def invertibility_report(cat: CategoryData,
         legs = _leg_table(cat, X)
         for Y in objs:
             d, q = _square_transforms(cat, X, Y, legs)
-            qd = max(qd, deligne_defect(deligne_compose(q, d)))
-            dq = max(dq, deligne_defect(deligne_compose(d, q)))
+            qd = max(qd, E.defect_from_identity(deligne_compose(q, d)))
+            dq = max(dq, E.defect_from_identity(deligne_compose(d, q)))
     pb = bp = 0.0
     simples = center_simples(cat)
     for obj in simples:

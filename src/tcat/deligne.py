@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .category import CategoryData
-from .errors import CompositionError, ShapeError
+from .errors import CompositionError
 from . import engine as E
 
 __all__ = ["DelignePair", "DeligneMorphism", "pair_object", "pair_morphism",
@@ -132,11 +132,4 @@ def deligne_compose(g: DeligneMorphism, f: DeligneMorphism) -> DeligneMorphism:
 
 
 deligne_distance = E.distance
-
-
-def deligne_defect(f: DeligneMorphism) -> float:
-    """Distance from the identity of an endomorphism: the largest spectral
-    norm of f_k - 1 over the simple pairs k."""
-    if f.source != f.target:
-        raise ShapeError("identity defect of a non-endomorphism")
-    return E.distance(f, deligne_identity(f.cat, f.source))
+deligne_defect = E.defect_from_identity

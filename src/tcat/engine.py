@@ -434,11 +434,7 @@ class Morphism:
 
     def norm(self) -> float:
         """Max over sectors of the spectral norm of the blocks."""
-        worst = 0.0
-        for b in self.blocks.values():
-            if b.size:
-                worst = max(worst, _spectral_norm(b))
-        return worst
+        return _max_norm(self.blocks.values())
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target
@@ -514,16 +510,26 @@ def compose_all(*mors: Morphism) -> Morphism:
     return out
 
 
+def _max_norm(blocks) -> float:
+    """The largest spectral norm of the non-empty blocks, 0 if none."""
+    return max((_spectral_norm(b) for b in blocks if b.size), default=0.0)
+
+
 def distance(f: Morphism, g: Morphism) -> float:
+    """The largest spectral norm of f_k - g_k over the sectors k."""
     if f.source != g.source or f.target != g.target:
         raise ShapeError("cannot compare morphisms with different objects")
-    return (f - g).norm()
+    return _max_norm(f.block(k) - g.block(k)
+                     for k in f.blocks.keys() | g.blocks.keys())
 
 
 def defect_from_identity(f: Morphism) -> float:
+    """The largest spectral norm of f_k - 1 over the sectors k of an
+    endomorphism; a ``deligne.DeligneMorphism`` grades by label pairs."""
     if not f.is_endomorphism():
         raise ShapeError("identity defect of a non-endomorphism")
-    return distance(f, identity(f.cat, f.source))
+    return _max_norm(f.block(k) - np.eye(n)
+                     for k, n in f.source.grading(f.cat).items())
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

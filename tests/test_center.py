@@ -11,8 +11,8 @@ import pytest
 from tcat import IdempotencyError, engine as E, validate
 from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
-from tcat.center import (CenterObject, HalfBraiding, _FCrossings,
-                         _center_sort_key, _gamma_blocks, _loop_table,
+from tcat.center import (CenterObject, HalfBraiding, _center_sort_key,
+                         _loop_table,
                          _slot_couplings, _object_from_module, _test_objects,
                          center_hom_dim, center_simples, coupling_gamma,
                          functor_F, functor_F_on_morphism, functor_G,
@@ -195,7 +195,7 @@ def test_broken_half_braiding_fails_verification(cats):
     cat = cats["vec_z2_sym"]
     obj = functor_F(cat, pair_object(word(1), ObjectExpr.unit()))
     # negating the unit crossing breaks tensoriality (and the unit axiom)
-    mats = dict(obj.gamma.mats)
+    mats = dict(obj.gamma)
     mats[0] = mats[0] * (-1.0)
     broken = CenterObject(X=obj.X, gamma=HalfBraiding(X=obj.X, mats=mats))
     rep = verify_center_object(cat, broken)
@@ -203,7 +203,7 @@ def test_broken_half_braiding_fails_verification(cats):
     assert rep.tensoriality_residual >= 1.0
     # scaling the g crossing by i breaks tensoriality at g (x) g, since the
     # square of the crossing must match the transparent unit channel
-    mats = dict(obj.gamma.mats)
+    mats = dict(obj.gamma)
     mats[1] = mats[1] * 1j
     skewed = CenterObject(X=obj.X, gamma=HalfBraiding(X=obj.X, mats=mats))
     rep = verify_center_object(cat, skewed)
@@ -216,7 +216,7 @@ def test_negated_transparent_crossing_is_another_valid_object(cats):
     # crossing yields the other order-two anyon, still a valid object
     cat = cats["vec_z2_sym"]
     obj = functor_F(cat, pair_object(word(1), ObjectExpr.unit()))
-    mats = dict(obj.gamma.mats)
+    mats = dict(obj.gamma)
     mats[1] = mats[1] * (-1.0)
     other = CenterObject(X=obj.X, gamma=HalfBraiding(X=obj.X, mats=mats))
     assert verify_center_object(cat, other).ok
@@ -676,9 +676,8 @@ def test_functor_f_half_braiding_matches_diagrams(cats, name):
     for D in _f_inputs(cat):
         obj = functor_F(cat, D)
         ref = functor_f_half_braiding(cat, D)
-        ref_blocks = _gamma_blocks(
-            cat, CenterObject(X=obj.X, gamma=HalfBraiding(X=obj.X, mats=ref)))
-        blocks = _gamma_blocks(cat, obj)
+        ref_blocks = HalfBraiding(X=obj.X, mats=ref).blocks
+        blocks = obj.gamma.blocks
         assert set(blocks) <= set(ref_blocks)
         # a block F does not stack is zero
         for key, G_ref in ref_blocks.items():
@@ -709,7 +708,7 @@ def test_factorize_draws_no_f_half_braiding(cats, monkeypatch):
                 coupling_gamma(cat, i, obj)
     for D, obj in zip(pairs, fobjs):
         ref = functor_f_half_braiding(cat, D)
-        mats = dict(obj.gamma.mats)
+        mats = dict(obj.gamma)
         assert set(mats) == set(range(cat.n_labels))
         for j in range(cat.n_labels):
             assert mats[j] is obj.gamma[j]
@@ -719,11 +718,13 @@ def test_factorize_draws_no_f_half_braiding(cats, monkeypatch):
 @pytest.mark.parametrize("name", TABLE_INPUTS + [PRODUCT_INPUT])
 def test_f_couplings_from_loop_table_match_gamma_blocks(cats, name):
     # an F object's couplings read the per-category loop-crossing table; a
-    # plain CenterObject around the same gamma takes the _gamma_blocks path
+    # plain CenterObject around the same combed gamma has no slot legs, so
+    # it takes the crossing-block reader
     cat = _table_input(cats, name)
     for D in _f_inputs(cat):
         obj = functor_F(cat, D)
-        plain = CenterObject(X=obj.X, gamma=obj.gamma)
+        plain = CenterObject(X=obj.X, gamma=HalfBraiding(obj.X, dict(obj.gamma)))
+        assert plain.gamma.legs is None
         assert ([(cp.i, cp.image) for cp in _slot_couplings(cat, obj)]
                 == [(cp.i, cp.image) for cp in _slot_couplings(cat, plain)])
         for i in range(cat.n_labels):
@@ -741,9 +742,25 @@ def test_invertibility_report_builds_no_f_channels(cats, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("F's crossing blocks were built")
 
-    monkeypatch.setattr(_FCrossings, "blocks", property(refuse))
+    monkeypatch.setattr(HalfBraiding, "_stack_crossings", refuse)
     rep = invertibility_report(cat, max_word_length=2)
     assert rep.factorizable
+
+
+def test_half_braiding_builds_blocks_only_when_read(cats):
+    # membership and a combed gamma_j given up front read no crossing
+    # block, on a center simple and on an F object alike; a half-braiding
+    # with neither combed mats nor a category is refused
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+    s = center_simples(cat)[1]
+    partial = HalfBraiding(s.X, {0: s.gamma[0]})
+    fobj = functor_F(cat, pair_object(word(1), word(2)))
+    for gamma in (partial, fobj.gamma):
+        assert 2 in gamma and 3 not in gamma
+        assert gamma._blocks is None
+    assert partial[0] is s.gamma[0] and partial._blocks is None
+    with pytest.raises(ValueError):
+        HalfBraiding(s.X, {})
 
 
 def test_crossing_channels_lay_out_non_empty_channels_only():
@@ -751,13 +768,69 @@ def test_crossing_channels_lay_out_non_empty_channels_only():
     # crossing block on the channel j 3 -> 3 j through j + 3
     cat = category_from_dict(_vec_zn_doc(5, 1))
     obj = functor_F(cat, pair_object(word(1), word(2)))
-    assert sorted(_gamma_blocks(cat, obj)) == [(j, (j + 3) % 5, 3, 3)
+    assert sorted(obj.gamma.blocks) == [(j, (j + 3) % 5, 3, 3)
                                                for j in range(5)]
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS + [PRODUCT_INPUT])
+def test_center_simple_product_transforms_are_identities(cats, name):
+    # a center simple's X is a label-ordered sum of simples, so both product
+    # transforms of X and a simple are identities: its crossing blocks are
+    # plain slices of gamma_j[c]
+    cat = _table_input(cats, name)
+    for s in center_simples(cat):
+        for j in range(cat.n_labels):
+            J = word(j)
+            for c, n in enumerate(E._sector_dims(cat, s.X.tensor(J))):
+                if n:
+                    for P, Q in ((s.X, J), (J, s.X)):
+                        assert np.array_equal(
+                            E._product_transform(cat, P, Q, c)[0], np.eye(n))
+
+
+def _twist_and_dim(cat, s):
+    """(theta_Z, d_Z) of a center simple Z = (X, gamma): d_Z = Tr 1_X and
+    theta_Z d_Z = Tr c_{Z,Z}, with the braiding of Z past itself
+    c_{Z,Z} = sum_{a,n} (1_X (x) iota_{a,n}) gamma_a (pi_{a,n} (x) 1_X)."""
+    X = s.X
+    id_X = E.identity(cat, X)
+    c = E.zero_morphism(cat, X.tensor(X), X.tensor(X))
+    for si, (w, m) in enumerate(X.summands):
+        for n in range(m):
+            c = c + E.compose_all(
+                E.tensor(id_X, E.inclusion(cat, X, si, n)),
+                s.gamma[w[0] if w else 0],
+                E.tensor(E.projection(cat, X, si, n), id_X))
+    d = E.quantum_trace(cat, id_X)
+    return E.quantum_trace(cat, c) / d, d
+
+
+def _rounded(values):
+    return sorted((round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0)
+                  for z in values)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + [
+    PRODUCT_INPUT, "vec_z2_sym*fibonacci", "vec_z4_k1", "vec_z3_k0"])
+def test_center_is_complete(cats, name):
+    # the center simples exhaust Z(C): sum d_Z^2 = D^4 and the Gauss sum
+    # sum d_Z^2 theta_Z = D^2 (central charge 0); on a modular C, Z(C) is
+    # C [x] C^rev and its twists are theta_a conj(theta_b)
+    cat = _table_input(cats, name)
+    D2 = cat.total_dim
+    pairs = [_twist_and_dim(cat, s) for s in center_simples(cat)]
+    assert abs(sum(d * d for _t, d in pairs) - D2 * D2) < 1e-12 * abs(D2) ** 2
+    assert abs(sum(d * d * t for t, d in pairs) - D2) < 1e-12 * abs(D2)
+    assert all(abs(abs(t) - 1) < 1e-12 for t, _d in pairs)
+    if is_modular(cat).modular:
+        th = cat.piv.twists
+        assert _rounded(t for t, _d in pairs) == _rounded(
+            a * b.conjugate() for a in th for b in th)
 
 
 def _with_crossing_scaled(obj, j, factor, sector=None):
     """A copy of obj with gamma_j, or only its block at ``sector``, scaled."""
-    mats = dict(obj.gamma.mats)
+    mats = dict(obj.gamma)
     g = mats[j]
     mats[j] = g * factor if sector is None else E.Morphism(
         g.cat, g.source, g.target,

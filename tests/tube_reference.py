@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from tcat import engine as E
-from tcat.center import (_SORT_DECIMALS, CenterReport, _invert_blocks,
-                         coupling_gamma, functor_F, functor_G, tube_algebra)
+from tcat.center import (_SORT_DECIMALS, CenterReport, coupling_gamma,
+                         functor_F, functor_G, tube_algebra)
 from tcat.deligne import DeligneMorphism, pair_morphism, pair_object
 
 
@@ -278,7 +278,9 @@ def tube_module(cat, obj):
     """The tube-algebra module carried by a center object: one matrix on
     the graded spaces Hom(X, a) per algebra basis quadruple."""
     alg = tube_algebra(cat)
-    ginv = {j: _invert_blocks(cat, obj.gamma[j]) for j in range(cat.n_labels)}
+    ginv = {j: E.Morphism(cat, g.target, g.source,
+                          {k: np.linalg.inv(b) for k, b in g.blocks.items()})
+            for j, g in obj.gamma.items()}
     out = {}
     for (a, j, b, c) in alg.basis:
         if obj.X.dim_sector(cat, a) and obj.X.dim_sector(cat, b):
