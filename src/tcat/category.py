@@ -127,6 +127,15 @@ def _condition(M: np.ndarray) -> float:
     return float(np.linalg.cond(M))
 
 
+def _or_nan(measure, M: np.ndarray) -> float:
+    """``measure(M)``, or NaN where LAPACK's SVD does not converge on M, as
+    on a NaN entry."""
+    try:
+        return measure(M)
+    except np.linalg.LinAlgError:
+        return math.nan
+
+
 def _svd(M: np.ndarray) -> tuple:
     """``np.linalg.svd(M)``; for [[z]] it is U = [[z/|z|]], s = [|z|],
     Vh = [[1]]."""

@@ -31,21 +31,24 @@ with kappa the closing scalar of ``engine._loop_weight``.
 
 A half-braiding is stored in one form (``HalfBraiding``), its crossing
 blocks G_j[c][(a2,j) <- (j,a)] : Hom(a, X) -> Hom(a2, X) on the channels
-j a -> a2 j through c.  They are slices of Qinv(X, j, c) gamma_j[c]
-Q(j, X, c) for a combed gamma, and gamma_j[c] = Q(X, j, c) G_j[c]
-Qinv(j, X, c) is combed from them when read.  F(X [x] Y) builds them without gamma: the braidings are natural in
-alpha : x -> X and beta : y -> Y, so on the channel j (x y)_a -> (x y)_{a2} j
-through c its crossing is the scalar (``_crossing_table``)
+j a -> a2 j through c.  With the product transforms Q of the engine, they
+are the channel blocks of Qinv(X, j, c) gamma_j[c] Q(j, X, c) for a combed
+gamma (``engine._channel_blocks``), and gamma_j[c] = Q(X, j, c) G_j[c]
+Qinv(j, X, c) is combed from them when read (``engine._recouple``); only
+the engine reads the layout of those bases.  F(X [x] Y) builds the blocks
+without gamma: the braidings are natural in alpha : x -> X and
+beta : y -> Y, so on the channel j (x y)_a -> (x y)_{a2} j through c its
+crossing is the scalar (``_crossing_table``)
 
     h_j^{xy}(c; a -> a2) = sum_{e in j x, f in j y} Finv(j,x,y,c; a,e) R(j,x,e)
                            F(x,j,y,c; e,f) / R(y,j,f) Finv(x,y,j,c; f,a2)
 
-on Hom(a, x y) and the identity on Hom(x, X) x Hom(y, Y), so with the
-product transform Q = ``engine._product_transform`` each slot adds
-Q(X,Y,a2) ((+)_{(x,y)} h I) Qinv(X,Y,a) to the block
-(``HalfBraiding.stack``).  The coupling loop of an F object is therefore
-contracted with h once per category, over the loop entries (j, a, a2, c, w)
-of i (x) a at sector b (``_f_loop_table``):
+on Hom(a, x y) and the identity on Hom(x, X) x Hom(y, Y), so each slot
+holds Q(X,Y,a2) ((+)_{(x,y)} h 1) Qinv(X,Y,a) in the block, one
+``engine._recouple`` from sector a to a2 (``HalfBraiding.stack``).  The
+coupling loop of an F object is therefore contracted with h once per
+category, over the loop entries (j, a, a2, c, w) of i (x) a at sector b
+(``_f_loop_table``):
 
     t_i^{xy}[b](a -> a2) = sum_{(j, a, a2, c, w)} w h_j^{xy}(c; a -> a2).
 
@@ -107,7 +110,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .category import CategoryData, _condition, _inverse, _svd
+from .category import (CategoryData, _condition, _fold, _inverse, _or_nan,
+                       _svd)
 from .errors import DecompositionError, IdempotencyError, ShapeError
 from . import engine as E
 from .deligne import (DeligneMorphism, DelignePair, deligne_compose,
@@ -138,14 +142,11 @@ class HalfBraiding(Mapping):
     The blocks are built on first read, in one of two ways:
 
     - ``HalfBraiding(X, mats)`` takes combed morphisms ``{j: gamma_j}`` (the
-      category is theirs) and slices Qinv(X, j, c) gamma_j[c] Q(j, X, c)
-      over X's non-empty sectors;
-    - ``functor_F`` passes the ``slots`` of X [x] Y, and the blocks are
-      stacked from the crossing table.  Per slot s, ``legs[s]`` maps each
-      simple pair (x, y) with Hom(x, X_s) x Hom(y, Y_s) != 0 and each a in
-      x y to the (x, y) columns of Q(X_s, Y_s, a) and rows of
-      Qinv(X_s, Y_s, a) (``engine._product_transform``), and ``starts[s]``
-      holds the slot's offsets in Hom(a, X).  ``legs`` is None otherwise.
+      category is theirs) and reads the channel blocks of each gamma_j[c]
+      (``engine._channel_blocks``);
+    - ``functor_F`` passes the ``slots`` (X_s, Y_s) of X [x] Y, and the
+      blocks are stacked from the crossing table (``stack``).  ``slots`` is
+      None otherwise.
     """
 
     def __init__(self, X: E.ObjectExpr, mats: Mapping | None = None, *,
@@ -155,54 +156,41 @@ class HalfBraiding(Mapping):
                 raise ValueError("a half-braiding needs combed mats or a "
                                  "category")
             cat = next(iter(mats.values())).cat
-        self.X, self.cat = X, cat
+        self.X, self.cat, self.slots = X, cat, slots
         self._combed, self._blocks = dict(mats or {}), None
-        self.legs = self.starts = None
-        if slots is not None:
-            self._lay_out(slots)
 
-    def _lay_out(self, slots) -> None:
-        cat = self.cat
-        self.legs, self.starts, self._products = [], [], {}
-        start = [0] * cat.n_labels
-        for X, Y in slots:
-            dims = E._sector_dims(cat, X.tensor(Y))
-            dX, dY = E._sector_dims(cat, X), E._sector_dims(cat, Y)
-            legs = {}
-            for a, n in enumerate(dims):
-                if not n:
-                    continue
-                Q, pairs, off = E._product_transform(cat, X, Y, a)
-                Qinv = E._product_transform_inv(cat, X, Y, a)
-                for x, y in pairs:
-                    o, m = off[(x, y)], dX[x] * dY[y]
-                    if m:
-                        legs.setdefault((x, y), {})[a] = (Q[:, o:o + m],
-                                                          Qinv[o:o + m])
-            self.legs.append(legs)
-            self.starts.append(start)
-            start = [s + d for s, d in zip(start, dims)]
+    def slot_pairs(self) -> list:
+        """Per slot s, the simple pairs (x, y) with Hom(x, X_s) x
+        Hom(y, Y_s) != 0."""
+        def labels(Z):
+            return [a for a, n in enumerate(E._sector_dims(self.cat, Z)) if n]
+        return [[(x, y) for x in labels(X) for y in labels(Y)]
+                for X, Y in self.slots]
 
     def stack(self, terms) -> dict:
-        """``{key: block}`` with block Hom(a, X) -> Hom(a2, X) the sum over
-        slots and over ``(key, a, a2, t) in terms(x, y)`` of
-        t Q(X_s, Y_s, a2)[:, xy] Qinv(X_s, Y_s, a)[xy, :] at the slot's
-        offsets."""
-        dims = E._sector_dims(self.cat, self.X)
+        """``{key: block}`` with block Hom(a, X) -> Hom(a2, X), holding at
+        each slot's offsets Q(X_s, Y_s, a2) ((+)_{(x,y)} t 1) Qinv(X_s, Y_s, a)
+        over the ``(key, a, a2, t) in terms(x, y)`` (``engine._recouple``
+        from sector a to a2)."""
+        cat = self.cat
+        dims = E._sector_dims(cat, self.X)
         out = {}
-        for s, (legs, start) in enumerate(zip(self.legs, self.starts)):
-            for (x, y), by_sector in legs.items():
+        start = [0] * cat.n_labels
+        for (X, Y), pairs in zip(self.slots, self.slot_pairs()):
+            dX, dY = E._sector_dims(cat, X), E._sector_dims(cat, Y)
+            mids = {}
+            for x, y in pairs:
                 for key, a, a2, t in terms(x, y):
-                    K = self._products.get((s, x, y, a, a2))
-                    if K is None:
-                        K = self._products[(s, x, y, a, a2)] = (
-                            by_sector[a2][0] @ by_sector[a][1])
-                    blk = out.get(key)
-                    if blk is None:
-                        blk = out[key] = np.zeros((dims[a2], dims[a]),
-                                                  dtype=complex)
-                    blk[start[a2]:start[a2] + K.shape[0],
-                        start[a]:start[a] + K.shape[1]] += t * K
+                    mids.setdefault((key, a, a2), []).append(
+                        ((x, y), (x, y), t * np.eye(dX[x] * dY[y])))
+            for (key, a, a2), mid in mids.items():
+                if key not in out:
+                    out[key] = np.zeros((dims[a2], dims[a]), dtype=complex)
+                K = E._recouple(cat, X, Y, X, Y, a2, mid, a)
+                out[key][start[a2]:start[a2] + K.shape[0],
+                         start[a]:start[a] + K.shape[1]] = K
+            start = [s + d for s, d in
+                     zip(start, E._sector_dims(cat, X.tensor(Y)))]
         return out
 
     def _stack_crossings(self) -> dict:
@@ -213,23 +201,15 @@ class HalfBraiding(Mapping):
 
     def _slice_combed(self) -> dict:
         cat, X = self.cat, self.X
-        dX = E._sector_dims(cat, X)
-        labels = [a for a, n in enumerate(dX) if n]
         out = {}
         for j in range(cat.n_labels):
             J = E.ObjectExpr.simple(j)
             for c, n in enumerate(E._sector_dims(cat, X.tensor(J))):
-                if not n:
-                    continue
-                _Qt, _pt, off_t = E._product_transform(cat, X, J, c)
-                Qs, _ps, off_s = E._product_transform(cat, J, X, c)
-                G = (E._product_transform_inv(cat, X, J, c)
-                     @ self._combed[j].block(c) @ Qs)
-                for a in labels:
-                    for a2 in labels:
-                        if (j, a) in off_s and (a2, j) in off_t:
-                            r, o = off_t[(a2, j)], off_s[(j, a)]
-                            out[(j, c, a2, a)] = G[r:r + dX[a2], o:o + dX[a]]
+                if n:
+                    G = self._combed[j].block(c)
+                    for ((a2, _), (_, a)), g in E._channel_blocks(
+                            cat, J, X, X, J, c, G).items():
+                        out[(j, c, a2, a)] = g
         return out
 
     @property
@@ -237,7 +217,7 @@ class HalfBraiding(Mapping):
         """G_j[c][(a2,j) <- (j,a)] of the module docstring, keyed
         ``(j, c, a2, a)``."""
         if self._blocks is None:
-            self._blocks = (self._slice_combed() if self.legs is None
+            self._blocks = (self._slice_combed() if self.slots is None
                             else self._stack_crossings())
         return self._blocks
 
@@ -334,13 +314,13 @@ def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
     worst = 0.0
     for (j, k, s), mid in mids.items():
         jk = E.ObjectExpr.word((j, k))
-        worst = max(worst, E._spectral_norm(
-            E._recouple(cat, jk, X, X, jk, s, mid)))
+        worst = _fold(worst, _or_nan(E._spectral_norm,
+                                     E._recouple(cat, jk, X, X, jk, s, mid)))
     cond = 1.0
     for j in range(cat.n_labels):
         for k, b in gamma[j].blocks.items():
             if b.size:
-                cond = max(cond, _condition(b))
+                cond = _fold(cond, _or_nan(_condition, b))
     ok = unit_res < eps and worst < eps and math.isfinite(cond)
     return CenterReport(unit_residual=unit_res, tensoriality_residual=worst,
                         max_condition=cond, ok=ok)
@@ -595,8 +575,8 @@ def _f_loop_table(cat: CategoryData, i: int, x: int, y: int) -> dict:
 def _f_loop_blocks(cat: CategoryData, i: int, obj: CenterObject,
                    b: int) -> dict:
     """An F object's loop block at sector b, ``{(a2, a): P_b[(a2 <- a)]}``:
-    per slot, sum_{(x,y)} t_i^{xy}[b](a -> a2) Q(X,Y,a2)[:, xy]
-    Qinv(X,Y,a)[xy, :] (``HalfBraiding.stack``)."""
+    per slot, Q(X,Y,a2) ((+)_{(x,y)} t_i^{xy}[b](a -> a2) 1) Qinv(X,Y,a)
+    (``HalfBraiding.stack``)."""
     return obj.gamma.stack(lambda x, y: (
         ((a2, a), a, a2, t)
         for (a, a2), t in _f_loop_table(cat, i, x, y).get(b, {}).items()))
@@ -627,8 +607,8 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
 
     No diagram is drawn on i (x) X (x) j.  In the product basis
     Hom(b, i X) = (+)_a Hom(b, i a) x Hom(a, X) the sector-b block is
-    ``Q P_b Qinv`` (``engine._recouple``, ``Q = engine._product_transform(i,
-    X, b)``) with
+    ``Q P_b Qinv`` with Q the product transform of i (x) X at b
+    (``engine._recouple``) and
 
         P_b[(i,a2),(i,a)] = sum_{j,c} T_i(j,a,a2,c)[b] G_j[c][(a2,j),(j,a)],
 
@@ -653,7 +633,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     cut = _VANISHING_LOOP_ENTRY * eps
     si = E.ObjectExpr.simple(i)
     W = si.tensor(obj.X)
-    loop_blocks = (_gamma_loop_blocks if obj.gamma.legs is None
+    loop_blocks = (_gamma_loop_blocks if obj.gamma.slots is None
                    else _f_loop_blocks)
     blocks, live = {}, []
     for b, n in enumerate(E._sector_dims(cat, W)):
@@ -711,11 +691,11 @@ def _slot_couplings(cat: CategoryData, obj: CenterObject) -> list:
     hit = obj._couplings.get(key)
     if hit is None:
         labels = range(cat.n_labels)
-        if obj.gamma.legs is not None:
+        if obj.gamma.slots is not None:
             # every loop entry of the others vanishes: a zero image
+            pairs = [p for ps in obj.gamma.slot_pairs() for p in ps]
             labels = [i for i in labels
-                      if any(_f_loop_table(cat, i, x, y)
-                             for legs in obj.gamma.legs for x, y in legs)]
+                      if any(_f_loop_table(cat, i, x, y) for x, y in pairs)]
         hit = [cp for cp in (coupling_gamma(cat, i, obj) for i in labels)
                if cp.image.summands]
         obj._couplings[key] = hit

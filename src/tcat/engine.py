@@ -8,6 +8,12 @@ multiplication, and all structure (tensor product, braiding, duality,
 loops) is expressed through explicit recoupling matrices built from the
 F-symbols.
 
+The product basis Hom(k, X Y) = (+)_{i,j} Hom(k, i j) x Hom(i, X) x
+Hom(j, Y) is carried to the combed basis by ``_product_transform``.  The
+layout of that basis (which columns belong to which channel pair (i, j))
+is read only through ``_recouple``, which carries channel blocks onto the
+combed bases, and its inverse ``_channel_blocks``, which reads them off.
+
 The tree bases are normalized so that splitting followed by fusion along
 the same tree is the identity on the channel ("orthonormal" convention);
 with that choice the resolutions of identity carry quantum-dimension
@@ -39,12 +45,13 @@ arrays are marked read-only and writing into one raises ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
 
-from .category import (CategoryData, Scalar, _condition, _inverse,
-                       _spectral_norm)
+from .category import (CategoryData, Scalar, _condition, _fold, _inverse,
+                       _or_nan, _spectral_norm)
 from .errors import CompositionError, ShapeError
 
 __all__ = [
@@ -243,7 +250,6 @@ def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
             return mat, rows, tuple(cols)
         u, z = w[:-1], w[-1]
         row_index = {t: n for n, t in enumerate(rows)}
-        sub_cache = {}
         for ci, (j, t) in enumerate(cols):
             jp = t[-1] if l >= 3 else w[0]       # root of the u-part of t
             tp = t[:-1] if l >= 3 else ()
@@ -255,9 +261,7 @@ def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
                 coeff = finv[jrow, mcol]
                 if coeff == 0:
                     continue
-                if (m,) not in sub_cache:
-                    sub_cache[(m,)] = _tail_transform(cat, i, u, m)
-                smat, srows, scols = sub_cache[(m,)]
+                smat, srows, scols = _tail_transform(cat, i, u, m)
                 try:
                     sci = scols.index((jp, tp))
                 except ValueError:
@@ -313,10 +317,11 @@ def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
     """Isomorphism  (+)_{i,j} Hom(k, i j) (x) Hom(i, X) (x) Hom(j, Y)
     -> Hom(k, X (x) Y)  in the combed bases.
 
-    Returns ``(Q, cols, col_offset)`` where cols lists ``(i, j)`` channel
-    pairs in label order (``FusionRing.pairs``) and ``col_offset[(i, j)]``
-    is the slice start of that pair's ``Hom(i, X) x Hom(j, Y)`` block (bi
-    outer, bj inner).
+    Returns ``(Q, channels)`` where ``channels[(i, j)]`` is the column
+    slice of that pair's ``Hom(i, X) x Hom(j, Y)`` block (bi outer, bj
+    inner), for every pair of ``FusionRing.pairs`` in its label order.
+    This layout is read only here, in ``_recouple`` and in
+    ``_channel_blocks``.
     """
     def build():
         XY = X.tensor(Y)
@@ -325,7 +330,8 @@ def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
         bases_Y = {j: sector_basis(cat, Y, j) for j in range(cat.n_labels)}
         pairs = cat.ring.pairs(k)
         widths = [len(bases_X[i]) * len(bases_Y[j]) for i, j in pairs]
-        offsets = dict(zip(pairs, accumulate(widths, initial=0)))
+        starts = accumulate(widths, initial=0)
+        channels = {p: slice(o, o + w) for p, o, w in zip(pairs, starts, widths)}
         Q = np.zeros((len(rows), sum(widths)), dtype=complex)
         nY = len(Y.summands)
         X_index = {i: {b: n for n, b in enumerate(bases_X[i])}
@@ -353,16 +359,15 @@ def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
                     bj = bases_Y[j].index((beta, cb, tree))
                 except ValueError:
                     continue
-                col = offsets[(i, j)] + bi * len(bases_Y[j]) + bj
-                Q[rn, col] = v
-        return Q, pairs, offsets
+                Q[rn, channels[(i, j)].start + bi * len(bases_Y[j]) + bj] = v
+        return Q, channels
 
     return _cached(cat, ("Q", X.summands, Y.summands, k), build)
 
 
 def _product_transform_inv(cat, X, Y, k):
     def build():
-        Q, pairs, offsets = _product_transform(cat, X, Y, k)
+        Q = _product_transform(cat, X, Y, k)[0]
         if Q.shape[0] != Q.shape[1]:
             raise ShapeError(
                 f"recoupling matrix is not square at sector {k}: {Q.shape}")
@@ -371,23 +376,39 @@ def _product_transform_inv(cat, X, Y, k):
     return _cached(cat, ("Qinv", X.summands, Y.summands, k), build)
 
 
-def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid) -> np.ndarray:
-    """Carry a channel-wise map onto the combed bases of sector ``k``.
+def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid,
+              ks: int | None = None) -> np.ndarray:
+    """Carry a channel-wise map onto the combed bases.
 
     ``mid`` lists ``((i, j), (i', j'), rect)`` blocks of a map
-    ``(+) Hom(k, i' j') x Hom(i', Xs) x Hom(j', Ys)
-    -> (+) Hom(k, i j) x Hom(i, Xt) x Hom(j, Yt)``; the channel pairs must
-    be admissible at ``k`` and absent blocks are zero.  Returns the block
-    ``Qt @ M @ Qs_inv`` of the map ``Xs (x) Ys -> Xt (x) Yt`` at ``k``.
+    ``(+) Hom(ks, i' j') x Hom(i', Xs) x Hom(j', Ys)
+    -> (+) Hom(k, i j) x Hom(i, Xt) x Hom(j, Yt)``, from the source sector
+    ``ks`` (k unless given) to the target sector ``k``; the channel pairs
+    must be admissible at their sectors and absent blocks are zero.
+    Returns ``Qt @ M @ Qs_inv``, the map Hom(ks, Xs Ys) -> Hom(k, Xt Yt)
+    in the combed bases: at ks = k, the sector-k block of a morphism
+    ``Xs (x) Ys -> Xt (x) Yt``.
     """
-    Qt, _pairs_t, off_t = _product_transform(cat, Xt, Yt, k)
-    _Qs, _pairs_s, off_s = _product_transform(cat, Xs, Ys, k)
-    Qs_inv = _product_transform_inv(cat, Xs, Ys, k)
+    ks = k if ks is None else ks
+    Qt, ch_t = _product_transform(cat, Xt, Yt, k)
+    ch_s = _product_transform(cat, Xs, Ys, ks)[1]
+    Qs_inv = _product_transform_inv(cat, Xs, Ys, ks)
     M = np.zeros((Qt.shape[1], Qs_inv.shape[0]), dtype=complex)
     for pair_t, pair_s, rect in mid:
-        rt, rs = off_t[pair_t], off_s[pair_s]
-        M[rt:rt + rect.shape[0], rs:rs + rect.shape[1]] = rect
+        M[ch_t[pair_t], ch_s[pair_s]] = rect
     return Qt @ M @ Qs_inv
+
+
+def _channel_blocks(cat, Xs, Ys, Xt, Yt, k: int, block) -> dict:
+    """The inverse of ``_recouple`` at one sector: the non-empty channel
+    blocks ``{(pair_t, pair_s): rect}`` of ``Qt_inv @ block @ Qs`` for a
+    block Hom(k, Xs Ys) -> Hom(k, Xt Yt), in label order with the source
+    pair outer."""
+    Qs, ch_s = _product_transform(cat, Xs, Ys, k)
+    ch_t = _product_transform(cat, Xt, Yt, k)[1]
+    G = _product_transform_inv(cat, Xt, Yt, k) @ block @ Qs
+    return {(pair_t, pair_s): G[rt, rs] for pair_s, rs in ch_s.items()
+            for pair_t, rt in ch_t.items() if G[rt, rs].size}
 
 
 # ----------------------------------------------------------------------
@@ -511,8 +532,10 @@ def compose_all(*mors: Morphism) -> Morphism:
 
 
 def _max_norm(blocks) -> float:
-    """The largest spectral norm of the non-empty blocks, 0 if none."""
-    return max((_spectral_norm(b) for b in blocks if b.size), default=0.0)
+    """The largest spectral norm of the non-empty blocks, 0 if none; a block
+    with a NaN entry reads as NaN, which ``category._fold`` keeps."""
+    return reduce(_fold, (_or_nan(_spectral_norm, b) for b in blocks
+                          if b.size), 0.0)
 
 
 def distance(f: Morphism, g: Morphism) -> float:
@@ -880,23 +903,19 @@ def _close_right(cat: CategoryData, f: Morphism, X: ObjectExpr,
     """Close the simple right factor of f : X (x) j -> X (x) j into a loop.
 
     Equal to (1 (x) ev'_j) (f (x) 1) (1 (x) coev_j) : X -> X, read off the
-    channel blocks: the sector-b block is the sum over c in b j of
-    kappa(j, b, c) times the (b, j) -> (b, j) channel block of f at sector
-    c.
+    channel blocks (``_channel_blocks``): the sector-b block is the sum
+    over c in b j of kappa(j, b, c) times the (b, j) -> (b, j) channel
+    block of f at sector c.
     """
     J = ObjectExpr.simple(j)
-    blocks = {}
-    for b, n in enumerate(_sector_dims(cat, X)):
-        if not n:
-            continue
-        acc = np.zeros((n, n), dtype=complex)
-        for c in cat.ring.fusion(b, j):
-            Q, _pairs, off = _product_transform(cat, X, J, c)
-            Qinv = _product_transform_inv(cat, X, J, c)
-            s = off[(b, j)]
-            acc += _loop_weight(cat, j, b, c) * (
-                Qinv[s:s + n] @ f.block(c) @ Q[:, s:s + n])
-        blocks[b] = acc
+    blocks = {b: np.zeros((n, n), dtype=complex)
+              for b, n in enumerate(_sector_dims(cat, X)) if n}
+    for c, n in enumerate(_sector_dims(cat, X.tensor(J))):
+        if n:
+            for ((b, _), pair_s), rect in _channel_blocks(
+                    cat, X, J, X, J, c, f.block(c)).items():
+                if pair_s == (b, j):
+                    blocks[b] += _loop_weight(cat, j, b, c) * rect
     return Morphism(cat, X, X, blocks)
 
 

@@ -1,3 +1,7 @@
+import cmath
+import itertools
+import math
+
 import pytest
 
 from tcat import catalog
@@ -44,4 +48,78 @@ def product_doc(C: dict, D: dict) -> dict:
         "F": cross("F", "abcdef"),
         "R": cross("R", "abc"),
         "pivotal": cross("pivotal", "i"),
+    }
+
+
+def su2_doc(k: int, so3: bool = False, pivotal_sign: int = 1) -> dict:
+    """SU(2)_k, or its integer-spin part SO(3)_k, from the q-Racah formula.
+
+    Labels are the spins j <= k/2 (integer spins only for SO(3)_k), named
+    and ordered by 2j.  With [n] = sin(pi n/(k+2)) / sin(pi/(k+2)) and
+    q = exp(2 pi i/(k+2)):
+
+        F(a,b,c,d; e,f) = (-1)^{a+b+c+d} sqrt([2e+1][2f+1]) {a b e; c d f}_q,
+        R(a,b,c)        = (-1)^{c-a-b} q^{(c(c+1) - a(a+1) - b(b+1))/2},
+
+    the q-6j symbol being the Racah sum over the triads (a,b,e), (a,d,f),
+    (c,b,f) and (c,d,e).  The pivotal coefficient of j is 1, or (-1)^{2j}
+    with ``pivotal_sign=-1`` (Kirillov-Reshetikhin 1989; Bonderson, PhD
+    thesis 2007, section 5.4).  Below, every spin is held as 2j.
+    """
+    spins = range(0, k + 1, 2 if so3 else 1)
+    ids = {s: n for n, s in enumerate(spins)}
+
+    def qint(n):
+        return math.sin(math.pi * n / (k + 2)) / math.sin(math.pi / (k + 2))
+
+    def qfact(n):
+        return math.prod(qint(m) for m in range(1, n + 1))
+
+    def ok(a, b, c):
+        return (abs(a - b) <= c <= min(a + b, 2 * k - a - b)
+                and (a + b + c) % 2 == 0)
+
+    def delta(a, b, c):
+        legs = (a + b - c, a - b + c, b + c - a)
+        return math.sqrt(math.prod(qfact(n // 2) for n in legs)
+                         / qfact((a + b + c) // 2 + 1))
+
+    def six_j(a, b, e, c, d, f):
+        triads = [(a, b, e), (a, d, f), (c, b, f), (c, d, e)]
+        quads = [a + b + c + d, b + e + d + f, e + a + f + c]
+        lo, hi = max(map(sum, triads)) // 2, min(quads) // 2
+        return math.prod(delta(*t) for t in triads) * sum(
+            (-1) ** z * qfact(z + 1)
+            / math.prod(qfact(z - sum(t) // 2) for t in triads)
+            / math.prod(qfact(s // 2 - z) for s in quads)
+            for z in range(lo, hi + 1))
+
+    def record(legs, z):
+        return {**{key: ids[s] for key, s in legs.items()},
+                "re": z.real, "im": z.imag}
+
+    F, R = [], []
+    for a, b, c, d, e, f in itertools.product(spins, repeat=6):
+        if ok(a, b, e) and ok(e, c, d) and ok(b, c, f) and ok(a, f, d):
+            z = ((-1) ** ((a + b + c + d) // 2) * six_j(a, b, e, c, d, f)
+                 * math.sqrt(qint(e + 1) * qint(f + 1)))
+            F.append(record(dict(a=a, b=b, c=c, d=d, e=e, f=f), complex(z)))
+    for a, b, c in itertools.product(spins, repeat=3):
+        if ok(a, b, c):
+            z = (-1) ** ((c - a - b) // 2) * cmath.exp(
+                2j * math.pi * (c * (c + 2) - a * (a + 2) - b * (b + 2))
+                / (8 * (k + 2)))
+            R.append(record(dict(a=a, b=b, c=c), z))
+    return {
+        "name": f"{'so3' if so3 else 'su2'}_{k}"
+                + ("" if pivotal_sign == 1 else "_signed"),
+        "labels": [str(s) for s in spins],
+        "dual": list(range(len(spins))),
+        "fusion": [[ids[a], ids[b], ids[c]]
+                   for a, b, c in itertools.product(spins, repeat=3)
+                   if ok(a, b, c)],
+        "F": F,
+        "R": R,
+        "pivotal": [{"i": ids[s], "re": float(pivotal_sign ** s), "im": 0.0}
+                    for s in spins],
     }

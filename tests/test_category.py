@@ -12,6 +12,9 @@ from tcat import (SchemaError, UnknownCategoryError, catalog, catalog_names,
 from tcat.category import (CategoryData, FSymbolTable, ToleranceCfg, _fold,
                            category_from_dict, category_to_dict)
 from tcat.engine import ObjectExpr
+from tcat.modularity import is_modular
+
+from conftest import su2_doc
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -152,6 +155,22 @@ def test_validate_passes_every_catalog_entry(cats):
         for key in ("pentagon", "hexagon_forward", "hexagon_reverse",
                     "sphericality"):
             assert report.residual(key) < 1e-10
+
+
+@pytest.mark.parametrize("k, so3, pivotal_sign", [
+    (2, False, 1), (2, False, -1), (3, False, 1), (3, False, -1),
+    (4, False, 1), (4, False, -1), (4, True, 1), (5, True, 1), (6, True, 1)])
+def test_validate_passes_q_racah_inputs(k, so3, pivotal_sign):
+    # SU(2)_k with either pivotal sign and SO(3)_k from the q-Racah formula;
+    # SO(3)_k at even k has the transparent simple j = k/2, so it is
+    # premodular and not modular
+    cat = category_from_dict(su2_doc(k, so3, pivotal_sign))
+    report = validate(cat)
+    assert report.ok, [(e.name, e.value) for e in report.entries]
+    for key in ("pentagon", "hexagon_forward", "hexagon_reverse",
+                "sphericality"):
+        assert report.residual(key) < 1e-10
+    assert is_modular(cat).modular is not (so3 and k % 2 == 0)
 
 
 def test_validate_trivial_residuals_exactly_zero(cats):

@@ -25,7 +25,7 @@ from tcat.deligne import (DeligneMorphism, DelignePair, deligne_compose,
                           pair_morphism, pair_object)
 from tcat.modularity import is_modular, muger_center
 
-from conftest import ALL_NAMES, product_doc
+from conftest import ALL_NAMES, product_doc, su2_doc
 from tube_reference import (associativity_residual, functor_f_half_braiding,
                             loop_table, reference_b, reference_d, reference_p,
                             reference_q, reference_sort_key,
@@ -209,6 +209,24 @@ def test_broken_half_braiding_fails_verification(cats):
     rep = verify_center_object(cat, skewed)
     assert not rep.ok
     assert rep.tensoriality_residual >= 1.0
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_nan_half_braiding_fails_verification(cats, j):
+    # one NaN entry in gamma_j of a rebuilt ising center simple reads as a
+    # NaN residual and a failed check, not as an SVD that does not converge
+    cat = cats["ising"]
+    for s in center_simples(cat):
+        mats = dict(s.gamma)
+        blocks = {c: b.copy() for c, b in mats[j].blocks.items()}
+        blocks[max(blocks, key=lambda c: blocks[c].size)][0, 0] = math.nan
+        mats[j] = E.Morphism(cat, mats[j].source, mats[j].target, blocks)
+        rep = verify_center_object(cat, CenterObject(
+            X=s.X, gamma=HalfBraiding(s.X, mats)))
+        assert not rep.ok
+        assert math.isnan(rep.tensoriality_residual)
+        assert math.isnan(rep.max_condition)
+        assert math.isnan(rep.unit_residual) is (j == 0)
 
 
 def test_negated_transparent_crossing_is_another_valid_object(cats):
@@ -607,10 +625,22 @@ TABLE_INPUTS = ALL_NAMES + [
 PRODUCT_INPUT = "fibonacci*semion"
 
 
+#: inputs of the q-Racah generator (``conftest.su2_doc``) with their center
+#: counts; "_signed" takes the pivotal coefficients (-1)^{2j}
+Q_RACAH_INPUTS = {"su2_2": 9, "su2_2_signed": 9, "su2_3": 16,
+                  "su2_3_signed": 16, "su2_4": 25, "su2_4_signed": 25,
+                  "so3_4": 8, "so3_5": 9, "so3_6": 14}
+
+
 def _table_input(cats, name):
     pointed = re.fullmatch(r"vec_z(\d+)_k(\d+)", name)
     if pointed:
         return category_from_dict(_vec_zn_doc(*map(int, pointed.groups())))
+    racah = re.fullmatch(r"(su2|so3)_(\d+)(_signed)?", name)
+    if racah:
+        kind, k, signed = racah.groups()
+        return category_from_dict(su2_doc(int(k), kind == "so3",
+                                          -1 if signed else 1))
     if "*" in name:
         return category_from_dict(product_doc(
             *(category_to_dict(cats[n]) for n in name.split("*"))))
@@ -718,13 +748,13 @@ def test_factorize_draws_no_f_half_braiding(cats, monkeypatch):
 @pytest.mark.parametrize("name", TABLE_INPUTS + [PRODUCT_INPUT])
 def test_f_couplings_from_loop_table_match_gamma_blocks(cats, name):
     # an F object's couplings read the per-category loop-crossing table; a
-    # plain CenterObject around the same combed gamma has no slot legs, so
-    # it takes the crossing-block reader
+    # plain CenterObject around the same combed gamma has no slots, so it
+    # takes the crossing-block reader
     cat = _table_input(cats, name)
     for D in _f_inputs(cat):
         obj = functor_F(cat, D)
         plain = CenterObject(X=obj.X, gamma=HalfBraiding(obj.X, dict(obj.gamma)))
-        assert plain.gamma.legs is None
+        assert plain.gamma.slots is None
         assert ([(cp.i, cp.image) for cp in _slot_couplings(cat, obj)]
                 == [(cp.i, cp.image) for cp in _slot_couplings(cat, plain)])
         for i in range(cat.n_labels):
@@ -811,7 +841,8 @@ def _rounded(values):
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + [
-    PRODUCT_INPUT, "vec_z2_sym*fibonacci", "vec_z4_k1", "vec_z3_k0"])
+    PRODUCT_INPUT, "vec_z2_sym*fibonacci", "vec_z4_k1", "vec_z3_k0",
+    *Q_RACAH_INPUTS])
 def test_center_is_complete(cats, name):
     # the center simples exhaust Z(C): sum d_Z^2 = D^4 and the Gauss sum
     # sum d_Z^2 theta_Z = D^2 (central charge 0); on a modular C, Z(C) is
@@ -937,6 +968,19 @@ def test_product_center_counts_multiply(cats, left, right, factorizable):
     rep = invertibility_report(cat, max_word_length=1)
     assert rep.modular is is_modular(cat).modular is factorizable
     assert rep.factorizable is factorizable and rep.agrees_with_modularity
+
+
+@pytest.mark.parametrize("name", Q_RACAH_INPUTS)
+def test_q_racah_centers_verify_and_agree_with_modularity(cats, name):
+    # every simple verified, the expected count, and a verdict at word
+    # length 1 that follows modularity: SO(3)_4 and SO(3)_6 are premodular
+    cat = _table_input(cats, name)
+    simples = center_simples(cat)
+    assert len(simples) == Q_RACAH_INPUTS[name]
+    assert all(verify_center_object(cat, s).ok for s in simples)
+    rep = invertibility_report(cat, max_word_length=1)
+    assert rep.agrees_with_modularity
+    assert rep.factorizable is (name not in ("so3_4", "so3_6"))
 
 
 # -- the inverse functor ---------------------------------------------------

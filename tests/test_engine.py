@@ -12,6 +12,7 @@ from tcat.category import (_condition, _inverse, _spectral_norm, _svd,
                            category_from_dict, category_to_dict)
 from tcat.engine import ObjectExpr
 
+from conftest import ALL_NAMES, su2_doc
 from test_center import TABLE_INPUTS, _table_input
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -367,15 +368,58 @@ def _close_by_cups(cat, f, X, j, Y):
 def test_close_right_matches_cup_cap_closure(cats):
     rng = np.random.default_rng(20261018)
     for cat in cats.values():
-        labels = range(1, cat.n_labels)
-        words = [ObjectExpr.word(w) for w in [()] + [(a,) for a in labels]
-                 + [(a, b) for a in labels for b in labels]]
-        for X in words:
+        for X in _words_up_to_two(cat):
             for j in range(cat.n_labels):
                 J = word(j)
                 f = E.random_endomorphism(cat, X.tensor(J), rng)
                 assert E.distance(E._close_right(cat, f, X, j),
                                   _close_by_cups(cat, f, X, j, X)) < 1e-12
+
+
+def _words_up_to_two(cat):
+    labels = range(1, cat.n_labels)
+    return [ObjectExpr.word(w) for w in [()] + [(a,) for a in labels]
+            + [(a, b) for a in labels for b in labels]]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ["su2_4"])
+def test_channel_blocks_invert_recouple(cats, name):
+    # the product-basis layout is read only through _recouple and its
+    # inverse _channel_blocks: on random morphisms Xs Ys -> Xt Yt between
+    # products of words up to length 2 they undo each other, and the
+    # cross-sector _recouple from a to a2 through one channel (x, y) is
+    # Q(X,Y,a2)[:, xy] Qinv(X,Y,a)[xy, :] of the product transforms
+    rng = np.random.default_rng(20261019)
+    cat = (category_from_dict(su2_doc(4)) if name == "su2_4" else cats[name])
+    words = _words_up_to_two(cat)
+    for _ in range(12):
+        Xs, Ys, Xt, Yt = (words[n] for n in rng.integers(len(words), size=4))
+        f = E.random_morphism(cat, Xs.tensor(Ys), Xt.tensor(Yt), rng)
+        for k, block in f.blocks.items():
+            chans = E._channel_blocks(cat, Xs, Ys, Xt, Yt, k, block)
+            assert all(r.size for r in chans.values())
+            mid = [(pt, ps, r) for (pt, ps), r in chans.items()]
+            back = E._recouple(cat, Xs, Ys, Xt, Yt, k, mid)
+            assert np.abs(back - block).max() < 1e-12 * max(
+                1.0, np.abs(block).max())
+            again = E._channel_blocks(cat, Xs, Ys, Xt, Yt, k, back)
+            assert again.keys() == chans.keys()
+            assert all(np.abs(again[p] - chans[p]).max() < 1e-12
+                       for p in chans)
+    for X in words[:6]:
+        for Y in words:
+            dX, dY = X.sector_dims(cat), Y.sector_dims(cat)
+            for x, y in ((x, y) for x in dX for y in dY if dX[x] * dY[y]):
+                for a in cat.ring.fusion(x, y):
+                    for a2 in cat.ring.fusion(x, y):
+                        mid = [((x, y), (x, y), np.eye(dX[x] * dY[y]))]
+                        got = E._recouple(cat, X, Y, X, Y, a2, mid, a)
+                        Q2, ch2 = E._product_transform(cat, X, Y, a2)
+                        Q1, ch1 = E._product_transform(cat, X, Y, a)
+                        want = (Q2[:, ch2[(x, y)]]
+                                @ np.linalg.inv(Q1)[ch1[(x, y)]])
+                        assert got.shape == want.shape
+                        assert np.abs(got - want).max() < 1e-12
 
 
 def test_censorship_of_opacity_modular(cats):
