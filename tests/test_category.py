@@ -14,7 +14,7 @@ from tcat.category import (CategoryData, FSymbolTable, ToleranceCfg, _fold,
 from tcat.engine import ObjectExpr
 from tcat.modularity import is_modular
 
-from conftest import su2_doc
+from conftest import su2_doc, vec_zn_doc
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -292,39 +292,20 @@ def test_serialized_document_parses_as_json(cats):
                         "pivotal", "tolerances"}
 
 
-def _vec_zn_doc(n, pivotal):
-    """Vec_Zn with trivial F, R(a, b) = exp(2 pi i ab / n) and the given t_a."""
-    return {
-        "name": f"vec_z{n}",
-        "labels": [str(a) for a in range(n)],
-        "dual": [(-a) % n for a in range(n)],
-        "fusion": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
-        "F": [{"a": a, "b": b, "c": c, "d": (a + b + c) % n,
-               "e": (a + b) % n, "f": (b + c) % n, "re": 1.0, "im": 0.0}
-              for a in range(n) for b in range(n) for c in range(n)],
-        "R": [{"a": a, "b": b, "c": (a + b) % n,
-               "re": math.cos(2 * math.pi * a * b / n),
-               "im": math.sin(2 * math.pi * a * b / n)}
-              for a in range(n) for b in range(n)],
-        "pivotal": [{"i": a, "re": pivotal.get(a, 1.0), "im": 0.0}
-                    for a in range(n)],
-    }
-
-
 def test_sphericality_checks_every_label():
-    assert validate(category_from_dict(_vec_zn_doc(9, {}))).ok
+    assert validate(category_from_dict(vec_zn_doc(9))).ok
     # t_8 = 2 breaks sphericality at the highest label, which a sample of
     # the first six words (labels 1..6 only) never reaches
-    report = validate(category_from_dict(_vec_zn_doc(9, {8: 2.0})))
+    report = validate(category_from_dict(vec_zn_doc(9, pivotal={8: 2.0})))
     entry = next(e for e in report.entries if e.name == "sphericality")
     assert entry.value >= entry.threshold
     assert not report.ok
 
 
 def test_dimension_character_rejects_non_monoidal_pivotal():
-    assert validate(category_from_dict(_vec_zn_doc(11, {}))).ok
+    assert validate(category_from_dict(vec_zn_doc(11))).ok
     # t_1 = -1 gives dim(1) = -1 but dim(10) = dim(1*) = +1, so
     # dim(1) dim(10) = -1 != dim(0): every other residual still reads zero
-    report = validate(category_from_dict(_vec_zn_doc(11, {1: -1.0})))
+    report = validate(category_from_dict(vec_zn_doc(11, pivotal={1: -1.0})))
     assert report.residual("dimension_character") == pytest.approx(2.0)
     assert [e.name for e in report.entries if not e.ok] == ["dimension_character"]

@@ -1,9 +1,7 @@
 """Center machinery: half-braidings, coupling idempotents, tube algebra,
 the two functors, and the four transformations."""
 
-import cmath
 import math
-import re
 
 import numpy as np
 import pytest
@@ -25,7 +23,7 @@ from tcat.deligne import (DeligneMorphism, DelignePair, deligne_compose,
                           pair_morphism, pair_object)
 from tcat.modularity import is_modular, muger_center
 
-from conftest import ALL_NAMES, product_doc, su2_doc
+from conftest import ALL_NAMES, input_doc, phase_gauge, product_doc, vec_zn_doc
 from tube_reference import (associativity_residual, functor_f_half_braiding,
                             loop_table, reference_b, reference_d, reference_p,
                             reference_q, reference_sort_key,
@@ -332,7 +330,7 @@ def test_coupling_matches_two_pass_loop(cats, name):
     base, _, seed = name.partition("@")
     cat = cats[base]
     if seed:
-        cat = category_from_dict(_phase_gauge(category_to_dict(cat), int(seed)))
+        cat = category_from_dict(phase_gauge(category_to_dict(cat), int(seed)))
     n = cat.n_labels
     a, z = 1 % n, n - 1   # the first and last labels (the unit if trivial)
     simples = center_simples(cat)
@@ -363,7 +361,7 @@ def test_coupling_draws_no_braiding_on_i_x(cats):
 def test_center_simple_couplings_recouple_live_sectors_only(monkeypatch):
     # on Vec_Z5 every coupling sector of a center simple is either roundoff
     # or a rank-one image, and only the images are recoupled
-    cat = category_from_dict(_vec_zn_doc(5, 1))
+    cat = category_from_dict(vec_zn_doc(5, 1))
     simples = center_simples(cat)
     calls = []
     recouple = E._recouple
@@ -555,61 +553,13 @@ def test_center_simples_deterministic(cats):
             assert E.distance(s1.gamma[j], s2.gamma[j]) < 1e-12
 
 
-def _phase_gauge(doc, seed, modulus=False):
-    """Seeded vertex factors u^{ab}_c applied to F and R (u = 1 on unit legs
-    and on the unit channel); the gauged category is equivalent.
-
-    Each u is a phase e^{i theta}; with ``modulus`` it is r e^{i theta} with
-    r drawn from [0.5, 2], a non-unitary gauge.
-    """
-    rng = np.random.default_rng(seed)
-    u = {}
-    for t in sorted(tuple(t) for t in doc["fusion"]):
-        if 0 in t:
-            u[t] = 1.0
-            continue
-        u[t] = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        if modulus:
-            u[t] *= rng.uniform(0.5, 2.0)
-
-    def scale(rec, factor):
-        z = complex(rec["re"], rec["im"]) * factor
-        return dict(rec, re=z.real, im=z.imag)
-
-    out = dict(doc)
-    out["F"] = [scale(r, u[r["a"], r["b"], r["e"]] * u[r["e"], r["c"], r["d"]]
-                      / (u[r["b"], r["c"], r["f"]] * u[r["a"], r["f"], r["d"]]))
-                for r in doc["F"]]
-    out["R"] = [scale(r, u[r["a"], r["b"], r["c"]] / u[r["b"], r["a"], r["c"]])
-                for r in doc["R"]]
-    return out
-
-
 @pytest.mark.parametrize("seed", [2, 5, 12])
 def test_center_simples_survive_phase_gauge(cats, seed):
-    doc = _phase_gauge(category_to_dict(cats["vec_z3_modular"]), seed)
+    doc = phase_gauge(category_to_dict(cats["vec_z3_modular"]), seed)
     cat = category_from_dict(doc)
     simples = center_simples(cat)
     assert len(simples) == 9
     assert all(verify_center_object(cat, s).ok for s in simples)
-
-
-def _vec_zn_doc(n, k):
-    """Vec_{Z_n} with trivial F and R(a, b) = exp(2 pi i k a b / n)."""
-    return {
-        "name": f"vec_z{n}_k{k}",
-        "labels": [str(a) for a in range(n)],
-        "dual": [(-a) % n for a in range(n)],
-        "fusion": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
-        "F": [{"a": a, "b": b, "c": c, "d": (a + b + c) % n,
-               "e": (a + b) % n, "f": (b + c) % n, "re": 1.0, "im": 0.0}
-              for a in range(n) for b in range(n) for c in range(n)],
-        "R": [{"a": a, "b": b, "c": (a + b) % n,
-               "re": math.cos(2 * math.pi * k * a * b / n),
-               "im": math.sin(2 * math.pi * k * a * b / n)}
-              for a in range(n) for b in range(n)],
-        "pivotal": [{"i": a, "re": 1.0, "im": 0.0} for a in range(n)],
-    }
 
 
 # the catalog, three entries under phase ("@") and non-unitary ("#") vertex
@@ -633,22 +583,11 @@ Q_RACAH_INPUTS = {"su2_2": 9, "su2_2_signed": 9, "su2_3": 16,
 
 
 def _table_input(cats, name):
-    pointed = re.fullmatch(r"vec_z(\d+)_k(\d+)", name)
-    if pointed:
-        return category_from_dict(_vec_zn_doc(*map(int, pointed.groups())))
-    racah = re.fullmatch(r"(su2|so3)_(\d+)(_signed)?", name)
-    if racah:
-        kind, k, signed = racah.groups()
-        return category_from_dict(su2_doc(int(k), kind == "so3",
-                                          -1 if signed else 1))
-    if "*" in name:
-        return category_from_dict(product_doc(
-            *(category_to_dict(cats[n]) for n in name.split("*"))))
-    base, mark, seed = re.fullmatch(r"(\w+?)(?:([@#])(\d+))?", name).groups()
-    if not mark:
-        return cats[base]
-    return category_from_dict(_phase_gauge(
-        category_to_dict(cats[base]), int(seed), modulus=(mark == "#")))
+    """A named input (``conftest.input_doc``); catalog entries are the
+    session's shared instances."""
+    if name in cats:
+        return cats[name]
+    return category_from_dict(input_doc(cats, name))
 
 
 @pytest.mark.parametrize("name", TABLE_INPUTS)
@@ -796,7 +735,7 @@ def test_half_braiding_builds_blocks_only_when_read(cats):
 def test_crossing_channels_lay_out_non_empty_channels_only():
     # F(1 [x] 2) on Vec_Z5 is the single sector 3, so gamma_j has the one
     # crossing block on the channel j 3 -> 3 j through j + 3
-    cat = category_from_dict(_vec_zn_doc(5, 1))
+    cat = category_from_dict(vec_zn_doc(5, 1))
     obj = functor_F(cat, pair_object(word(1), word(2)))
     assert sorted(obj.gamma.blocks) == [(j, (j + 3) % 5, 3, 3)
                                                for j in range(5)]
@@ -932,21 +871,7 @@ def test_center_simples_and_verification_draw_no_diagram(cats, monkeypatch):
 def test_vec_z5_center_has_25_verified_simples(k):
     # R(a, b) = exp(2 pi i k a b / 5): modular for k = 1, symmetric for k = 0
     n = 5
-    doc = {
-        "name": f"vec_z5_k{k}",
-        "labels": [str(a) for a in range(n)],
-        "dual": [(-a) % n for a in range(n)],
-        "fusion": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
-        "F": [{"a": a, "b": b, "c": c, "d": (a + b + c) % n,
-               "e": (a + b) % n, "f": (b + c) % n, "re": 1.0, "im": 0.0}
-              for a in range(n) for b in range(n) for c in range(n)],
-        "R": [{"a": a, "b": b, "c": (a + b) % n,
-               "re": math.cos(2 * math.pi * k * a * b / n),
-               "im": math.sin(2 * math.pi * k * a * b / n)}
-              for a in range(n) for b in range(n)],
-        "pivotal": [{"i": a, "re": 1.0, "im": 0.0} for a in range(n)],
-    }
-    cat = category_from_dict(doc)
+    cat = category_from_dict(vec_zn_doc(n, k))
     assert validate(cat).ok
     simples = center_simples(cat)
     assert len(simples) == n * n
@@ -1099,9 +1024,9 @@ def test_basis_independence_of_d_and_q(cats):
                                    rotation=(rot if ii == i else None))
 
             assert deligne_distance(
-                transform_d(cat, X, Y, basis=rotated), d_ref) < 1e-9
+                reference_d(cat, X, Y, basis=rotated), d_ref) < 1e-9
             assert deligne_distance(
-                transform_q(cat, X, Y, basis=rotated), q_ref) < 1e-9
+                reference_q(cat, X, Y, basis=rotated), q_ref) < 1e-9
 
 
 @pytest.mark.parametrize("name", TABLE_INPUTS)
@@ -1196,7 +1121,7 @@ def test_invertibility_report_builds_each_hom_basis_once(cats, monkeypatch):
 def test_scalar_blocks_never_reach_lapack(monkeypatch, n):
     # every block of Vec_Z5 is 1x1; Vec_Z4 (R = i^ab) also has the 2x2
     # blocks of center simples on a + (a + 2), which still go to LAPACK
-    cat = category_from_dict(_vec_zn_doc(n, 1))
+    cat = category_from_dict(vec_zn_doc(n, 1))
     simples = center_simples(cat)  # the tube split and the S-matrix are
     is_modular(cat)                # built before the check
     X, Y = word(1), word(n - 1)
