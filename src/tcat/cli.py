@@ -29,6 +29,14 @@ from . import engine as E
 SCHEMA_VERSION = 2
 
 
+def _word_length(text: str) -> int:
+    """A ``--max-word-length`` value: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcat",
@@ -59,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fact.add_argument("--expect-modular", action="store_true",
                         help="exit 1 unless every composite defect is "
                              "below tolerance")
-    p_fact.add_argument("--max-word-length", type=int, default=2, metavar="N",
+    p_fact.add_argument("--max-word-length", type=_word_length, default=2,
+                        metavar="N",
                         help="longest tensor words sampled as test objects")
     p_list = sub.add_parser("catalog-list", help="list catalog categories")
     add_common(p_list, needs_category=False)

@@ -30,12 +30,21 @@ i (x) a in closed form with the same scalar.  ``quantum_trace`` and
 ``cup_cap`` stay diagrammatic, so the validator's left-versus-right trace
 check never reads kappa twice.
 
-A cup or cap of any object is its word blocks placed on copy pairs: the
-duality morphism of a word is drawn from the simple ones, one letter at a
-time (``_word_coev``, ``_word_ev``), and its sector-0 block is written at
-the trees of every copy pair (c, c) of the summand w w* of X X* (or w* w of
-X* X).  That is what the embedding diagrams ``tensor(incl, incl) o coev_w``
-evaluate to, so none is drawn.
+Every cup and cap comes from one cached builder (``cup_cap``), keyed by its
+kind; one table (``_KINDS``) says whether the kind's pair object is X X* or
+X* X and holds its scalar on a simple.  Past the unit, whose cups and caps
+are its identity, it builds three cases:
+
+* a letter: its duality scalar from ``CategoryData``;
+* a longer word: peeled at its first letter from the cached cups and caps
+  of that letter and of the rest of the word, for example
+  ``coev(a u) = (1_a (x) coev(u) (x) 1_a*) o coev(a)``;
+* any other object: each word's sector-0 block, read through ``cup_cap``,
+  written at the trees of every copy pair (c, c) of the summand w w* of
+  X X* (or w* w of X* X).  That is what the embedding diagrams
+  ``tensor(incl, incl) o coev_w`` evaluate to, so none is drawn.
+
+The identity resolution reads the dual bases of ``hom_basis``.
 
 Everything here is a pure function of immutable inputs.  The category's
 private cache memoizes, as read-only data built once per category:
@@ -620,64 +629,6 @@ def braiding(cat: CategoryData, X, Y, inverse: bool = False) -> Morphism:
 # duality: cups, caps, traces
 # ----------------------------------------------------------------------
 
-def _simple_coev(cat, a, right=False) -> Morphism:
-    abar = cat.dual[a]
-    if right:
-        tgt = ObjectExpr.word((abar, a))
-        scalar = cat.coev_right_scalar(a)
-    else:
-        tgt = ObjectExpr.word((a, abar))
-        scalar = cat.coev_scalar(a)
-    return Morphism(cat, ObjectExpr.unit(), tgt,
-                    {0: np.array([[scalar]], dtype=complex)})
-
-
-def _simple_ev(cat, a, right=False) -> Morphism:
-    abar = cat.dual[a]
-    if right:
-        src = ObjectExpr.word((a, abar))
-        scalar = cat.ev_right_scalar(a)
-    else:
-        src = ObjectExpr.word((abar, a))
-        scalar = cat.ev_scalar(a)
-    return Morphism(cat, src, ObjectExpr.unit(),
-                    {0: np.array([[scalar]], dtype=complex)})
-
-
-def _word_coev(cat, w: Word, right=False) -> Morphism:
-    if len(w) <= 1:
-        return (_simple_coev(cat, w[0], right) if w
-                else identity(cat, ObjectExpr.unit()))
-    a, u = w[0], w[1:]
-    if right:
-        # coev'(w): 1 -> w* (x) w, peeling the first letter outermost
-        inner = _word_coev(cat, u, right=True)
-        step = tensor(identity(cat, as_object(u).dual(cat)),
-                      tensor(_simple_coev(cat, a, right=True),
-                             identity(cat, ObjectExpr.word(u))))
-        return compose(step, inner)
-    inner = _word_coev(cat, u)
-    step = tensor(identity(cat, ObjectExpr.simple(a)),
-                  tensor(inner, identity(cat, ObjectExpr.simple(cat.dual[a]))))
-    return compose(step, _simple_coev(cat, a))
-
-
-def _word_ev(cat, w: Word, right=False) -> Morphism:
-    if len(w) <= 1:
-        return (_simple_ev(cat, w[0], right) if w
-                else identity(cat, ObjectExpr.unit()))
-    a, u = w[0], w[1:]
-    if right:
-        # ev'(w): w (x) w* -> 1, the first letter closes outermost
-        step = tensor(identity(cat, ObjectExpr.simple(a)),
-                      tensor(_word_ev(cat, u, right=True),
-                             identity(cat, ObjectExpr.simple(cat.dual[a]))))
-        return compose(_simple_ev(cat, a, right=True), step)
-    step = tensor(identity(cat, as_object(u).dual(cat)),
-                  tensor(_simple_ev(cat, a), identity(cat, ObjectExpr.word(u))))
-    return compose(_word_ev(cat, u), step)
-
-
 def inclusion(cat, X: ObjectExpr, si: int, copy: int) -> Morphism:
     """Canonical inclusion of the (si, copy) word summand into X (the
     package places summands without it; tests assemble references from
@@ -703,6 +654,14 @@ def projection(cat, X: ObjectExpr, si: int, copy: int) -> Morphism:
                     {k: b.T.copy() for k, b in inc.blocks.items()})
 
 
+#: Each duality kind: whether its pair object puts the dual first (X* X
+#: rather than X X*), and its scalar on a simple.
+_KINDS = {"coev": (False, CategoryData.coev_scalar),
+          "eval'": (False, CategoryData.ev_right_scalar),
+          "eval": (True, CategoryData.ev_scalar),
+          "coev'": (True, CategoryData.coev_right_scalar)}
+
+
 def cup_cap(cat: CategoryData, X, kind: str) -> Morphism:
     """Duality morphisms of an object.
 
@@ -713,30 +672,49 @@ def cup_cap(cat: CategoryData, X, kind: str) -> Morphism:
     satisfy the zig-zag identities and give the left/right quantum traces.
     """
     X = as_object(X)
-    if kind not in ("coev", "eval", "coev'", "eval'"):
+    if kind not in _KINDS:
         raise ShapeError(f"unknown cup/cap kind {kind!r}")
     return _cached(cat, ("cupcap", X.summands, kind),
                    lambda: _build_cup_cap(cat, X, kind))
 
 
 def _build_cup_cap(cat: CategoryData, X: ObjectExpr, kind: str) -> Morphism:
-    """Word blocks placed on copy pairs (module docstring).  Summand si of X
-    is summand si n + si of X X* (or X* X), its copy pair (c, c) is copy
-    c m + c there, and a sector basis lists summands, copies, then trees."""
-    right = kind in ("coev'", "eval'")
+    """The three cases of the module docstring.  Summand si of X is summand
+    si n + si of the pair object, its copy pair (c, c) is copy c m + c
+    there, and a sector basis lists summands, copies, then trees."""
+    dual_first, scalar = _KINDS[kind]
     coev = kind.startswith("coev")
     Xd = X.dual(cat)
-    pair = X.tensor(Xd) if coev != right else Xd.tensor(X)
-    starts = list(accumulate((m * len(word_trees(cat, w, 0))
-                              for w, m in pair.summands), initial=0))
-    n = len(X.summands)
-    vec = np.zeros(starts[-1], dtype=complex)
-    for si, (w, m) in enumerate(X.summands):
-        block = (_word_coev if coev else _word_ev)(cat, w, right=right).block(0)
-        for c in range(m):
-            start = starts[si * n + si] + (c * m + c) * block.size
-            vec[start:start + block.size] = block.ravel()
+    pair = Xd.tensor(X) if dual_first else X.tensor(Xd)
     unit = ObjectExpr.unit()
+    match X.summands:
+        case (((), 1),):
+            return identity(cat, unit)
+        case (((a,), 1),):
+            vec = np.array([scalar(cat, a)], dtype=complex)
+        case (((a, *u), 1),):
+            # peel the first letter: the inner word's pair sits between the
+            # outer word's identities, a u u* a* (or u* a* a u), as in
+            # coev(a u) = (1_a (x) coev(u) (x) 1_a*) o coev(a)
+            A, U = ObjectExpr.simple(a), ObjectExpr.word(u)
+            inner, outer = (A, U) if dual_first else (U, A)
+            left, right = ((outer.dual(cat), outer) if dual_first
+                           else (outer, outer.dual(cat)))
+            mid = tensor(identity(cat, left),
+                         tensor(cup_cap(cat, inner, kind),
+                                identity(cat, right)))
+            ends = cup_cap(cat, outer, kind)
+            return compose(mid, ends) if coev else compose(ends, mid)
+        case _:
+            starts = list(accumulate((m * len(word_trees(cat, w, 0))
+                                      for w, m in pair.summands), initial=0))
+            n = len(X.summands)
+            vec = np.zeros(starts[-1], dtype=complex)
+            for si, (w, m) in enumerate(X.summands):
+                block = cup_cap(cat, ObjectExpr.word(w), kind).block(0)
+                for c in range(m):
+                    start = starts[si * n + si] + (c * m + c) * block.size
+                    vec[start:start + block.size] = block.ravel()
     if coev:
         return Morphism(cat, unit, pair, {0: vec[:, None]})
     return Morphism(cat, pair, unit, {0: vec[None, :]})
@@ -847,24 +825,11 @@ def hom_basis(cat: CategoryData, X, i: int, rotation=None) -> CasimirPair:
 
 
 def identity_resolution(cat: CategoryData, W) -> list:
-    """Triples (i, phi_l, phi^l) with sum_i sum_l dim(i) phi^l o phi_l = id_W."""
-    W = as_object(W)
-    out = []
-    for i in range(cat.n_labels):
-        n = W.dim_sector(cat, i)
-        if n == 0:
-            continue
-        d = cat.dim(i)
-        tgt = ObjectExpr.simple(i)
-        for l in range(n):
-            row = np.zeros((1, n), dtype=complex)
-            row[0, l] = 1.0
-            col = np.zeros((n, 1), dtype=complex)
-            col[l, 0] = 1.0 / d
-            out.append((i,
-                        Morphism(cat, W, tgt, {i: row}),
-                        Morphism(cat, tgt, W, {i: col})))
-    return out
+    """Triples (i, phi_l, phi^l) with sum_i sum_l dim(i) phi^l o phi_l = id_W:
+    the basis of Hom(W, i) and its trace dual (``hom_basis``)."""
+    return [(i, lo, hi) for i in range(cat.n_labels)
+            for pair in (hom_basis(cat, W, cat.dual[i]),)
+            for lo, hi in zip(pair.basis, pair.dual_basis)]
 
 
 def _loop_weight(cat: CategoryData, j: int, b: int, c: int) -> complex:

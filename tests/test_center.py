@@ -1075,6 +1075,19 @@ def test_invertibility_report_fibonacci(cats):
     assert rep.center_count == rep.square_count == 4
 
 
+def test_test_objects_are_every_word_up_to_the_length(cats):
+    cat = cats["ising"]
+    words = [X.summands[0][0] for X in _test_objects(cat, 3)]
+    assert words == [(), (1,), (2,)] + [(a, b) for a in (1, 2) for b in (1, 2)] + [
+        (a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)]
+    assert _test_objects(cat, 2) == _test_objects(cat, 3)[:7]
+    with pytest.raises(ValueError):
+        _test_objects(cat, 0)
+    rep = invertibility_report(cat, max_word_length=3)
+    assert rep.factorizable and rep.agrees_with_modularity
+    assert max(rep.defect_qd, rep.defect_dq) < 1e-12
+
+
 def test_invertibility_report_degenerate(cats):
     rep = invertibility_report(cats["vec_z2_sym"], max_word_length=2)
     assert not rep.factorizable

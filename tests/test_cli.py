@@ -60,6 +60,9 @@ def test_zero_pivotal_coefficient_exits_two(tmp_path, capsys):
 def test_usage_error_exits_two(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+    for value in ("0", "-1", "two"):
+        assert run(["factorize", "ising", "--max-word-length", value]) == 2
+        assert "--max-word-length" in capsys.readouterr().err
 
 
 def test_machine_format_is_schema_versioned_json(capsys):
