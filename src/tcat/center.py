@@ -44,9 +44,10 @@ crossing is the scalar (``_crossing_table``)
                            F(x,j,y,c; e,f) / R(y,j,f) Finv(x,y,j,c; f,a2)
 
 on Hom(a, x y) and the identity on Hom(x, X) x Hom(y, Y), so each slot
-holds Q(X,Y,a2) ((+)_{(x,y)} h 1) Qinv(X,Y,a) in the block, one
-``engine._recouple`` from sector a to a2 (``HalfBraiding.stack``).  The
-coupling loop of an F object is therefore contracted with h once per
+holds Q(X,Y,a2) ((+)_{(x,y)} h 1) Qinv(X,Y,a) in the block: the sum over
+(x, y) of h times the identity of that channel carried from sector a to
+a2, one ``engine._recouple`` kept on the object (``HalfBraiding.stack``).
+The coupling loop of an F object is therefore contracted with h once per
 category, over the loop entries (j, a, a2, c, w) of i (x) a at sector b
 (``_f_loop_table``):
 
@@ -147,6 +148,10 @@ class HalfBraiding(Mapping):
     - ``functor_F`` passes the ``slots`` (X_s, Y_s) of X [x] Y, and the
       blocks are stacked from the crossing table (``stack``).  ``slots`` is
       None otherwise.
+
+    The channel products that ``stack`` sums are kept on the object, so
+    the coupling loops of an F object (``_f_loop_blocks``) reuse them and
+    they are freed with it.
     """
 
     def __init__(self, X: E.ObjectExpr, mats: Mapping | None = None, *,
@@ -158,37 +163,44 @@ class HalfBraiding(Mapping):
             cat = next(iter(mats.values())).cat
         self.X, self.cat, self.slots = X, cat, slots
         self._combed, self._blocks = dict(mats or {}), None
+        self._pairs, self._products = None, {}
 
     def slot_pairs(self) -> list:
         """Per slot s, the simple pairs (x, y) with Hom(x, X_s) x
-        Hom(y, Y_s) != 0."""
-        def labels(Z):
-            return [a for a, n in enumerate(E._sector_dims(self.cat, Z)) if n]
-        return [[(x, y) for x in labels(X) for y in labels(Y)]
-                for X, Y in self.slots]
+        Hom(y, Y_s) != 0; computed once."""
+        if self._pairs is None:
+            def labels(Z):
+                return [a for a, n in enumerate(E._sector_dims(self.cat, Z))
+                        if n]
+            self._pairs = [[(x, y) for x in labels(X) for y in labels(Y)]
+                           for X, Y in self.slots]
+        return self._pairs
 
     def stack(self, terms) -> dict:
         """``{key: block}`` with block Hom(a, X) -> Hom(a2, X), holding at
-        each slot's offsets Q(X_s, Y_s, a2) ((+)_{(x,y)} t 1) Qinv(X_s, Y_s, a)
-        over the ``(key, a, a2, t) in terms(x, y)`` (``engine._recouple``
-        from sector a to a2)."""
+        each slot's offsets the sum of t Q(X_s, Y_s, a2)[:, xy]
+        Qinv(X_s, Y_s, a)[xy, :] over the pairs xy = (x, y) and the
+        ``(key, a, a2, t) in terms(x, y)``.  Each product is the identity
+        of the channel xy carried from sector a to a2 (``engine._recouple``),
+        made once per (slot, x, y, a, a2) and kept on this object."""
         cat = self.cat
         dims = E._sector_dims(cat, self.X)
         out = {}
         start = [0] * cat.n_labels
-        for (X, Y), pairs in zip(self.slots, self.slot_pairs()):
+        for slot, ((X, Y), pairs) in enumerate(
+                zip(self.slots, self.slot_pairs())):
             dX, dY = E._sector_dims(cat, X), E._sector_dims(cat, Y)
-            mids = {}
             for x, y in pairs:
                 for key, a, a2, t in terms(x, y):
-                    mids.setdefault((key, a, a2), []).append(
-                        ((x, y), (x, y), t * np.eye(dX[x] * dY[y])))
-            for (key, a, a2), mid in mids.items():
-                if key not in out:
-                    out[key] = np.zeros((dims[a2], dims[a]), dtype=complex)
-                K = E._recouple(cat, X, Y, X, Y, a2, mid, a)
-                out[key][start[a2]:start[a2] + K.shape[0],
-                         start[a]:start[a] + K.shape[1]] = K
+                    K = self._products.get((slot, x, y, a, a2))
+                    if K is None:
+                        one = [((x, y), (x, y), np.eye(dX[x] * dY[y]))]
+                        K = self._products[(slot, x, y, a, a2)] = E._recouple(
+                            cat, X, Y, X, Y, a2, one, a)
+                    if key not in out:
+                        out[key] = np.zeros((dims[a2], dims[a]), dtype=complex)
+                    out[key][start[a2]:start[a2] + K.shape[0],
+                             start[a]:start[a] + K.shape[1]] += t * K
             start = [s + d for s, d in
                      zip(start, E._sector_dims(cat, X.tensor(Y)))]
         return out
@@ -472,7 +484,6 @@ class CouplingIdempotent:
     """
 
     i: int
-    center_obj: CenterObject
     gamma_mor: E.Morphism
     image: E.ObjectExpr
     incl: E.Morphism
@@ -674,9 +685,8 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
                                for k, r in sorted(ranks.items())))
     incl = E.Morphism(cat, image, W, incl_blocks)
     proj = E.Morphism(cat, W, image, proj_blocks)
-    out = CouplingIdempotent(i=i, center_obj=obj, gamma_mor=gamma_mor,
-                             image=image, incl=incl, proj=proj,
-                             idempotency_residual=resid)
+    out = CouplingIdempotent(i=i, gamma_mor=gamma_mor, image=image,
+                             incl=incl, proj=proj, idempotency_residual=resid)
     obj._couplings[(id(cat), i)] = out
     return out
 

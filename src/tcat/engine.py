@@ -9,7 +9,7 @@ loops) is expressed through explicit recoupling matrices built from the
 F-symbols.
 
 The product basis Hom(k, X Y) = (+)_{i,j} Hom(k, i j) x Hom(i, X) x
-Hom(j, Y) is carried to the combed basis by ``_product_transform``.  The
+Hom(j, Y) is carried to the combed basis by ``_product_iso``.  The
 layout of that basis (which columns belong to which channel pair (i, j))
 is read only through ``_recouple``, which carries channel blocks onto the
 combed bases, and its inverse ``_channel_blocks``, which reads them off.
@@ -49,8 +49,12 @@ The identity resolution reads the dual bases of ``hom_basis``.
 Everything here is a pure function of immutable inputs.  The category's
 private cache memoizes, as read-only data built once per category:
 
-* the recoupling matrices (tail and product transforms and inverses);
-* the sector bases of each object, their positions and dimensions;
+* per object, one layout (``_layout``): its sector bases at every label,
+  the position of each basis element and the dimensions;
+* per root and word, the tree chains grouped by end label (``_tails``);
+* per root, word and sector, the tail transform (``_tail_transform``);
+* per object pair and sector, the product transform with its channel
+  slices and its inverse, in one entry (``_product_iso``);
 * the identity and the duality morphisms (``cup_cap``) of each object;
 * the braidings of each object pair (``braiding``).
 
@@ -209,7 +213,7 @@ def fusion_tree_basis(cat: CategoryData, leaves, root: int) -> FusionTreeBasis:
 
 def word_trees(cat: CategoryData, w: Word, k: int) -> tuple:
     """Left-combed trees of Hom(k, w): internal chains (c_2 .. c_{m-1})."""
-    return _tails(cat, w[0] if w else 0, w[1:], k)
+    return _tails(cat, w[0] if w else 0, w[1:])[k]
 
 
 def _positions(items) -> dict:
@@ -217,35 +221,30 @@ def _positions(items) -> dict:
     return {x: n for n, x in enumerate(items)}
 
 
-def _tails(cat: CategoryData, i: int, w: Word, k: int) -> tuple:
-    """Chains from root i through the letters of w to k: (e_1 .. e_{l-1})."""
+def _tails(cat: CategoryData, i: int, w: Word) -> tuple:
+    """Chains from root i through the letters of w, grouped by end label:
+    entry k lists the chains (e_1 .. e_{l-1}) with e_l = k."""
     def build():
-        l = len(w)
-        if l == 0:
-            return ((),) if i == k else ()
-        out = []
+        out = [[] for _ in range(cat.n_labels)]
 
-        def rec(pos, cur, acc):
-            if pos == l - 1:
-                if cat.ring.admissible(cur, w[pos], k):
-                    out.append(tuple(acc))
+        def rec(cur, chain, rest):
+            if not rest:
+                out[cur].append(chain[:-1])
                 return
-            for nxt in cat.ring.fusion(cur, w[pos]):
-                acc.append(nxt)
-                rec(pos + 1, nxt, acc)
-                acc.pop()
+            for nxt in cat.ring.fusion(cur, rest[0]):
+                rec(nxt, chain + (nxt,), rest[1:])
 
-        rec(0, i, [])
-        return tuple(out)
+        rec(i, (), w)
+        return tuple(map(tuple, out))
 
-    return _cached(cat, ("tails", i, w, k), build)
+    return _cached(cat, ("tails", i, w), build)
 
 
 def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
     """Change of basis between nested and combed continuations of a prefix.
 
     Returns ``(mat, rows, cols)`` where ``rows`` maps each tail of
-    ``_tails(cat, i, w, k)`` to its row, ``cols`` maps each pair
+    ``_tails(cat, i, w)[k]`` to its row, ``cols`` maps each pair
     ``(j, tree)`` with ``N(i, j, k) = 1`` and ``tree`` a left-combed tree
     of Hom(j, w) to its column, and
 
@@ -256,7 +255,7 @@ def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
     step; every recoupling matrix of the engine is assembled from it.
     """
     def build():
-        rows = _positions(_tails(cat, i, w, k))
+        rows = _positions(_tails(cat, i, w)[k])
         cols = _positions((j, t) for j in range(cat.n_labels)
                           if cat.ring.admissible(i, j, k)
                           for t in word_trees(cat, w, j))
@@ -284,30 +283,42 @@ def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
     return _cached(cat, ("tailT", i, w, k), build)
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The sector bases of an object at every label, in label order: the
+    basis of Hom(k, X) as triples (summand, copy, tree), the position of
+    each triple in it, and its dimension."""
+
+    bases: tuple
+    positions: tuple
+    dims: tuple
+
+
+def _layout(cat: CategoryData, X: ObjectExpr) -> _Layout:
+    """X's ``_Layout``; a letter that is not a label raises ``ShapeError``."""
+    def build():
+        n = cat.n_labels
+        for w, _m in X.summands:
+            if not all(0 <= l < n for l in w):
+                raise ShapeError(f"word {w} has a letter outside 0..{n - 1}")
+        bases = tuple(
+            tuple((si, c, t) for si, (w, m) in enumerate(X.summands)
+                  for c in range(m) for t in word_trees(cat, w, k))
+            for k in range(n))
+        return _Layout(bases, tuple(map(_positions, bases)),
+                       tuple(map(len, bases)))
+
+    return _cached(cat, ("layout", X.summands), build)
+
+
 def sector_basis(cat: CategoryData, X: ObjectExpr, k: int) -> tuple:
     """Ordered basis of Hom(k, X): triples (summand, copy, tree)."""
-    def build():
-        out = []
-        for si, (w, m) in enumerate(X.summands):
-            trees = word_trees(cat, w, k)
-            for c in range(m):
-                for t in trees:
-                    out.append((si, c, t))
-        return tuple(out)
-
-    return _cached(cat, ("basis", X.summands, k), build)
-
-
-def _basis_positions(cat: CategoryData, X: ObjectExpr, k: int) -> dict:
-    """The position of each element of ``sector_basis(cat, X, k)``."""
-    return _cached(cat, ("positions", X.summands, k),
-                   lambda: _positions(sector_basis(cat, X, k)))
+    return _layout(cat, X).bases[k]
 
 
 def _sector_dims(cat: CategoryData, X: ObjectExpr) -> tuple:
     """``dim Hom(k, X)`` for every label ``k``, in label order."""
-    return _cached(cat, ("sdims", X.summands), lambda: tuple(
-        len(sector_basis(cat, X, k)) for k in range(cat.n_labels)))
+    return _layout(cat, X).dims
 
 
 def _split_chain(w: Word, x: Word, chain: Word, k: int):
@@ -325,19 +336,23 @@ def _split_chain(w: Word, x: Word, chain: Word, k: int):
 
 
 def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
-    """Isomorphism  (+)_{i,j} Hom(k, i j) (x) Hom(i, X) (x) Hom(j, Y)
-    -> Hom(k, X (x) Y)  in the combed bases.
+    """``(Q, channels)`` of ``_product_iso``."""
+    return _product_iso(cat, X, Y, k)[:2]
 
-    Returns ``(Q, channels)`` where ``channels[(i, j)]`` is the column
-    slice of that pair's ``Hom(i, X) x Hom(j, Y)`` block (bi outer, bj
-    inner), for every pair of ``FusionRing.pairs`` in its label order.
-    This layout is read only here, in ``_recouple`` and in
-    ``_channel_blocks``.
+
+def _product_iso(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
+    """Isomorphism  (+)_{i,j} Hom(k, i j) (x) Hom(i, X) (x) Hom(j, Y)
+    -> Hom(k, X (x) Y)  in the combed bases, with its inverse.
+
+    Returns ``(Q, channels, Qinv)``, one cache entry, where
+    ``channels[(i, j)]`` is the column slice of that pair's
+    ``Hom(i, X) x Hom(j, Y)`` block (bi outer, bj inner), for every pair of
+    ``FusionRing.pairs`` in its label order.  This layout is read only
+    here, in ``_recouple`` and in ``_channel_blocks``.
     """
     def build():
         rows = sector_basis(cat, X.tensor(Y), k)
-        pos_X = [_basis_positions(cat, X, i) for i in range(cat.n_labels)]
-        pos_Y = [_basis_positions(cat, Y, j) for j in range(cat.n_labels)]
+        pos_X, pos_Y = _layout(cat, X).positions, _layout(cat, Y).positions
         pairs = cat.ring.pairs(k)
         widths = [len(pos_X[i]) * len(pos_Y[j]) for i, j in pairs]
         starts = accumulate(widths, initial=0)
@@ -359,20 +374,12 @@ def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
                     continue
                 bj = pos_Y[j][(beta, cb, tree)]
                 Q[rn, channels[(i, j)].start + bi * len(pos_Y[j]) + bj] = v
-        return Q, channels
-
-    return _cached(cat, ("Q", X.summands, Y.summands, k), build)
-
-
-def _product_transform_inv(cat, X, Y, k):
-    def build():
-        Q = _product_transform(cat, X, Y, k)[0]
         if Q.shape[0] != Q.shape[1]:
             raise ShapeError(
                 f"recoupling matrix is not square at sector {k}: {Q.shape}")
-        return _inverse(Q) if Q.size else Q.reshape(Q.shape[::-1])
+        return Q, channels, _inverse(Q) if Q.size else Q
 
-    return _cached(cat, ("Qinv", X.summands, Y.summands, k), build)
+    return _cached(cat, ("Q", X.summands, Y.summands, k), build)
 
 
 def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid,
@@ -389,9 +396,8 @@ def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid,
     ``Xs (x) Ys -> Xt (x) Yt``.
     """
     ks = k if ks is None else ks
-    Qt, ch_t = _product_transform(cat, Xt, Yt, k)
-    ch_s = _product_transform(cat, Xs, Ys, ks)[1]
-    Qs_inv = _product_transform_inv(cat, Xs, Ys, ks)
+    Qt, ch_t, _ = _product_iso(cat, Xt, Yt, k)
+    _, ch_s, Qs_inv = _product_iso(cat, Xs, Ys, ks)
     M = np.zeros((Qt.shape[1], Qs_inv.shape[0]), dtype=complex)
     for pair_t, pair_s, rect in mid:
         M[ch_t[pair_t], ch_s[pair_s]] = rect
@@ -403,9 +409,9 @@ def _channel_blocks(cat, Xs, Ys, Xt, Yt, k: int, block) -> dict:
     blocks ``{(pair_t, pair_s): rect}`` of ``Qt_inv @ block @ Qs`` for a
     block Hom(k, Xs Ys) -> Hom(k, Xt Yt), in label order with the source
     pair outer."""
-    Qs, ch_s = _product_transform(cat, Xs, Ys, k)
-    ch_t = _product_transform(cat, Xt, Yt, k)[1]
-    G = _product_transform_inv(cat, Xt, Yt, k) @ block @ Qs
+    Qs, ch_s, _ = _product_iso(cat, Xs, Ys, k)
+    _, ch_t, Qt_inv = _product_iso(cat, Xt, Yt, k)
+    G = Qt_inv @ block @ Qs
     return {(pair_t, pair_s): G[rt, rs] for pair_s, rs in ch_s.items()
             for pair_t, rt in ch_t.items() if G[rt, rs].size}
 

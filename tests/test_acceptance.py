@@ -152,7 +152,8 @@ def test_criterion_6_loop_lemma_suite(cats):
     worst_slide = 0.0
     for name in ALL_NAMES:
         cat = cats[name]
-        W = ObjectExpr.word((cat.n_labels - 1, 1))
+        last = cat.n_labels - 1  # trivial has label 0 only: W is the unit
+        W = ObjectExpr.word((last, min(1, last)))
         loop = E.omega_loop(cat, W)
         worst_slide = max(worst_slide,
                           E.distance(loop, E.omega_loop(cat, W, mirror=True)))

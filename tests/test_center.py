@@ -23,7 +23,8 @@ from tcat.deligne import (DeligneMorphism, DelignePair, deligne_compose,
                           pair_morphism, pair_object)
 from tcat.modularity import is_modular, muger_center
 
-from conftest import ALL_NAMES, input_doc, phase_gauge, product_doc, vec_zn_doc
+from conftest import (ALL_NAMES, input_doc, phase_gauge, product_doc, su2_doc,
+                      vec_zn_doc)
 from tube_reference import (associativity_residual, functor_f_half_braiding,
                             loop_table, reference_b, reference_d, reference_p,
                             reference_q, reference_sort_key,
@@ -1113,6 +1114,36 @@ def test_invertibility_report_keeps_no_f_objects(cats):
     invertibility_report(cat, max_word_length=2)
     assert not [key for key in cat._cache
                 if isinstance(key, tuple) and key[0] == "F_obj"]
+
+
+def test_stack_recouples_each_channel_product_once(monkeypatch):
+    # an F object keeps each product Q(X_s,Y_s,a2)[:, xy] Qinv(X_s,Y_s,a)[xy, :]
+    # of HalfBraiding.stack, so over the whole report stacking makes at most
+    # one _recouple per distinct (object, slot, x, y, a, a2) it needs
+    cat = category_from_dict(su2_doc(4, so3=True))
+    stack, recouple = HalfBraiding.stack, E._recouple
+    held, needed, calls, depth = [], set(), [], [0]
+
+    def counted_stack(self, terms):
+        held.append(self)  # so that no id is reused within the report
+        for slot, pairs in enumerate(self.slot_pairs()):
+            needed.update((id(self), slot, x, y, a, a2) for x, y in pairs
+                          for _key, a, a2, _t in terms(x, y))
+        depth[0] += 1
+        try:
+            return stack(self, terms)
+        finally:
+            depth[0] -= 1
+
+    def counted_recouple(*args):
+        if depth[0]:
+            calls.append(args)
+        return recouple(*args)
+
+    monkeypatch.setattr(HalfBraiding, "stack", counted_stack)
+    monkeypatch.setattr(E, "_recouple", counted_recouple)
+    assert not invertibility_report(cat, max_word_length=2).factorizable
+    assert needed and len(calls) <= len(needed)
 
 
 def test_invertibility_report_builds_each_hom_basis_once(cats, monkeypatch):

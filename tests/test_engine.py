@@ -131,7 +131,8 @@ def test_tensor_associativity(cats):
     for cat in cats.values():
         n = cat.n_labels
         f = E.random_morphism(cat, word(n - 1), word(n - 1), RNG)
-        g = E.random_morphism(cat, word(1), word(1), RNG)
+        one = min(1, n - 1)  # trivial has label 0 only
+        g = E.random_morphism(cat, word(one), word(one), RNG)
         h = E.random_morphism(cat, word(n - 1), word(n - 1), RNG)
         assert E.distance(E.tensor(E.tensor(f, g), h),
                           E.tensor(f, E.tensor(g, h))) < 1e-12
@@ -445,7 +446,7 @@ def test_censorship_fails_on_transparent_object(cats):
 def test_sliding_mirror_invariance(cats):
     for cat in cats.values():
         n = cat.n_labels
-        for X in (word(n - 1), word(n - 1, 1)):
+        for X in (word(n - 1), word(n - 1, min(1, n - 1))):
             plain = E.omega_loop(cat, X)
             slid = E.omega_loop(cat, X, mirror=True)
             assert E.distance(plain, slid) < 1e-9
@@ -618,6 +619,60 @@ def test_memoized_morphisms_are_shared_and_read_only(cats, build):
         b[0, 0] = 1.0
     fresh = loads_category(serialize_category(cat))
     assert E.morphism_dump(m) == E.morphism_dump(build(fresh))
+
+
+def _new_cache_keys(cat, build):
+    before = set(cat._cache)
+    build()
+    return set(cat._cache) - before
+
+
+def test_object_bases_are_one_layout_entry(cats):
+    # every label's basis, positions and dimension of a fresh object come
+    # from one "layout" entry, and its trees from one "tails" entry per
+    # (root, rest of the word), whatever the end label
+    cat = loads_category(serialize_category(cats["ising"]))
+    X = ObjectExpr((((1, 2, 1), 2), ((2, 2), 1)))
+    keys = _new_cache_keys(cat, lambda: [
+        (E.sector_basis(cat, X, k), X.dim_sector(cat, k))
+        for k in range(cat.n_labels)])
+    assert keys == {("layout", X.summands), ("tails", 1, (2, 1)),
+                    ("tails", 2, (2,))}
+    layout = E._layout(cat, X)
+    assert layout.dims == tuple(len(b) for b in layout.bases) == (3, 0, 2)
+    for basis, positions in zip(layout.bases, layout.positions):
+        assert [positions[t] for t in basis] == list(range(len(basis)))
+    # sigma psi = sigma, then sigma sigma = 1 + psi: one chain per end
+    assert E._tails(cat, 1, (2, 1)) == (((1,),), (), ((1,),))
+
+
+def test_product_transform_and_inverse_are_one_entry(cats):
+    # Q, its channel slices and its inverse are one cache entry, built once
+    # and read-only
+    cat = loads_category(serialize_category(cats["fibonacci"]))
+    X, Y = word(1, 1), word(1)
+    block = np.eye(X.tensor(Y).dim_sector(cat, 1))
+    keys = _new_cache_keys(
+        cat, lambda: E._channel_blocks(cat, X, Y, X, Y, 1, block))
+    assert {key for key in keys if key[0] in ("Q", "Qinv")} == {
+        ("Q", X.summands, Y.summands, 1)}
+    Q, channels, Qinv = cat._cache[("Q", X.summands, Y.summands, 1)]
+    got_Q, got_channels = E._product_transform(cat, X, Y, 1)
+    assert got_Q is Q and got_channels is channels
+    assert np.allclose(Q @ Qinv, np.eye(len(Q)))
+    for a in (Q, Qinv):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("letters", [(7, 1), (1, -1), (2,)])
+def test_letter_outside_the_labels_is_a_shape_error(cats, letters):
+    cat = cats["fibonacci"]
+    X = ObjectExpr.word(letters)
+    with pytest.raises(ShapeError):
+        E._sector_dims(cat, X)
+    with pytest.raises(ShapeError):
+        E.quantum_trace(cat, E.identity(cat, X))
 
 
 def test_morphism_dump_is_stable(cats):
