@@ -145,9 +145,9 @@ class HalfBraiding(Mapping):
     - ``HalfBraiding(X, mats)`` takes combed morphisms ``{j: gamma_j}`` (the
       category is theirs) and reads the channel blocks of each gamma_j[c]
       (``engine._channel_blocks``);
-    - ``functor_F`` passes the ``slots`` (X_s, Y_s) of X [x] Y, and the
-      blocks are stacked from the crossing table (``stack``).  ``slots`` is
-      None otherwise.
+    - ``functor_F`` passes the ``pair`` X [x] Y, a sum of slots
+      (X_s, Y_s), and the blocks are stacked from the crossing table
+      (``stack``) over its ``slot_pairs``.  Both are None otherwise.
 
     The channel products that ``stack`` sums are kept on the object, so
     the coupling loops of an F object (``_f_loop_blocks``) reuse them and
@@ -155,26 +155,17 @@ class HalfBraiding(Mapping):
     """
 
     def __init__(self, X: E.ObjectExpr, mats: Mapping | None = None, *,
-                 cat: CategoryData | None = None, slots=None):
+                 cat: CategoryData | None = None,
+                 pair: DelignePair | None = None):
         if cat is None:
             if not mats:
                 raise ValueError("a half-braiding needs combed mats or a "
                                  "category")
             cat = next(iter(mats.values())).cat
-        self.X, self.cat, self.slots = X, cat, slots
+        self.X, self.cat, self.pair = X, cat, pair
+        self.slot_pairs = pair.slot_pairs(cat) if pair is not None else None
         self._combed, self._blocks = dict(mats or {}), None
-        self._pairs, self._products = None, {}
-
-    def slot_pairs(self) -> list:
-        """Per slot s, the simple pairs (x, y) with Hom(x, X_s) x
-        Hom(y, Y_s) != 0; computed once."""
-        if self._pairs is None:
-            def labels(Z):
-                return [a for a, n in enumerate(E._sector_dims(self.cat, Z))
-                        if n]
-            self._pairs = [[(x, y) for x in labels(X) for y in labels(Y)]
-                           for X, Y in self.slots]
-        return self._pairs
+        self._products = {}
 
     def stack(self, terms) -> dict:
         """``{key: block}`` with block Hom(a, X) -> Hom(a2, X), holding at
@@ -188,7 +179,7 @@ class HalfBraiding(Mapping):
         out = {}
         start = [0] * cat.n_labels
         for slot, ((X, Y), pairs) in enumerate(
-                zip(self.slots, self.slot_pairs())):
+                zip(self.pair.slots, self.slot_pairs)):
             dX, dY = E._sector_dims(cat, X), E._sector_dims(cat, Y)
             for x, y in pairs:
                 for key, a, a2, t in terms(x, y):
@@ -229,7 +220,7 @@ class HalfBraiding(Mapping):
         """G_j[c][(a2,j) <- (j,a)] of the module docstring, keyed
         ``(j, c, a2, a)``."""
         if self._blocks is None:
-            self._blocks = (self._slice_combed() if self.slots is None
+            self._blocks = (self._slice_combed() if self.pair is None
                             else self._stack_crossings())
         return self._blocks
 
@@ -439,8 +430,7 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
     if not isinstance(D, DelignePair):
         D = pair_object(*D)
     total = E.ObjectExpr.direct_sum([X.tensor(Y) for (X, Y) in D.slots])
-    return CenterObject(X=total, gamma=HalfBraiding(total, cat=cat,
-                                                    slots=D.slots))
+    return CenterObject(X=total, gamma=HalfBraiding(total, cat=cat, pair=D))
 
 
 def functor_F_on_morphism(cat: CategoryData, m: DeligneMorphism) -> E.Morphism:
@@ -644,7 +634,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     cut = _VANISHING_LOOP_ENTRY * eps
     si = E.ObjectExpr.simple(i)
     W = si.tensor(obj.X)
-    loop_blocks = (_gamma_loop_blocks if obj.gamma.slots is None
+    loop_blocks = (_gamma_loop_blocks if obj.gamma.pair is None
                    else _f_loop_blocks)
     blocks, live = {}, []
     for b, n in enumerate(E._sector_dims(cat, W)):
@@ -701,9 +691,9 @@ def _slot_couplings(cat: CategoryData, obj: CenterObject) -> list:
     hit = obj._couplings.get(key)
     if hit is None:
         labels = range(cat.n_labels)
-        if obj.gamma.slots is not None:
+        if obj.gamma.pair is not None:
             # every loop entry of the others vanishes: a zero image
-            pairs = [p for ps in obj.gamma.slot_pairs() for p in ps]
+            pairs = [p for ps in obj.gamma.slot_pairs for p in ps]
             labels = [i for i in labels
                       if any(_f_loop_table(cat, i, x, y) for x, y in pairs)]
         hit = [cp for cp in (coupling_gamma(cat, i, obj) for i in labels)
@@ -947,6 +937,7 @@ def tube_algebra(cat: CategoryData) -> TubeAlgebra:
         alg = TubeAlgebra(cat=cat, basis=basis, structure=structure,
                           unit=unit, blocks=[])
         split = _central_idempotents(alg)
+        E._read_only((structure, unit, tuple(split)))
         alg.blocks = [(e_vec, n) for e_vec, n, _V in split]
         alg._ideals = [V for _e, _n, V in split]
         return alg
@@ -1125,6 +1116,7 @@ def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterOb
                 [action[(a, j, b, c)].T / k for b, k in zip(cols, kappas)]
                 for a in rows]))
         mats[j] = E.Morphism(cat, sj.tensor(X), X.tensor(sj), gamma_blocks)
+        E._read_only(mats[j])
     return CenterObject(X=X, gamma=HalfBraiding(X, mats))
 
 

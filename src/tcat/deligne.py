@@ -10,13 +10,14 @@ sector: the block at (s, s') maps the source's
 to the target's, with the slots stacked in order and each slot's factor
 laid out as ``np.kron`` (``engine._kron``, the layout of ``engine.tensor``).
 Hom spaces factor slotwise by construction, which is the defining property
-of the exterior product.
+of the exterior product.  Where each slot starts is read off one integer
+array per object and category, kept on the object, not in the category's
+cache (``DelignePair``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,38 +32,40 @@ __all__ = ["DelignePair", "DeligneMorphism", "pair_object", "pair_morphism",
 
 @dataclass(frozen=True)
 class DelignePair:
-    """An object of the exterior square: an ordered sum of slots (X, Y)."""
+    """An object of the exterior square: an ordered sum of slots (X, Y).
+
+    Its layout in a category is ``starts[t, s, s']``, the running sum over
+    the slots before t of dim Hom(s, X) dim Hom(s', Y); the last row is the
+    grading.  It is built once per category and freed with the pair."""
 
     slots: tuple
+    _starts: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _layout(self, cat: CategoryData) -> dict:
-        """``{(s, s'): starts}`` over the non-empty simple pairs: where each
-        slot's Hom(s, X) x Hom(s', Y) starts in Hom((s, s'), D), with
-        dim Hom((s, s'), D) last."""
-        def build():
-            dims = [(E._sector_dims(cat, X), E._sector_dims(cat, Y))
-                    for X, Y in self.slots]
-            out = {}
-            for s in range(cat.n_labels):
-                for sp in range(cat.n_labels):
-                    starts = tuple(accumulate(
-                        (dX[s] * dY[sp] for dX, dY in dims), initial=0))
-                    if starts[-1]:
-                        out[(s, sp)] = starts
-            return out
+    def _layout(self, cat: CategoryData) -> np.ndarray:
+        hit = self._starts.get(cat)
+        if hit is None:
+            n = cat.n_labels
+            hit = np.zeros((len(self.slots) + 1, n, n), dtype=int)
+            for t, (X, Y) in enumerate(self.slots):
+                np.add(hit[t], np.multiply.outer(E._sector_dims(cat, X),
+                                                 E._sector_dims(cat, Y)),
+                       out=hit[t + 1])
+            self._starts[cat] = hit
+        return hit
 
-        return E._cached(cat, ("pair_layout", self.slots), build)
-
-    def starts(self, cat: CategoryData, k: tuple) -> tuple:
-        return (self._layout(cat).get(k)
-                or (0,) * (len(self.slots) + 1))
+    def starts(self, cat: CategoryData, k: tuple) -> np.ndarray:
+        return self._layout(cat)[:, k[0], k[1]]
 
     def dim_sector(self, cat: CategoryData, k: tuple) -> int:
-        return self.starts(cat, k)[-1]
+        return int(self._layout(cat)[-1][k])
 
     def grading(self, cat: CategoryData) -> dict:
         """Multiplicity of each simple label pair (s, s')."""
-        return {k: starts[-1] for k, starts in self._layout(cat).items()}
+        return _nonzero(self._layout(cat)[-1])
+
+    def slot_pairs(self, cat: CategoryData) -> list:
+        """Per slot, the simple pairs (x, y) with Hom(x, X) x Hom(y, Y) != 0."""
+        return [list(_nonzero(d)) for d in np.diff(self._layout(cat), axis=0)]
 
     def hom_dim(self, cat: CategoryData, other: "DelignePair") -> int:
         g1 = self.grading(cat)
@@ -74,6 +77,13 @@ class DelignePair:
             return "0"
         return " + ".join(f"{X.describe(cat)} [x] {Y.describe(cat)}"
                           for (X, Y) in self.slots)
+
+
+def _nonzero(m: np.ndarray) -> dict:
+    """``{(s, s'): m[s, s']}`` over the non-zero entries, row by row."""
+    flat = np.flatnonzero(m)
+    return {divmod(i, len(m)): v
+            for i, v in zip(flat.tolist(), m.ravel()[flat].tolist())}
 
 
 def pair_object(X, Y) -> DelignePair:

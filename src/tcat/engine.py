@@ -49,8 +49,9 @@ The identity resolution reads the dual bases of ``hom_basis``.
 Everything here is a pure function of immutable inputs.  The category's
 private cache memoizes, as read-only data built once per category:
 
-* per object, one layout (``_layout``): its sector bases at every label,
-  the position of each basis element and the dimensions;
+* per object, one layout (``_layout``): its sector bases and dimensions
+  at every label, and the position of each basis element, built when a
+  product transform first reads it;
 * per root and word, the tree chains grouped by end label (``_tails``);
 * per root, word and sector, the tail transform (``_tail_transform``);
 * per object pair and sector, the product transform with its channel
@@ -58,14 +59,15 @@ private cache memoizes, as read-only data built once per category:
 * the identity and the duality morphisms (``cup_cap``) of each object;
 * the braidings of each object pair (``braiding``).
 
-Repeated calls return the same object, shared by every caller, so its
-arrays are marked read-only and writing into one raises ``ValueError``.
+Repeated calls return the same object, shared by every caller, so every
+array it holds when built is marked read-only and writing into one raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -177,17 +179,21 @@ def as_object(X) -> ObjectExpr:
 def _cached(cat, key, builder):
     hit = cat._cache.get(key)
     if hit is None:
-        hit = builder()
-        # shared by every later caller: make its arrays read-only
-        if isinstance(hit, Morphism):
-            arrays = hit.blocks.values()
-        else:
-            arrays = hit if isinstance(hit, tuple) else (hit,)
-        for a in arrays:
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
-        cat._cache[key] = hit
+        hit = cat._cache[key] = builder()
+        _read_only(hit)  # shared by every later caller
     return hit
+
+
+def _read_only(x) -> None:
+    """Mark the arrays that x reaches read-only: x itself, a morphism's
+    blocks, or those of the items of a (nested) tuple."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, Morphism):
+        _read_only(tuple(x.blocks.values()))
+    elif isinstance(x, tuple):
+        for a in x:
+            _read_only(a)
 
 
 @dataclass(frozen=True)
@@ -286,12 +292,15 @@ def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
 @dataclass(frozen=True)
 class _Layout:
     """The sector bases of an object at every label, in label order: the
-    basis of Hom(k, X) as triples (summand, copy, tree), the position of
-    each triple in it, and its dimension."""
+    basis of Hom(k, X) as triples (summand, copy, tree), its dimension and
+    (built when first read) the position of each triple in it."""
 
     bases: tuple
-    positions: tuple
     dims: tuple
+
+    @cached_property
+    def positions(self) -> tuple:
+        return tuple(map(_positions, self.bases))
 
 
 def _layout(cat: CategoryData, X: ObjectExpr) -> _Layout:
@@ -305,8 +314,7 @@ def _layout(cat: CategoryData, X: ObjectExpr) -> _Layout:
             tuple((si, c, t) for si, (w, m) in enumerate(X.summands)
                   for c in range(m) for t in word_trees(cat, w, k))
             for k in range(n))
-        return _Layout(bases, tuple(map(_positions, bases)),
-                       tuple(map(len, bases)))
+        return _Layout(bases, tuple(map(len, bases)))
 
     return _cached(cat, ("layout", X.summands), build)
 
@@ -333,11 +341,6 @@ def _split_chain(w: Word, x: Word, chain: Word, k: int):
     if wl == 1:
         return (), w[0], chain
     return chain[:wl - 2], chain[wl - 2], chain[wl - 1:]
-
-
-def _product_transform(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
-    """``(Q, channels)`` of ``_product_iso``."""
-    return _product_iso(cat, X, Y, k)[:2]
 
 
 def _product_iso(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcat import IdempotencyError, engine as E, validate
 from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
 from tcat.center import (CenterObject, HalfBraiding, _center_sort_key,
-                         _loop_table,
+                         _legs, _loop_table,
                          _slot_couplings, _object_from_module, _test_objects,
                          center_hom_dim, center_simples, coupling_gamma,
                          functor_F, functor_F_on_morphism, functor_G,
@@ -66,6 +67,67 @@ def test_deligne_hom_spaces_factor(cats):
     g1, g2 = D1.grading(cat), D2.grading(cat)
     assert dim == sum(m * g2.get(p, 0) for p, m in g1.items())
     assert dim > 0
+
+
+@pytest.fixture(scope="module")
+def layout_cats(cats):
+    return {**cats, "so3_4": category_from_dict(su2_doc(4, so3=True))}
+
+
+def _objects(n):
+    """Sums of words over labels 0..n-1, the unit and the zero object among
+    them."""
+    words = st.builds(ObjectExpr.word, st.lists(st.integers(0, n - 1),
+                                                max_size=3), st.integers(1, 2))
+    return st.lists(words, max_size=2).map(ObjectExpr.direct_sum)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(ALL_NAMES + ["so3_4"]), data=st.data())
+def test_pair_layout_is_a_running_sum_over_slots(layout_cats, name, data):
+    # starts, dim_sector, grading and slot_pairs equal a direct sum over the
+    # slots of products of sector dimensions
+    cat = layout_cats[name]
+    n = cat.n_labels
+    slots = data.draw(st.lists(st.tuples(_objects(n), _objects(n)), max_size=3))
+    D = DelignePair(tuple(slots))
+    dims = [([X.dim_sector(cat, a) for a in range(n)],
+             [Y.dim_sector(cat, b) for b in range(n)]) for X, Y in slots]
+    grading = {}
+    for a in range(n):
+        for b in range(n):
+            want = [0]
+            for dX, dY in dims:
+                want.append(want[-1] + dX[a] * dY[b])
+            assert list(D.starts(cat, (a, b))) == want
+            assert D.dim_sector(cat, (a, b)) == want[-1]
+            if want[-1]:
+                grading[(a, b)] = want[-1]
+    assert D.grading(cat) == grading
+    assert D.slot_pairs(cat) == [
+        [(a, b) for a in range(n) for b in range(n) if dX[a] * dY[b]]
+        for dX, dY in dims]
+
+
+def test_report_keeps_each_pair_layout_on_its_pair(cats, monkeypatch):
+    # no layout of an exterior-square object enters the category cache: a
+    # pair builds its layout once per category and keeps it (a fresh
+    # instance, so no other test's cache entries are seen)
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+    layout, reads = DelignePair._layout, []
+
+    def read(self, cat_):
+        reads.append((self, cat_, layout(self, cat_)))
+        return reads[-1][-1]
+
+    monkeypatch.setattr(DelignePair, "_layout", read)
+    invertibility_report(cat, max_word_length=2)
+    assert not [key for key in cat._cache
+                if isinstance(key, tuple) and key[0] == "pair_layout"]
+    first = {}
+    for D, c, starts in reads:  # held, so no id is reused
+        assert first.setdefault((id(D), id(c)), starts) is starts
+    assert len(first) < len(reads)
 
 
 #: two-slot objects of ising whose slots share the simple pair (sigma, sigma)
@@ -688,13 +750,13 @@ def test_factorize_draws_no_f_half_braiding(cats, monkeypatch):
 @pytest.mark.parametrize("name", TABLE_INPUTS + [PRODUCT_INPUT])
 def test_f_couplings_from_loop_table_match_gamma_blocks(cats, name):
     # an F object's couplings read the per-category loop-crossing table; a
-    # plain CenterObject around the same combed gamma has no slots, so it
+    # plain CenterObject around the same combed gamma has no pair, so it
     # takes the crossing-block reader
     cat = _table_input(cats, name)
     for D in _f_inputs(cat):
         obj = functor_F(cat, D)
         plain = CenterObject(X=obj.X, gamma=HalfBraiding(obj.X, dict(obj.gamma)))
-        assert plain.gamma.slots is None
+        assert plain.gamma.pair is None
         assert ([(cp.i, cp.image) for cp in _slot_couplings(cat, obj)]
                 == [(cp.i, cp.image) for cp in _slot_couplings(cat, plain)])
         for i in range(cat.n_labels):
@@ -755,7 +817,7 @@ def test_center_simple_product_transforms_are_identities(cats, name):
                 if n:
                     for P, Q in ((s.X, J), (J, s.X)):
                         assert np.array_equal(
-                            E._product_transform(cat, P, Q, c)[0], np.eye(n))
+                            E._product_iso(cat, P, Q, c)[0], np.eye(n))
 
 
 def _twist_and_dim(cat, s):
@@ -1116,6 +1178,24 @@ def test_invertibility_report_keeps_no_f_objects(cats):
                 if isinstance(key, tuple) and key[0] == "F_obj"]
 
 
+@pytest.mark.parametrize("reach", [
+    lambda cat: [b for legs in _legs(cat, word(1), 1) for m in legs
+                 for b in m.blocks.values()],
+    lambda cat: [tube_algebra(cat).structure, tube_algebra(cat).unit],
+    lambda cat: [b for s in center_simples(cat) for j in s.gamma
+                 for b in s.gamma[j].blocks.values()],
+], ids=["legs", "tube_algebra", "center_gamma"])
+def test_arrays_reached_from_the_category_cache_are_read_only(cats, reach):
+    # a write into a shared array would change every later reader, for
+    # example every later d and q through a leg
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+    arrays = reach(cat)
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
 def test_stack_recouples_each_channel_product_once(monkeypatch):
     # an F object keeps each product Q(X_s,Y_s,a2)[:, xy] Qinv(X_s,Y_s,a)[xy, :]
     # of HalfBraiding.stack, so over the whole report stacking makes at most
@@ -1126,7 +1206,7 @@ def test_stack_recouples_each_channel_product_once(monkeypatch):
 
     def counted_stack(self, terms):
         held.append(self)  # so that no id is reused within the report
-        for slot, pairs in enumerate(self.slot_pairs()):
+        for slot, pairs in enumerate(self.slot_pairs):
             needed.update((id(self), slot, x, y, a, a2) for x, y in pairs
                           for _key, a, a2, _t in terms(x, y))
         depth[0] += 1

@@ -419,8 +419,8 @@ def test_channel_blocks_invert_recouple(cats, name):
                     for a2 in cat.ring.fusion(x, y):
                         mid = [((x, y), (x, y), np.eye(dX[x] * dY[y]))]
                         got = E._recouple(cat, X, Y, X, Y, a2, mid, a)
-                        Q2, ch2 = E._product_transform(cat, X, Y, a2)
-                        Q1, ch1 = E._product_transform(cat, X, Y, a)
+                        Q2, ch2 = E._product_iso(cat, X, Y, a2)[:2]
+                        Q1, ch1 = E._product_iso(cat, X, Y, a)[:2]
                         want = (Q2[:, ch2[(x, y)]]
                                 @ np.linalg.inv(Q1)[ch1[(x, y)]])
                         assert got.shape == want.shape
@@ -646,6 +646,19 @@ def test_object_bases_are_one_layout_entry(cats):
     assert E._tails(cat, 1, (2, 1)) == (((1,),), (), ((1,),))
 
 
+def test_positions_are_built_when_a_product_transform_reads_them(cats):
+    # a product X (x) Y needs only its bases and dimensions, until a product
+    # transform factors it
+    cat = loads_category(serialize_category(cats["ising"]))
+    X, Y = word(1), word(1, 2)
+    E.tensor(E.identity(cat, X), E.identity(cat, Y))
+    assert "positions" in vars(E._layout(cat, X))
+    XY = E._layout(cat, X.tensor(Y))
+    assert XY.bases and "positions" not in vars(XY)
+    E._product_iso(cat, X.tensor(Y), X, 0)
+    assert "positions" in vars(XY)
+
+
 def test_product_transform_and_inverse_are_one_entry(cats):
     # Q, its channel slices and its inverse are one cache entry, built once
     # and read-only
@@ -657,7 +670,7 @@ def test_product_transform_and_inverse_are_one_entry(cats):
     assert {key for key in keys if key[0] in ("Q", "Qinv")} == {
         ("Q", X.summands, Y.summands, 1)}
     Q, channels, Qinv = cat._cache[("Q", X.summands, Y.summands, 1)]
-    got_Q, got_channels = E._product_transform(cat, X, Y, 1)
+    got_Q, got_channels = E._product_iso(cat, X, Y, 1)[:2]
     assert got_Q is Q and got_channels is channels
     assert np.allclose(Q @ Qinv, np.eye(len(Q)))
     for a in (Q, Qinv):
