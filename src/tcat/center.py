@@ -107,7 +107,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 
@@ -115,8 +115,7 @@ from .category import (CategoryData, _condition, _fold, _inverse, _or_nan,
                        _svd)
 from .errors import DecompositionError, IdempotencyError, ShapeError
 from . import engine as E
-from .deligne import (DeligneMorphism, DelignePair, deligne_compose,
-                      pair_morphism, pair_object)
+from .deligne import DeligneMorphism, DelignePair, pair_morphism, pair_object
 from .modularity import is_modular
 
 __all__ = [
@@ -151,8 +150,11 @@ class HalfBraiding(Mapping):
 
     The channel products that ``stack`` sums are kept on the object, so
     the coupling loops of an F object (``_f_loop_blocks``) reuse them and
-    they are freed with it.
+    they are freed with it.  The blocks and the combed gamma built here are
+    read-only, and two half-braidings compare by identity.
     """
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, X: E.ObjectExpr, mats: Mapping | None = None, *,
                  cat: CategoryData | None = None,
@@ -222,6 +224,7 @@ class HalfBraiding(Mapping):
         if self._blocks is None:
             self._blocks = (self._slice_combed() if self.pair is None
                             else self._stack_crossings())
+            E._read_only(tuple(self._blocks.values()))
         return self._blocks
 
     def __getitem__(self, j: int) -> E.Morphism:
@@ -237,6 +240,7 @@ class HalfBraiding(Mapping):
             hit = self._combed[j] = E.Morphism(cat, J.tensor(X), X.tensor(J), {
                 c: E._recouple(cat, J, X, X, J, c, mid)
                 for c, mid in sorted(mids.items())})
+            E._read_only(hit)
         return hit
 
     def __contains__(self, j) -> bool:
@@ -249,7 +253,7 @@ class HalfBraiding(Mapping):
         return self.cat.n_labels
 
 
-@dataclass
+@dataclass(eq=False)
 class CenterObject:
     """A pair (X, gamma) with gamma a half-braiding on X."""
 
@@ -434,38 +438,33 @@ def functor_F(cat: CategoryData, D) -> CenterObject:
 
 
 def functor_F_on_morphism(cat: CategoryData, m: DeligneMorphism) -> E.Morphism:
-    """The tautological functor on morphisms: f [x] g |-> f (x) g, extended
-    linearly through the recoupling isomorphisms."""
-    src_slots, tgt_slots = m.source.slots, m.target.slots
-    src_parts = [X.tensor(Y) for (X, Y) in src_slots]
-    tgt_parts = [X.tensor(Y) for (X, Y) in tgt_slots]
-    src = E.ObjectExpr.direct_sum(src_parts)
-    tgt = E.ObjectExpr.direct_sum(tgt_parts)
-    blocks = {}
-    for k in range(cat.n_labels):
-        ds = src.dim_sector(cat, k)
-        dt = tgt.dim_sector(cat, k)
-        if not ds or not dt:
-            continue
-        mat = np.zeros((dt, ds), dtype=complex)
-        r_off = [0, *accumulate(p.dim_sector(cat, k) for p in tgt_parts)]
-        c_off = [0, *accumulate(p.dim_sector(cat, k) for p in src_parts)]
-        pairs = [p for p in m.blocks if cat.ring.admissible(*p, k)]
-        for t_slot, (Xt, Yt) in enumerate(tgt_slots):
-            for s_slot, (Xs, Ys) in enumerate(src_slots):
-                mid = [(p, p, m.slot_block(t_slot, s_slot, p)) for p in pairs]
-                mat[r_off[t_slot]:r_off[t_slot + 1],
-                    c_off[s_slot]:c_off[s_slot + 1]] = E._recouple(
-                        cat, Xs, Ys, Xt, Yt, k, mid)
-        blocks[k] = mat
-    return E.Morphism(cat, src, tgt, blocks)
+    """The tautological functor on morphisms, f [x] g |-> f (x) g: each
+    slot pair's blocks at the simple pairs are its channel blocks, recoupled
+    as ``engine.tensor`` recouples (``engine._recouple_channels``), and the
+    slot pairs are laid out block by block."""
+    src_parts = [X.tensor(Y) for X, Y in m.source.slots]
+    tgt_parts = [X.tensor(Y) for X, Y in m.target.slots]
+    parts = [[E._recouple_channels(
+        cat, Xs, Ys, Xt, Yt, {p: m.slot_block(t, s, p) for p in m.blocks})
+        for s, (Xs, Ys) in enumerate(m.source.slots)]
+        for t, (Xt, Yt) in enumerate(m.target.slots)]
+    dims_s = [E._sector_dims(cat, P) for P in src_parts]
+    dims_t = [E._sector_dims(cat, P) for P in tgt_parts]
+    # a slot pair that no channel carries to sector k is zero there
+    return E.Morphism(
+        cat, E.ObjectExpr.direct_sum(src_parts),
+        E.ObjectExpr.direct_sum(tgt_parts),
+        {k: np.block([[b.get(k, np.zeros((dt[k], ds[k]), dtype=complex))
+                       for b, ds in zip(row, dims_s)]
+                      for row, dt in zip(parts, dims_t)])
+         for k in sorted({k for row in parts for b in row for k in b})})
 
 
 # ----------------------------------------------------------------------
 # coupling idempotents
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CouplingIdempotent:
     """The normalized regular-color loop around i (x) X, with its image.
 
@@ -617,8 +616,8 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     around i (x) a through the tube channel a -> a2 (``_loop_table``).  An
     F object regroups the same sum through the per-category table t_i^{xy}
     of the module docstring, stacked per slot (``_f_loop_blocks``).  A
-    sector whose loop entries all vanish (``_VANISHING_LOOP_ENTRY``) is a
-    zero block, with no recoupling or SVD.  The sum is exact: the loop is
+    sector whose loop entries all vanish (``_VANISHING_LOOP_ENTRY``) has no
+    block, recoupling or SVD.  The sum is exact: the loop is
     linear in gamma_j; c_{i X, j} and c_{j,i} (x) 1_X are natural in every
     alpha : a -> X (the engine's braiding is the R-swap conjugated by
     recoupling, natural by construction); and closing j commutes with
@@ -636,21 +635,18 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     W = si.tensor(obj.X)
     loop_blocks = (_gamma_loop_blocks if obj.gamma.pair is None
                    else _f_loop_blocks)
-    blocks, live = {}, []
+    blocks = {}
     for b, n in enumerate(E._sector_dims(cat, W)):
         if not n:
             continue
         P = loop_blocks(cat, i, obj, b)  # (a2, a) -> Hom(a, X) -> Hom(a2, X)
-        if all(np.abs(m).max() <= cut for m in P.values()):
-            # a zero map: idempotent with residual 0 and no image
-            blocks[b] = np.zeros((n, n), dtype=complex)
-            continue
-        blocks[b] = E._recouple(cat, si, obj.X, si, obj.X, b, [
-            ((i, a2), (i, a), m) for (a2, a), m in P.items()])
-        live.append(b)
+        # a vanishing P is a zero map: idempotent with residual 0, no image
+        if not all(np.abs(m).max() <= cut for m in P.values()):
+            blocks[b] = E._recouple(cat, si, obj.X, si, obj.X, b, [
+                ((i, a2), (i, a), m) for (a2, a), m in P.items()])
     gamma_mor = E.Morphism(cat, W, W, blocks)
-    resid = max((E._spectral_norm(blocks[b] @ blocks[b] - blocks[b])
-                 for b in live), default=0.0)
+    resid = max((E._spectral_norm(M @ M - M) for M in blocks.values()),
+                default=0.0)
     if resid > eps:
         raise IdempotencyError(
             f"coupling morphism at i={cat.label_name(i)} on "
@@ -659,8 +655,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     ranks = {}
     incl_blocks = {}
     proj_blocks = {}
-    for k in live:
-        M = blocks[k]
+    for k, M in blocks.items():
         # each eigenvalue is already within sqrt(resid) of 0 or 1:
         # min(|l|, |l - 1|)^2 <= |l^2 - l| <= ||M^2 - M||_2 = resid
         u, s, _vh = _svd(M)
@@ -677,6 +672,7 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     proj = E.Morphism(cat, W, image, proj_blocks)
     out = CouplingIdempotent(i=i, gamma_mor=gamma_mor, image=image,
                              incl=incl, proj=proj, idempotency_residual=resid)
+    E._read_only((gamma_mor, incl, proj))  # kept on obj for every reader
     obj._couplings[(id(cat), i)] = out
     return out
 
@@ -850,7 +846,7 @@ def nat_transforms(cat: CategoryData, arg):
 # tube algebra and simple center objects
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class TubeAlgebra:
     """The annular category algebra on one strand.
 
@@ -1202,8 +1198,8 @@ def invertibility_report(cat: CategoryData,
     for X in objs:
         for Y in objs:
             d, q = _square_transforms(cat, X, Y)
-            qd = max(qd, E.defect_from_identity(deligne_compose(q, d)))
-            dq = max(dq, E.defect_from_identity(deligne_compose(d, q)))
+            qd = max(qd, E.defect_from_identity(E.compose(q, d)))
+            dq = max(dq, E.defect_from_identity(E.compose(d, q)))
     pb = bp = 0.0
     simples = center_simples(cat)
     for obj in simples:

@@ -10,7 +10,8 @@ sector: the block at (s, s') maps the source's
 to the target's, with the slots stacked in order and each slot's factor
 laid out as ``np.kron`` (``engine._kron``, the layout of ``engine.tensor``).
 Hom spaces factor slotwise by construction, which is the defining property
-of the exterior product.  Where each slot starts is read off one integer
+of the exterior product.  Composition, distance and the identity defect
+are the engine's.  Where each slot starts is read off one integer
 array per object and category, kept on the object, not in the category's
 cache (``DelignePair``).
 """
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .category import CategoryData
-from .errors import CompositionError
 from . import engine as E
 
 __all__ = ["DelignePair", "DeligneMorphism", "pair_object", "pair_morphism",
@@ -132,14 +132,6 @@ def deligne_identity(cat: CategoryData, D: DelignePair) -> DeligneMorphism:
                                        for k, n in D.grading(cat).items()})
 
 
-def deligne_compose(g: DeligneMorphism, f: DeligneMorphism) -> DeligneMorphism:
-    """g after f, one matrix product per simple pair."""
-    if f.target != g.source:
-        raise CompositionError("cannot compose: middle slot structures differ")
-    return DeligneMorphism(f.cat, f.source, g.target,
-                           {k: g.blocks[k] @ fb for k, fb in f.blocks.items()
-                            if k in g.blocks})
-
-
+deligne_compose = E.compose
 deligne_distance = E.distance
 deligne_defect = E.defect_from_identity

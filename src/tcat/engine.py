@@ -3,8 +3,8 @@
 Objects are formal direct sums of tensor words of simple labels; morphisms
 are stored per simple sector: the block of ``f : X -> Y`` at sector ``k`` is
 the matrix of post-composition ``Hom(k, X) -> Hom(k, Y)`` in the left-combed
-fusion-tree bases.  Composition is then plain per-sector matrix
-multiplication, and all structure (tensor product, braiding, duality,
+fusion-tree bases.  Composition is one matrix product per sector that both
+morphisms hold, and all structure (tensor product, braiding, duality,
 loops) is expressed through explicit recoupling matrices built from the
 F-symbols.
 
@@ -13,6 +13,8 @@ Hom(j, Y) is carried to the combed basis by ``_product_iso``.  The
 layout of that basis (which columns belong to which channel pair (i, j))
 is read only through ``_recouple``, which carries channel blocks onto the
 combed bases, and its inverse ``_channel_blocks``, which reads them off.
+``tensor`` and the functor F on morphisms recouple through one
+``_recouple_channels``.
 
 The tree bases are normalized so that splitting followed by fusion along
 the same tree is the identity on the channel ("orthonormal" convention);
@@ -423,14 +425,14 @@ def _channel_blocks(cat, Xs, Ys, Xt, Yt, k: int, block) -> dict:
 # morphisms
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Morphism:
     """A morphism X -> Y as per-sector block matrices.
 
-    ``blocks[k]`` maps Hom(k, X) -> Hom(k, Y); sectors where either space
-    is zero-dimensional may be omitted.  Sums and scalar multiples keep the
-    subclass, so ``deligne.DeligneMorphism`` (sectors keyed by label pairs)
-    inherits them.
+    ``blocks[k]`` maps Hom(k, X) -> Hom(k, Y); any zero block may be
+    omitted.  Sums, scalar multiples and composites keep the subclass, so
+    ``deligne.DeligneMorphism`` (sectors keyed by label pairs) inherits
+    them.
     """
 
     cat: CategoryData
@@ -517,19 +519,13 @@ def random_endomorphism(cat, X, rng) -> Morphism:
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f."""
+    """g after f, one matrix product per sector that both hold."""
     if f.target != g.source:
         raise CompositionError(
-            "cannot compose: inner objects differ "
-            f"({f.target.summands} vs {g.source.summands})")
-    cat = f.cat
-    dims_t = _sector_dims(cat, g.target)
-    dims_s = _sector_dims(cat, f.source)
-    blocks = {}
-    for k in range(cat.n_labels):
-        if dims_t[k] and dims_s[k]:
-            blocks[k] = g.block(k) @ f.block(k)
-    return Morphism(cat, f.source, g.target, blocks)
+            f"cannot compose: inner objects differ ({f.target} vs {g.source})")
+    return type(f)(f.cat, f.source, g.target,
+                   {k: g.blocks[k] @ fb for k, fb in f.blocks.items()
+                    if k in g.blocks})
 
 
 def compose_all(*mors: Morphism) -> Morphism:
@@ -570,27 +566,28 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def tensor(f: Morphism, g: Morphism) -> Morphism:
-    """Monoidal product, realized through recoupling onto combed bases."""
-    cat = f.cat
-    Xs, Ys = f.source, g.source
-    Xt, Yt = f.target, g.target
-    src = Xs.tensor(Ys)
-    tgt = Xt.tensor(Yt)
-    # the channel block f_i (x) g_j feeds every k in i j
+def _recouple_channels(cat, Xs, Ys, Xt, Yt, channels: dict) -> dict:
+    """The sector blocks of the map Xs (x) Ys -> Xt (x) Yt whose block on
+    the channel (i, j) is ``channels[(i, j)]`` : Hom(i, Xs) x Hom(j, Ys)
+    -> Hom(i, Xt) x Hom(j, Yt), at every k in i j (``_recouple``)."""
     mids = {}
-    for i, fb in f.blocks.items():
-        for j, gb in g.blocks.items():
-            prod = _kron(fb, gb)
+    for (i, j), rect in channels.items():
+        if rect.size:
             for k in cat.ring.fusion(i, j):
-                mids.setdefault(k, []).append(((i, j), (i, j), prod))
-    dims_s = _sector_dims(cat, src)
-    dims_t = _sector_dims(cat, tgt)
-    blocks = {}
-    for k in range(cat.n_labels):
-        if dims_s[k] and dims_t[k]:
-            blocks[k] = _recouple(cat, Xs, Ys, Xt, Yt, k, mids.get(k, ()))
-    return Morphism(cat, src, tgt, blocks)
+                mids.setdefault(k, []).append(((i, j), (i, j), rect))
+    return {k: _recouple(cat, Xs, Ys, Xt, Yt, k, mid)
+            for k, mid in sorted(mids.items())}
+
+
+def tensor(f: Morphism, g: Morphism) -> Morphism:
+    """Monoidal product: the channel block f_i (x) g_j recoupled onto the
+    combed bases (``_recouple_channels``)."""
+    channels = {(i, j): _kron(fb, gb) for i, fb in f.blocks.items()
+                for j, gb in g.blocks.items()}
+    return Morphism(f.cat, f.source.tensor(g.source),
+                    f.target.tensor(g.target), _recouple_channels(
+                        f.cat, f.source, g.source, f.target, g.target,
+                        channels))
 
 
 def braiding(cat: CategoryData, X, Y, inverse: bool = False) -> Morphism:
@@ -768,7 +765,7 @@ def zigzag_defects(cat: CategoryData, X) -> list:
 # dual bases and loops
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CasimirPair:
     """Dual bases of Hom(X, i*) and Hom(i*, X) under the trace pairing.
 
@@ -801,36 +798,19 @@ def hom_basis(cat: CategoryData, X, i: int, rotation=None) -> CasimirPair:
     n = X.dim_sector(cat, istar)
     if n == 0:
         return CasimirPair([], [], 1.0)
-    basis = []
-    candidates = []
-    for l in range(n):
-        row = np.zeros((1, n), dtype=complex)
-        row[0, l] = 1.0
-        basis.append(Morphism(cat, X, tgt, {istar: row}))
-        col = np.zeros((n, 1), dtype=complex)
-        col[l, 0] = 1.0
-        candidates.append(Morphism(cat, tgt, X, {istar: col}))
-    if rotation is not None:
-        rot = np.asarray(rotation, dtype=complex)
-        if rot.shape != (n, n):
-            raise ShapeError(f"rotation must be {n}x{n}, got {rot.shape}")
-        basis = [
-            Morphism(cat, X, tgt,
-                     {istar: sum(rot[a, l] * basis[l].block(istar)
-                                 for l in range(n))})
-            for a in range(n)
-        ]
-    # Tr(c_m o b_l) = sum_k d_k tr((c_m o b_l)_k), and only sector i* is
-    # non-zero: d_{i*} b_l[i*] c_m[i*] by cyclicity of the trace
-    rows = np.vstack([b.block(istar) for b in basis])
-    cols = np.hstack([c.block(istar) for c in candidates])
-    gram = cat.dim(istar) * (rows @ cols).T
-    coeffs = _inverse(gram).T
-    duals = []
-    for a in range(n):
-        col = sum(coeffs[m, a] * candidates[m].block(istar) for m in range(n))
-        duals.append(Morphism(cat, tgt, X, {istar: col}))
-    return CasimirPair(basis, duals, _condition(gram))
+    rot = (np.eye(n, dtype=complex) if rotation is None
+           else np.array(rotation, dtype=complex))
+    if rot.shape != (n, n):
+        raise ShapeError(f"rotation must be {n}x{n}, got {rot.shape}")
+    # b_l is row l of rot at sector i*; against the unit column c_m,
+    # Tr(c_m o b_l) = sum_k d_k tr((c_m o b_l)_k) = d_{i*} rot[l, m], as
+    # only sector i* is non-zero, so the duals are the columns of gram^-T
+    gram = cat.dim(istar) * rot.T
+    duals = _inverse(gram).T
+    return CasimirPair(
+        [Morphism(cat, X, tgt, {istar: rot[l:l + 1]}) for l in range(n)],
+        [Morphism(cat, tgt, X, {istar: duals[:, l:l + 1]}) for l in range(n)],
+        _condition(gram))
 
 
 def identity_resolution(cat: CategoryData, W) -> list:

@@ -14,7 +14,7 @@ __all__ = ["SMatrix", "ModularityVerdict", "MugerReport",
            "s_matrix", "is_modular", "muger_center", "double_braiding"]
 
 
-@dataclass
+@dataclass(eq=False)
 class SMatrix:
     """Unnormalized S-matrix: s[X, Y] = Tr(c_{Y,X} c_{X,Y})."""
 

@@ -1,6 +1,7 @@
 """Center machinery: half-braidings, coupling idempotents, tube algebra,
 the two functors, and the four transformations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from tcat.center import (CenterObject, HalfBraiding, _center_sort_key,
 from tcat.deligne import (DeligneMorphism, DelignePair, deligne_compose,
                           deligne_defect, deligne_distance, deligne_identity,
                           pair_morphism, pair_object)
-from tcat.modularity import is_modular, muger_center
+from tcat.modularity import is_modular, muger_center, s_matrix
 
 from conftest import (ALL_NAMES, input_doc, phase_gauge, product_doc, su2_doc,
                       vec_zn_doc)
@@ -189,6 +190,35 @@ def test_functor_f_functorial_on_two_slot_pairs(cats):
     assert E.distance(lhs, rhs) < 1e-9
     ident = functor_F_on_morphism(cat, deligne_identity(cat, TWO_SLOT_SRC))
     assert E.defect_from_identity(ident) < 1e-12
+
+
+def test_deligne_compose_is_the_engine_compose(cats):
+    # one product per simple pair that both hold, and the subclass is kept
+    cat = cats["ising"]
+    assert deligne_compose is E.compose
+    m1 = _two_slot_morphism(cat, TWO_SLOT_MID, TWO_SLOT_TGT)
+    m2 = _two_slot_morphism(cat, TWO_SLOT_SRC, TWO_SLOT_MID)
+    h = deligne_compose(m1, m2)
+    assert type(h) is DeligneMorphism
+    assert (h.source, h.target) == (TWO_SLOT_SRC, TWO_SLOT_TGT)
+    want = {k: m1.blocks[k] @ b for k, b in m2.blocks.items() if k in m1.blocks}
+    assert want and h.blocks.keys() == want.keys()
+    assert all(np.array_equal(h.blocks[k], b) for k, b in want.items())
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "so3_4"])
+def test_functor_f_of_an_exterior_product_is_the_tensor_product(cats, name):
+    # F(f [x] g) = f (x) g exactly: both recouple the same channel blocks
+    # (engine._recouple_channels), here on sums of words
+    cat = category_from_dict(input_doc(cats, name))
+    n = cat.n_labels
+    X = ObjectExpr.direct_sum([word(1), word(1, n - 1), ObjectExpr.unit()])
+    Y = ObjectExpr.direct_sum([word(n - 1, 1), word(1)])
+    f = E.random_morphism(cat, X, Y, RNG)
+    g = E.random_morphism(cat, Y, X, RNG)
+    image = functor_F_on_morphism(cat, pair_morphism(cat, f, g))
+    assert image.norm() > 1.0
+    assert E.distance(image, E.tensor(f, g)) == 0.0
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -1184,7 +1214,11 @@ def test_invertibility_report_keeps_no_f_objects(cats):
     lambda cat: [tube_algebra(cat).structure, tube_algebra(cat).unit],
     lambda cat: [b for s in center_simples(cat) for j in s.gamma
                  for b in s.gamma[j].blocks.values()],
-], ids=["legs", "tube_algebra", "center_gamma"])
+    lambda cat: [b for s in center_simples(cat) for b in s.gamma.blocks.values()],
+    lambda cat: [b for s in center_simples(cat) for cp in _slot_couplings(cat, s)
+                 for m in (cp.gamma_mor, cp.incl, cp.proj)
+                 for b in m.blocks.values()],
+], ids=["legs", "tube_algebra", "center_gamma", "crossing_blocks", "couplings"])
 def test_arrays_reached_from_the_category_cache_are_read_only(cats, reach):
     # a write into a shared array would change every later reader, for
     # example every later d and q through a leg
@@ -1194,6 +1228,35 @@ def test_arrays_reached_from_the_category_cache_are_read_only(cats, reach):
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
+
+
+def test_coupling_stores_no_zero_block(cats):
+    # a sector of i (x) X whose loop entries all vanish has no block, so
+    # gamma_mor holds exactly the sectors of its image
+    cat = cats["ising"]
+    dropped = 0
+    for obj in [*center_simples(cat), functor_F(cat, pair_object(1, 1))]:
+        for i in range(cat.n_labels):
+            cp = coupling_gamma(cat, i, obj)
+            assert cp.gamma_mor.blocks.keys() == cp.image.grading(cat).keys()
+            dropped += len(cp.gamma_mor.source.grading(cat)) - len(
+                cp.gamma_mor.blocks)
+    assert dropped
+
+
+def test_array_holders_compare_by_identity(cats):
+    # an == that compared the arrays held would raise ValueError
+    cat = cats["ising"]
+    X = word(1, 1, 1)
+    f, g = (E.random_endomorphism(cat, X, RNG) for _ in range(2))
+    F1, F2 = (functor_F(cat, pair_object(1, 1)) for _ in range(2))
+    alg = tube_algebra(cat)
+    for x, y in [(f, g), (F1, F2), (F1.gamma, F2.gamma),
+                 (coupling_gamma(cat, 1, F1), coupling_gamma(cat, 1, F2)),
+                 (alg, dataclasses.replace(alg, structure=alg.structure.copy())),
+                 (E.hom_basis(cat, X, 1), E.hom_basis(cat, X, 1)),
+                 (s_matrix(cat), s_matrix(cats["fibonacci"]))]:
+        assert x != y and x == x
 
 
 def test_stack_recouples_each_channel_product_once(monkeypatch):

@@ -87,6 +87,19 @@ def test_compose_shape_mismatch_raises(cats):
         E.compose(g, f)
 
 
+def test_compose_and_tensor_store_no_zero_block(cats):
+    # a sector that one factor lacks, or that no channel reaches, is a zero
+    # map and has no block
+    cat = cats["ising"]
+    X = word(1, 1)  # sectors 1 and psi
+    f = E.Morphism(cat, X, X, {0: np.ones((1, 1), dtype=complex)})
+    g = E.Morphism(cat, X, X, {2: np.ones((1, 1), dtype=complex)})
+    assert E.compose(g, f).blocks == {}
+    assert E.tensor(E.zero_morphism(cat, X, X), E.identity(cat, X)).blocks == {}
+    # the channel (1, psi) reaches psi alone, though X psi has sector 1 too
+    assert set(E.tensor(f, E.identity(cat, word(2))).blocks) == {2}
+
+
 def test_braiding_inverse_pair(cats):
     for cat in cats.values():
         n = cat.n_labels
@@ -289,6 +302,14 @@ def test_hom_basis_rotation_keeps_duality(cats):
     gram = np.array([[E.trace_pairing(cat, pair.dual_basis[a], pair.basis[b])
                       for b in range(2)] for a in range(2)])
     assert np.allclose(gram, np.eye(2), atol=1e-9)
+
+
+def test_hom_basis_copies_the_rotation(cats):
+    cat = cats["ising"]
+    rot = np.array([[1.0, 2.0], [0.0, 1.0]])
+    pair = E.hom_basis(cat, word(1, 1, 1), 1, rotation=rot)
+    rot[:] = 0.0
+    assert [b.block(1).tolist() for b in pair.basis] == [[[1, 2]], [[0, 1]]]
 
 
 @pytest.mark.parametrize("name", [
