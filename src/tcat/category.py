@@ -297,6 +297,10 @@ class CategoryData:
         self._coev_scalar = tuple(coev)
         self._ev_scalar = tuple(1.0 + 0j for _ in range(n))
         dims = tuple(self.piv.t[a] * self._coev_scalar[a] for a in range(n))
+        for a, d in enumerate(dims):
+            if d == 0:  # an infinite F entry, or an underflow
+                raise InvalidCategoryError(
+                    f"quantum dimension of label '{self.label_name(a)}' is 0")
         self.dims = dims
         self.total_dim = sum(d * d for d in dims)
         if abs(self.total_dim) < self.tol.eps_identity:
@@ -630,10 +634,48 @@ def global_dim(cat: CategoryData) -> Scalar:
 # file schema
 # ----------------------------------------------------------------------
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, kind: type = list):
     if key not in doc:
         raise SchemaError(f"category document is missing required key '{key}'")
+    if not isinstance(doc[key], kind):
+        raise SchemaError(f"key '{key}' must be a {kind.__name__}")
     return doc[key]
+
+
+def _parse(what: str, value, read):
+    """``read(value)``, where a malformed value is a SchemaError about
+    ``what``."""
+    try:
+        return read(value)
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise SchemaError(f"malformed {what}: {value}") from exc
+
+
+def _ids(values) -> tuple:
+    """``values`` as label ids; a value that is not a whole number raises."""
+    ids = tuple(map(int, values))
+    if ids != tuple(values):
+        raise ValueError(f"label ids {values} are not whole numbers")
+    return ids
+
+
+def _records(doc: dict, key: str, legs: str, fits, zero: str = "",
+             off: str = "off the fusion rules") -> dict:
+    """``{ids: re + i im}`` over the records under ``key``, the integer ids
+    read at ``legs``.  Ids that ``fits`` refuses are ``off``, and a zero
+    value is refused where ``zero`` names it."""
+    out, what = {}, f"record in key '{key}'"
+    for rec in _require(doc, key):
+        ids, val = _parse(what, rec, lambda r: (
+            _ids([r[x] for x in legs]),
+            complex(float(r["re"]), float(r.get("im", 0.0)))))
+        if not fits(*ids):
+            raise SchemaError(f"key '{key}' has a record {off}: {rec}")
+        if zero and val == 0:
+            raise SchemaError(f"key '{key}' has a zero {zero}: {rec}")
+        out[ids] = val
+    return out
 
 
 def _admissible(ring: FusionRing, a: int, b: int, c: int) -> bool:
@@ -665,7 +707,7 @@ def category_from_dict(doc: dict) -> CategoryData:
     unknown = set(doc) - SCHEMA_KEYS
     if unknown:
         raise SchemaError(f"unknown keys in category document: {sorted(unknown)}")
-    name = _require(doc, "name")
+    name = _require(doc, "name", object)
     label_names = _require(doc, "labels")
     if not label_names:
         raise SchemaError("key 'labels' must list at least the tensor unit")
@@ -675,7 +717,7 @@ def category_from_dict(doc: dict) -> CategoryData:
     dual = _require(doc, "dual")
     if len(dual) != n:
         raise SchemaError(f"key 'dual' must have length {n}, got {len(dual)}")
-    dual = tuple(int(d) for d in dual)
+    dual = _parse("key 'dual'", dual, _ids)
     if any(not 0 <= d < n for d in dual):
         raise SchemaError("key 'dual' contains an out-of-range label id")
     if dual[0] != 0:
@@ -686,12 +728,12 @@ def category_from_dict(doc: dict) -> CategoryData:
 
     triples = []
     for rec in _require(doc, "fusion"):
-        if len(rec) != 3:
+        triple = _parse("entry in key 'fusion'", rec, _ids)
+        if len(triple) != 3:
             raise SchemaError(f"key 'fusion' entries must be [i,j,k] triples, got {rec}")
-        i, j, k = (int(x) for x in rec)
-        if not all(0 <= x < n for x in (i, j, k)):
+        if not all(0 <= x < n for x in triple):
             raise SchemaError(f"key 'fusion' contains out-of-range ids in {rec}")
-        triples.append((i, j, k))
+        triples.append(triple)
     ring = FusionRing(n, triples)
 
     for i in range(n):
@@ -704,34 +746,13 @@ def category_from_dict(doc: dict) -> CategoryData:
                 raise SchemaError("key 'fusion' is inconsistent with key 'dual' "
                                   f"at labels ({i},{j})")
 
-    f_entries = {}
-    for rec in _require(doc, "F"):
-        try:
-            key = (int(rec["a"]), int(rec["b"]), int(rec["c"]),
-                   int(rec["d"]), int(rec["e"]), int(rec["f"]))
-            val = complex(float(rec["re"]), float(rec.get("im", 0.0)))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed record in key 'F': {rec}") from exc
-        a, b, c, d, e, f = key
-        if not all(_admissible(ring, *t)
-                   for t in ((a, b, e), (e, c, d), (b, c, f), (a, f, d))):
-            raise SchemaError(f"key 'F' has a record off the fusion rules: {rec}")
-        f_entries[key] = val
-    f_table = FSymbolTable(f_entries)
-
-    r_entries = {}
-    for rec in _require(doc, "R"):
-        try:
-            key = (int(rec["a"]), int(rec["b"]), int(rec["c"]))
-            val = complex(float(rec["re"]), float(rec.get("im", 0.0)))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed record in key 'R': {rec}") from exc
-        if not _admissible(ring, *key):
-            raise SchemaError(f"key 'R' has a record off the fusion rules: {rec}")
-        if val == 0:
-            raise SchemaError(f"key 'R' has a zero braiding eigenvalue: {rec}")
-        r_entries[key] = val
-    r_table = RSymbolTable(r_entries)
+    f_table = FSymbolTable(_records(
+        doc, "F", "abcdef", lambda a, b, c, d, e, f: all(
+            _admissible(ring, *t)
+            for t in ((a, b, e), (e, c, d), (b, c, f), (a, f, d)))))
+    r_table = RSymbolTable(_records(
+        doc, "R", "abc", lambda a, b, c: _admissible(ring, a, b, c),
+        zero="braiding eigenvalue"))
 
     # identity-forced entries must be explicit: unit-leg F and R symbols
     for a in range(n):
@@ -751,24 +772,17 @@ def category_from_dict(doc: dict) -> CategoryData:
             raise SchemaError("key 'R' is missing the identity-forced entry "
                               f"{{a:{a},b:0,c:{a}}}")
 
-    piv_list = [None] * n
-    for rec in _require(doc, "pivotal"):
-        try:
-            piv_list[int(rec["i"])] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise SchemaError(f"malformed record in key 'pivotal': {rec}") from exc
-        if piv_list[int(rec["i"])] == 0:
-            raise SchemaError(f"key 'pivotal' has a zero coefficient: {rec}")
-    if any(v is None for v in piv_list):
-        missing = [i for i, v in enumerate(piv_list) if v is None]
+    piv = _records(doc, "pivotal", "i", lambda i: 0 <= i < n,
+                   zero="coefficient", off=f"off the labels 0..{n - 1}")
+    missing = [i for i in range(n) if (i,) not in piv]
+    if missing:
         raise SchemaError(f"key 'pivotal' is missing labels {missing}")
-    piv = PivotalCoeffs(t=tuple(piv_list))
+    piv = PivotalCoeffs(t=tuple(piv[(i,)] for i in range(n)))
 
     tol_doc = doc.get("tolerances", {})
-    tol = ToleranceCfg(
-        eps_structural=float(tol_doc.get("structural", 1e-10)),
-        eps_identity=float(tol_doc.get("identity", 1e-9)),
-    )
+    tol = _parse("key 'tolerances'", tol_doc, lambda t: ToleranceCfg(
+        eps_structural=float(t.get("structural", 1e-10)),
+        eps_identity=float(t.get("identity", 1e-9))))
     return CategoryData(name=str(name), labels=labels, dual=dual, ring=ring,
                         f=f_table, r=r_table, piv=piv, tol=tol)
 

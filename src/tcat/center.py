@@ -441,23 +441,14 @@ def functor_F_on_morphism(cat: CategoryData, m: DeligneMorphism) -> E.Morphism:
     """The tautological functor on morphisms, f [x] g |-> f (x) g: each
     slot pair's blocks at the simple pairs are its channel blocks, recoupled
     as ``engine.tensor`` recouples (``engine._recouple_channels``), and the
-    slot pairs are laid out block by block."""
-    src_parts = [X.tensor(Y) for X, Y in m.source.slots]
-    tgt_parts = [X.tensor(Y) for X, Y in m.target.slots]
-    parts = [[E._recouple_channels(
-        cat, Xs, Ys, Xt, Yt, {p: m.slot_block(t, s, p) for p in m.blocks})
+    slot pairs are laid out by ``Morphism.assemble``."""
+    grid = [[E.Morphism(cat, Xs.tensor(Ys), Xt.tensor(Yt), E._recouple_channels(
+        cat, Xs, Ys, Xt, Yt, {p: m.slot_block(t, s, p) for p in m.blocks}))
         for s, (Xs, Ys) in enumerate(m.source.slots)]
         for t, (Xt, Yt) in enumerate(m.target.slots)]
-    dims_s = [E._sector_dims(cat, P) for P in src_parts]
-    dims_t = [E._sector_dims(cat, P) for P in tgt_parts]
-    # a slot pair that no channel carries to sector k is zero there
-    return E.Morphism(
-        cat, E.ObjectExpr.direct_sum(src_parts),
-        E.ObjectExpr.direct_sum(tgt_parts),
-        {k: np.block([[b.get(k, np.zeros((dt[k], ds[k]), dtype=complex))
-                       for b, ds in zip(row, dims_s)]
-                      for row, dt in zip(parts, dims_t)])
-         for k in sorted({k for row in parts for b in row for k in b})})
+    return E.Morphism.assemble(
+        cat, E.ObjectExpr.direct_sum([X.tensor(Y) for X, Y in m.source.slots]),
+        E.ObjectExpr.direct_sum([X.tensor(Y) for X, Y in m.target.slots]), grid)
 
 
 # ----------------------------------------------------------------------
@@ -709,24 +700,15 @@ def functor_G_on_morphism(cat: CategoryData, src: CenterObject,
                           tgt: CenterObject, phi: E.Morphism) -> DeligneMorphism:
     """G on morphisms: sandwich 1_i (x) phi between the coupling data
     (proj o gamma = proj and gamma o incl = incl, so gamma itself drops)."""
-    G_src = functor_G(cat, src)
-    G_tgt = functor_G(cat, tgt)
-    src_slots = {cp.i: (s_slot, cp)
-                 for s_slot, cp in enumerate(_slot_couplings(cat, src))}
-    out = DeligneMorphism(cat, G_src, G_tgt, {})
-    for t_slot, cp_t in enumerate(_slot_couplings(cat, tgt)):
-        i = cp_t.i
-        if i not in src_slots:
-            continue
-        s_slot, cp_s = src_slots[i]
-        mid = E.compose_all(
-            cp_t.proj, E.tensor(E.identity(cat, E.ObjectExpr.simple(i)), phi),
-            cp_s.incl)
-        ident = E.identity(cat, E.ObjectExpr.simple(cat.dual[i]))
-        term = pair_morphism(cat, ident, mid, source=G_src, target=G_tgt,
-                             t_slot=t_slot, s_slot=s_slot)
-        out = out + term
-    return out
+    G_src, G_tgt = functor_G(cat, src), functor_G(cat, tgt)
+    return DeligneMorphism.assemble(cat, G_src, G_tgt, [[
+        pair_morphism(cat, E.identity(cat, St[0]), E.compose_all(
+            cp_t.proj, E.tensor(E.identity(cat, E.ObjectExpr.simple(cp_t.i)),
+                                phi), cp_s.incl))
+        if cp_s.i == cp_t.i else
+        DeligneMorphism(cat, DelignePair((Ss,)), DelignePair((St,)), {})
+        for cp_s, Ss in zip(_slot_couplings(cat, src), G_src.slots)]
+        for cp_t, St in zip(_slot_couplings(cat, tgt), G_tgt.slots)])
 
 
 def _legs(cat: CategoryData, X: E.ObjectExpr, i: int) -> tuple:
@@ -757,18 +739,23 @@ def _square_transforms(cat: CategoryData, X, Y) -> tuple:
     XY = pair_object(X, Y)
     fobj = functor_F(cat, XY)
     GF = functor_G(cat, fobj)
-    d = DeligneMorphism(cat, XY, GF, {})
-    q = DeligneMorphism(cat, GF, XY, {})
     id_Y = E.identity(cat, Y)
-    for slot, cp in enumerate(_slot_couplings(cat, fobj)):
+    ds, qs = [], []
+    for cp, S in zip(_slot_couplings(cat, fobj), GF.slots):
+        slot = DelignePair((S,))
+        d = DeligneMorphism(cat, XY, slot, {})
+        q = DeligneMorphism(cat, slot, XY, {})
         for phi_w, dual_w, u, v in _legs(cat, X, cp.i):
             d = d + pair_morphism(cat, phi_w,
                                   E.compose(cp.proj, E.tensor(u, id_Y)),
-                                  source=XY, target=GF, t_slot=slot)
+                                  source=XY, target=slot)
             q = q + pair_morphism(cat, dual_w,
                                   E.compose(E.tensor(v, id_Y), cp.incl),
-                                  source=GF, target=XY, s_slot=slot)
-    return d, q
+                                  source=slot, target=XY)
+        ds.append([d])
+        qs.append(q)
+    return (DeligneMorphism.assemble(cat, XY, GF, ds),
+            DeligneMorphism.assemble(cat, GF, XY, [qs]))
 
 
 def _center_transforms(cat: CategoryData, obj: CenterObject) -> tuple:
@@ -787,12 +774,8 @@ def _center_transforms(cat: CategoryData, obj: CenterObject) -> tuple:
         ps.append(E.compose(E.tensor(E.cup_cap(cat, si, "eval"), id_X),
                             E.tensor(id_dual, cp.incl)) * w)
     FG = E.ObjectExpr.direct_sum([m.target for m in bs])
-    sectors = [k for k, n in enumerate(E._sector_dims(cat, X))
-               if n and FG.dim_sector(cat, k)]
-    return (E.Morphism(cat, X, FG, {k: np.vstack([m.block(k) for m in bs])
-                                    for k in sectors}),
-            E.Morphism(cat, FG, X, {k: np.hstack([m.block(k) for m in ps])
-                                    for k in sectors}))
+    return (E.Morphism.assemble(cat, X, FG, [[b] for b in bs]),
+            E.Morphism.assemble(cat, FG, X, [ps]))
 
 
 def transform_d(cat: CategoryData, X, Y) -> DeligneMorphism:

@@ -108,23 +108,17 @@ def pair_morphism(cat: CategoryData, f: E.Morphism, g: E.Morphism,
                   source: DelignePair | None = None,
                   target: DelignePair | None = None,
                   t_slot: int = 0, s_slot: int = 0) -> DeligneMorphism:
-    """The exterior product f [x] g, placed at one slot pair: f_s (x) g_s'
-    at (s, s')."""
+    """The exterior product f [x] g, f_s (x) g_s' at (s, s'), placed at one
+    slot pair (``DeligneMorphism.assemble``)."""
     source = source or pair_object(f.source, g.source)
     target = target or pair_object(f.target, g.target)
-    blocks = {}
-    for s, fb in f.blocks.items():
-        for sp, gb in g.blocks.items():
-            if not (fb.size and gb.size):
-                continue
-            prod = E._kron(fb, gb)
-            rt, rs = target.starts(cat, (s, sp)), source.starts(cat, (s, sp))
-            if prod.shape != (rt[-1], rs[-1]):
-                blk = np.zeros((rt[-1], rs[-1]), dtype=complex)
-                blk[rt[t_slot]:rt[t_slot + 1], rs[s_slot]:rs[s_slot + 1]] = prod
-                prod = blk
-            blocks[(s, sp)] = prod
-    return DeligneMorphism(cat, source, target, blocks)
+    blocks = {(s, sp): E._kron(fb, gb) for s, fb in f.blocks.items()
+              for sp, gb in g.blocks.items() if fb.size and gb.size}
+    return DeligneMorphism.assemble(cat, source, target, [
+        [DeligneMorphism(cat, DelignePair((Ss,)), DelignePair((St,)),
+                         blocks if (t, s) == (t_slot, s_slot) else {})
+         for s, Ss in enumerate(source.slots)]
+        for t, St in enumerate(target.slots)])
 
 
 def deligne_identity(cat: CategoryData, D: DelignePair) -> DeligneMorphism:

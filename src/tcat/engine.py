@@ -14,7 +14,8 @@ layout of that basis (which columns belong to which channel pair (i, j))
 is read only through ``_recouple``, which carries channel blocks onto the
 combed bases, and its inverse ``_channel_blocks``, which reads them off.
 ``tensor`` and the functor F on morphisms recouple through one
-``_recouple_channels``.
+``_recouple_channels``.  A morphism between direct sums is laid out from
+its parts, one per summand pair, by ``Morphism.assemble``.
 
 The tree bases are normalized so that splitting followed by fusion along
 the same tree is the identity on the channel ("orthonormal" convention);
@@ -447,12 +448,25 @@ class Morphism:
         return np.zeros((self.target.dim_sector(self.cat, k),
                          self.source.dim_sector(self.cat, k)), dtype=complex)
 
+    @classmethod
+    def assemble(cls, cat, source, target, grid) -> "Morphism":
+        """The morphism between sums whose part from source summand s to
+        target summand t is ``grid[t][s]``, joined at each sector that some
+        part holds."""
+        if len(grid) == 1 and len(grid[0]) == 1:  # one part: nothing to join
+            return cls(cat, source, target, dict(grid[0][0].blocks))
+        keys = sorted({k for row in grid for part in row for k in part.blocks})
+        return cls(cat, source, target, {k: np.concatenate(
+            [np.concatenate([part.block(k) for part in row], axis=1)
+             for row in grid]) for k in keys})
+
     def __add__(self, other: "Morphism") -> "Morphism":
         if self.source != other.source or self.target != other.target:
             raise CompositionError("cannot add morphisms with different objects")
         keys = set(self.blocks) | set(other.blocks)
         return type(self)(self.cat, self.source, self.target,
-                          {k: self.block(k) + other.block(k) for k in keys})
+                          {k: self.blocks.get(k, 0.0) + other.blocks.get(k, 0.0)
+                           for k in keys})
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + (other * (-1.0))
@@ -879,22 +893,10 @@ def omega_loop(cat: CategoryData, X, mirror: bool = False) -> Morphism:
 
 
 def direct_sum(mors) -> Morphism:
-    """Block-diagonal direct sum of morphisms, in the given order."""
-    cat = mors[0].cat
-    src = ObjectExpr.direct_sum([m.source for m in mors])
-    tgt = ObjectExpr.direct_sum([m.target for m in mors])
-    blocks = {}
-    for k in range(cat.n_labels):
-        ds = src.dim_sector(cat, k)
-        dt = tgt.dim_sector(cat, k)
-        if not ds or not dt:
-            continue
-        mat = np.zeros((dt, ds), dtype=complex)
-        ro = co = 0
-        for m in mors:
-            b = m.block(k)
-            mat[ro:ro + b.shape[0], co:co + b.shape[1]] = b
-            ro += b.shape[0]
-            co += b.shape[1]
-        blocks[k] = mat
-    return Morphism(cat, src, tgt, blocks)
+    """Block-diagonal direct sum of morphisms, in the given order
+    (``Morphism.assemble``)."""
+    return Morphism.assemble(
+        mors[0].cat, ObjectExpr.direct_sum([m.source for m in mors]),
+        ObjectExpr.direct_sum([m.target for m in mors]),
+        [[m if s == t else zero_morphism(m.cat, m.source, n.target)
+          for s, m in enumerate(mors)] for t, n in enumerate(mors)])

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from tcat import (SchemaError, UnknownCategoryError, catalog, catalog_names,
-                  global_dim, loads_category, quantum_dim, serialize_category,
+from tcat import (InvalidCategoryError, SchemaError, UnknownCategoryError,
+                  catalog, catalog_names, global_dim, loads_category, quantum_dim, serialize_category,
                   validate)
 from tcat.category import (CategoryData, FSymbolTable, ToleranceCfg, _fold,
                            category_from_dict, category_to_dict)
@@ -132,6 +132,45 @@ def test_loader_rejects_zero_pivotal_coefficient(cats):
     doc["pivotal"][1]["re"] = 0.0
     with pytest.raises(SchemaError, match="zero coefficient"):
         category_from_dict(doc)
+
+
+MALFORMED = {
+    "f_value": lambda d: d["F"][0].update(re="abc"),
+    "r_value": lambda d: d["R"][0].update(re="abc"),
+    "pivotal_value": lambda d: d["pivotal"][0].update(re="abc"),
+    "tolerance_value": lambda d: d.update(tolerances={"identity": "x"}),
+    "fusion_id": lambda d: d["fusion"].append([1, "a", 1]),
+    "dual_id": lambda d: d.update(dual=[0, "x"]),
+    "tolerances_list": lambda d: d.update(tolerances=[1]),
+    "f_not_a_list": lambda d: d.update(F=5),
+    "pivotal_negative_label": lambda d: d["pivotal"].append(
+        {"i": -1, "re": 2.0, "im": 0.0}),
+    "fractional_label": lambda d: d["R"][0].update(a=0.5),
+    "infinite_label": lambda d: d["F"][0].update(a=float("inf")),
+    "fusion_string": lambda d: d["fusion"].append("110"),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_loader_reports_every_malformed_document(cats, edit):
+    # a value of the wrong type, or a label outside 0..n-1 (-1 would index
+    # the last label), is a schema error, which the CLI reports with exit 2
+    doc = category_to_dict(cats["fibonacci"])
+    edit(doc)
+    with pytest.raises(SchemaError):
+        category_from_dict(doc)
+
+
+def test_loader_rejects_a_zero_quantum_dimension(cats):
+    # JSON reads F(tau,tau,tau,tau; 0,0) = 1e309 as inf, so coev(tau) is 0
+    text = serialize_category(cats["fibonacci"])
+    doc = json.loads(text)
+    for rec in doc["F"]:
+        if [rec[x] for x in "abcdef"] == [1, 1, 1, 1, 0, 0]:
+            rec["re"] = "INF"
+    text = json.dumps(doc).replace('"INF"', "1e309")
+    with pytest.raises(InvalidCategoryError, match="label 'tau'"):
+        loads_category(text)
 
 
 def test_tolerance_invariant():

@@ -179,6 +179,22 @@ def test_pair_morphism_fills_one_slot_pair(cats):
     assert "sector sigma [x] sigma:" in m.dump()
 
 
+def test_assemble_keeps_the_deligne_morphism(cats):
+    # part (t, s) of the grid is the block at slot pair (t, s)
+    cat = cats["ising"]
+    src, tgt = TWO_SLOT_SRC, TWO_SLOT_TGT
+    grid = [[pair_morphism(cat, E.random_morphism(cat, Xs, Xt, RNG),
+                           E.random_morphism(cat, Ys, Yt, RNG))
+             for Xs, Ys in src.slots] for Xt, Yt in tgt.slots]
+    m = DeligneMorphism.assemble(cat, src, tgt, grid)
+    assert type(m) is DeligneMorphism
+    assert m.blocks
+    for k in m.blocks:
+        for t, row in enumerate(grid):
+            for s, part in enumerate(row):
+                assert np.array_equal(m.slot_block(t, s, k), part.block(k))
+
+
 def test_functor_f_functorial_on_two_slot_pairs(cats):
     cat = cats["ising"]
     m1 = _two_slot_morphism(cat, TWO_SLOT_MID, TWO_SLOT_TGT)

@@ -100,6 +100,23 @@ def test_compose_and_tensor_store_no_zero_block(cats):
     assert set(E.tensor(f, E.identity(cat, word(2))).blocks) == {2}
 
 
+def test_assemble_lays_out_its_parts(cats):
+    # part (t, s) sits at row part t and column part s (the np.block layout)
+    # at every sector; a sector that no part holds has no block
+    cat = cats["ising"]
+    srcs = [word(1), word(1, 2), ObjectExpr.unit()]
+    tgts = [word(2, 1), word(1, 1)]
+    grid = [[E.random_morphism(cat, S, T, RNG) for S in srcs] for T in tgts]
+    grid[1][2] = E.zero_morphism(cat, srcs[2], tgts[1])  # the only sector-0 part
+    m = E.Morphism.assemble(cat, ObjectExpr.direct_sum(srcs),
+                            ObjectExpr.direct_sum(tgts), grid)
+    assert set(m.blocks) == {1}
+    assert m.source.dim_sector(cat, 0) == 1 == m.target.dim_sector(cat, 0)
+    for k in range(cat.n_labels):
+        assert np.array_equal(m.block(k), np.block(
+            [[part.block(k) for part in row] for row in grid]))
+
+
 def test_braiding_inverse_pair(cats):
     for cat in cats.values():
         n = cat.n_labels
