@@ -298,9 +298,9 @@ class CategoryData:
         self._ev_scalar = tuple(1.0 + 0j for _ in range(n))
         dims = tuple(self.piv.t[a] * self._coev_scalar[a] for a in range(n))
         for a, d in enumerate(dims):
-            if d == 0:  # an infinite F entry, or an underflow
+            if not (d and cmath.isfinite(d)):  # a non-finite entry or underflow
                 raise InvalidCategoryError(
-                    f"quantum dimension of label '{self.label_name(a)}' is 0")
+                    f"quantum dimension of label '{self.label_name(a)}' is {abs(d):g}")
         self.dims = dims
         self.total_dim = sum(d * d for d in dims)
         if abs(self.total_dim) < self.tol.eps_identity:
@@ -733,6 +733,8 @@ def category_from_dict(doc: dict) -> CategoryData:
             raise SchemaError(f"key 'fusion' entries must be [i,j,k] triples, got {rec}")
         if not all(0 <= x < n for x in triple):
             raise SchemaError(f"key 'fusion' contains out-of-range ids in {rec}")
+        if triple in triples:
+            raise SchemaError(f"key 'fusion' lists the triple {rec} twice")
         triples.append(triple)
     ring = FusionRing(n, triples)
 

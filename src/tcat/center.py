@@ -44,9 +44,8 @@ crossing is the scalar (``_crossing_table``)
                            F(x,j,y,c; e,f) / R(y,j,f) Finv(x,y,j,c; f,a2)
 
 on Hom(a, x y) and the identity on Hom(x, X) x Hom(y, Y), so each slot
-holds Q(X,Y,a2) ((+)_{(x,y)} h 1) Qinv(X,Y,a) in the block: the sum over
-(x, y) of h times the identity of that channel carried from sector a to
-a2, one ``engine._recouple`` kept on the object (``HalfBraiding.stack``).
+holds Q(X,Y,a2) ((+)_{(x,y)} h 1) Qinv(X,Y,a) in the block
+(``HalfBraiding.stack``).
 The coupling loop of an F object is therefore contracted with h once per
 category, over the loop entries (j, a, a2, c, w) of i (x) a at sector b
 (``_f_loop_table``):
@@ -60,7 +59,7 @@ identities exactly in the modular case, and their defect norms quantify
 the failure of invertibility for degenerate inputs.  Each pair is built in
 one loop over the coupling slots i (``_square_transforms``,
 ``_center_transforms``).  With w = sqrt(d_i), phi_l a basis of Hom(X, i*)
-and phi^l its trace dual, the small legs
+and phi^l its trace dual, the legs
 
     u_l = (1_i (x) phi^l) coev_i : 1 -> i X,
     v_l = ev'_i (1_i (x) phi_l) : i X -> 1
@@ -71,6 +70,14 @@ are whiskered by Y, which is exact by the interchange law:
     q = sum_{i,l} (w phi^l) [x] (v_l (x) 1_Y) incl_i,
     b = stack_i        w (1_{i*} (x) proj_i) (coev'_i (x) 1_X),
     p = side-by-side_i w (ev_i (x) 1_X) (1_{i*} (x) incl_i).
+
+Slot i of G F(X [x] Y) lives at the sectors (i*, s) alone, so with ch
+the (0, s) channel of Q = Q(i X, Y, s), Q1 = Q(1, Y, s) and the legs
+L_d = sum_l u_l[0] (w phi_l)[i*], L_q = sum_l (w phi^l)[i*] v_l[0]
+(``_legs``) each block is one product:
+
+    d[(i*, s)] = proj_i[s] Q[:, ch] (L_d (x) Q1^-1),
+    q[(i*, s)] = (L_q (x) Q1) Qinv[ch, :] incl_i[s].
 
 Simple center objects are materialized through the tube algebra (the
 annular category on one marked point) and verified rather than trusted:
@@ -113,7 +120,8 @@ import numpy as np
 
 from .category import (CategoryData, _condition, _fold, _inverse, _or_nan,
                        _svd)
-from .errors import DecompositionError, IdempotencyError, ShapeError
+from .errors import (DecompositionError, IdempotencyError,
+                     InvalidCategoryError, ShapeError)
 from . import engine as E
 from .deligne import DeligneMorphism, DelignePair, pair_morphism, pair_object
 from .modularity import is_modular
@@ -148,10 +156,8 @@ class HalfBraiding(Mapping):
       (X_s, Y_s), and the blocks are stacked from the crossing table
       (``stack``) over its ``slot_pairs``.  Both are None otherwise.
 
-    The channel products that ``stack`` sums are kept on the object, so
-    the coupling loops of an F object (``_f_loop_blocks``) reuse them and
-    they are freed with it.  The blocks and the combed gamma built here are
-    read-only, and two half-braidings compare by identity.
+    The blocks and the combed gamma built here are read-only, and two
+    half-braidings compare by identity.
     """
 
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -167,35 +173,27 @@ class HalfBraiding(Mapping):
         self.X, self.cat, self.pair = X, cat, pair
         self.slot_pairs = pair.slot_pairs(cat) if pair is not None else None
         self._combed, self._blocks = dict(mats or {}), None
-        self._products = {}
 
     def stack(self, terms) -> dict:
-        """``{key: block}`` with block Hom(a, X) -> Hom(a2, X), holding at
-        each slot's offsets the sum of t Q(X_s, Y_s, a2)[:, xy]
-        Qinv(X_s, Y_s, a)[xy, :] over the pairs xy = (x, y) and the
-        ``(key, a, a2, t) in terms(x, y)``.  Each product is the identity
-        of the channel xy carried from sector a to a2 (``engine._recouple``),
-        made once per (slot, x, y, a, a2) and kept on this object."""
-        cat = self.cat
-        dims = E._sector_dims(cat, self.X)
-        out = {}
-        start = [0] * cat.n_labels
-        for slot, ((X, Y), pairs) in enumerate(
-                zip(self.pair.slots, self.slot_pairs)):
-            dX, dY = E._sector_dims(cat, X), E._sector_dims(cat, Y)
-            for x, y in pairs:
-                for key, a, a2, t in terms(x, y):
-                    K = self._products.get((slot, x, y, a, a2))
-                    if K is None:
-                        one = [((x, y), (x, y), np.eye(dX[x] * dY[y]))]
-                        K = self._products[(slot, x, y, a, a2)] = E._recouple(
-                            cat, X, Y, X, Y, a2, one, a)
-                    if key not in out:
-                        out[key] = np.zeros((dims[a2], dims[a]), dtype=complex)
-                    out[key][start[a2]:start[a2] + K.shape[0],
-                             start[a]:start[a] + K.shape[1]] += t * K
-            start = [s + d for s, d in
-                     zip(start, E._sector_dims(cat, X.tensor(Y)))]
+        """``{key: block}``, block Hom(a, X) -> Hom(a2, X): per slot, the
+        sum of t Q(X_s,Y_s,a2)[:, xy] Qinv(X_s,Y_s,a)[xy, :] over the pairs
+        xy and the ``(key, a, a2, t) in terms(*xy)`` (``engine._channel``),
+        one product of the scaled columns and the stacked rows."""
+        cat, out = self.cat, {}
+        dims, start = E._sector_dims(cat, self.X), [0] * cat.n_labels
+        for (X, Y), pairs in zip(self.pair.slots, self.slot_pairs):
+            parts = {}
+            for xy in pairs:
+                for key, a, a2, t in terms(*xy):
+                    parts.setdefault((key, a, a2), []).append(
+                        (t * E._channel(cat, X, Y, a2, xy)[0],
+                         E._channel(cat, X, Y, a, xy)[1]))
+            for (key, a, a2), factors in parts.items():
+                cols, rows = zip(*factors)
+                K = np.hstack(cols) @ np.vstack(rows)
+                out.setdefault(key, np.zeros((dims[a2], dims[a]), dtype=complex))[
+                    start[a2]:start[a2] + len(K), start[a]:start[a] + K.shape[1]] += K
+            start = [s + d for s, d in zip(start, E._sector_dims(cat, X.tensor(Y)))]
         return out
 
     def _stack_crossings(self) -> dict:
@@ -712,50 +710,42 @@ def functor_G_on_morphism(cat: CategoryData, src: CenterObject,
 
 
 def _legs(cat: CategoryData, X: E.ObjectExpr, i: int) -> tuple:
-    """The terms (w phi_l, w phi^l, u_l, v_l) of d and q at a slot i (module
-    docstring), kept in the category's cache, so a test object's legs serve
-    every partner Y."""
+    """The leg matrices ``(L_d, L_q)`` at a slot i (module docstring), or
+    ``()`` if Hom(X, i*) = 0, cached so that they serve every partner Y."""
     def build():
         cas = E.hom_basis(cat, X, i)
         if not cas.basis:
             return ()
-        w = np.sqrt(complex(cat.dim(i)))
-        si = E.ObjectExpr.simple(i)
+        si, k, w = E.ObjectExpr.simple(i), cat.dual[i], np.sqrt(complex(cat.dim(i)))
         id_i = E.identity(cat, si)
-        coev = E.cup_cap(cat, si, "coev")
-        ev = E.cup_cap(cat, si, "eval'")
-        return tuple((phi * w, phi_dual * w,
-                      E.compose(E.tensor(id_i, phi_dual), coev),  # 1 -> i X
-                      E.compose(ev, E.tensor(id_i, phi)))  # i X -> 1
-                     for phi, phi_dual in zip(cas.basis, cas.dual_basis))
+        u = [E.compose(E.tensor(id_i, hi), E.cup_cap(cat, si, "coev")).block(0)
+             for hi in cas.dual_basis]
+        v = [E.compose(E.cup_cap(cat, si, "eval'"), E.tensor(id_i, lo)).block(0)
+             for lo in cas.basis]
+        return (w * np.hstack(u) @ np.vstack([lo.blocks[k] for lo in cas.basis]),
+                w * np.hstack([hi.blocks[k] for hi in cas.dual_basis]) @ np.vstack(v))
 
     return E._cached(cat, ("legs", X.summands, i), build)
 
 
 def _square_transforms(cat: CategoryData, X, Y) -> tuple:
-    """``(d, q)`` at X [x] Y in one loop over the coupling slots of
-    F(X [x] Y), from X's legs (``_legs``) whiskered by Y."""
+    """``(d, q)`` at X [x] Y, one product per sector (i*, s) of each
+    coupling slot i (module docstring)."""
     X, Y = E.as_object(X), E.as_object(Y)
     XY = pair_object(X, Y)
     fobj = functor_F(cat, XY)
+    one, dY, d, q = E.ObjectExpr.unit(), E._sector_dims(cat, Y), {}, {}
+    for cp in _slot_couplings(cat, fobj):
+        legs, iX = _legs(cat, X, cp.i), E.ObjectExpr.simple(cp.i).tensor(X)
+        for s, proj in cp.proj.blocks.items():
+            if legs and dY[s]:
+                Q, Qinv = E._channel(cat, iX, Y, s, (0, s))
+                Q1, Q1inv = E._channel(cat, one, Y, s, (0, s))
+                k = (cat.dual[cp.i], s)
+                d[k] = proj @ Q @ E._kron(legs[0], Q1inv)
+                q[k] = E._kron(legs[1], Q1) @ Qinv @ cp.incl.blocks[s]
     GF = functor_G(cat, fobj)
-    id_Y = E.identity(cat, Y)
-    ds, qs = [], []
-    for cp, S in zip(_slot_couplings(cat, fobj), GF.slots):
-        slot = DelignePair((S,))
-        d = DeligneMorphism(cat, XY, slot, {})
-        q = DeligneMorphism(cat, slot, XY, {})
-        for phi_w, dual_w, u, v in _legs(cat, X, cp.i):
-            d = d + pair_morphism(cat, phi_w,
-                                  E.compose(cp.proj, E.tensor(u, id_Y)),
-                                  source=XY, target=slot)
-            q = q + pair_morphism(cat, dual_w,
-                                  E.compose(E.tensor(v, id_Y), cp.incl),
-                                  source=slot, target=XY)
-        ds.append([d])
-        qs.append(q)
-    return (DeligneMorphism.assemble(cat, XY, GF, ds),
-            DeligneMorphism.assemble(cat, GF, XY, [qs]))
+    return DeligneMorphism(cat, XY, GF, d), DeligneMorphism(cat, GF, XY, q)
 
 
 def _center_transforms(cat: CategoryData, obj: CenterObject) -> tuple:
@@ -910,6 +900,8 @@ def tube_algebra(cat: CategoryData) -> TubeAlgebra:
                                 F.get(j1, j2, a2, s, l, c2)
                                 * F.inverse_get(ring, j1, a1, j2, s, c2, c1)
                                 * F.get(b1, j1, j2, s, c1, l))
+        if not np.isfinite(structure).all():
+            raise InvalidCategoryError(f"tube algebra of '{cat.name}' is not finite")
         unit = np.zeros(N, dtype=complex)
         for a in range(cat.n_labels):
             unit[index[(a, 0, a, a)]] = 1.0

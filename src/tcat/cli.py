@@ -214,7 +214,10 @@ def _run_center(cat, args) -> int:
                          f"verified={e['verified']} "
                          f"residual={e['tensoriality_residual']:.2e}")
         _emit("\n".join(lines), args.out)
-    return 0
+    failed = ", ".join(e["object"] for e in entries if not e["verified"])
+    if failed:
+        sys.stderr.write(f"tcat: {cat.name}: unverified simples: {failed}\n")
+    return 1 if failed else 0
 
 
 def _run_factorize(cat, args) -> int:

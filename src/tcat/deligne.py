@@ -61,11 +61,14 @@ class DelignePair:
 
     def grading(self, cat: CategoryData) -> dict:
         """Multiplicity of each simple label pair (s, s')."""
-        return _nonzero(self._layout(cat)[-1])
+        return {(s, t): m for s, row in enumerate(self._layout(cat)[-1].tolist())
+                for t, m in enumerate(row) if m}
 
     def slot_pairs(self, cat: CategoryData) -> list:
         """Per slot, the simple pairs (x, y) with Hom(x, X) x Hom(y, Y) != 0."""
-        return [list(_nonzero(d)) for d in np.diff(self._layout(cat), axis=0)]
+        return [[(x, y) for x, m in enumerate(E._sector_dims(cat, X)) if m
+                 for y, n in enumerate(E._sector_dims(cat, Y)) if n]
+                for X, Y in self.slots]
 
     def hom_dim(self, cat: CategoryData, other: "DelignePair") -> int:
         g1 = self.grading(cat)
@@ -77,13 +80,6 @@ class DelignePair:
             return "0"
         return " + ".join(f"{X.describe(cat)} [x] {Y.describe(cat)}"
                           for (X, Y) in self.slots)
-
-
-def _nonzero(m: np.ndarray) -> dict:
-    """``{(s, s'): m[s, s']}`` over the non-zero entries, row by row."""
-    flat = np.flatnonzero(m)
-    return {divmod(i, len(m)): v
-            for i, v in zip(flat.tolist(), m.ravel()[flat].tolist())}
 
 
 def pair_object(X, Y) -> DelignePair:

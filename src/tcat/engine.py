@@ -12,7 +12,7 @@ The product basis Hom(k, X Y) = (+)_{i,j} Hom(k, i j) x Hom(i, X) x
 Hom(j, Y) is carried to the combed basis by ``_product_iso``.  The
 layout of that basis (which columns belong to which channel pair (i, j))
 is read only through ``_recouple``, which carries channel blocks onto the
-combed bases, and its inverse ``_channel_blocks``, which reads them off.
+combed bases, its inverse ``_channel_blocks``, and ``_channel``.
 ``tensor`` and the functor F on morphisms recouple through one
 ``_recouple_channels``.  A morphism between direct sums is laid out from
 its parts, one per summand pair, by ``Morphism.assemble``.
@@ -354,7 +354,7 @@ def _product_iso(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
     ``channels[(i, j)]`` is the column slice of that pair's
     ``Hom(i, X) x Hom(j, Y)`` block (bi outer, bj inner), for every pair of
     ``FusionRing.pairs`` in its label order.  This layout is read only
-    here, in ``_recouple`` and in ``_channel_blocks``.
+    here, in ``_recouple``, ``_channel`` and ``_channel_blocks``.
     """
     def build():
         rows = sector_basis(cat, X.tensor(Y), k)
@@ -388,26 +388,28 @@ def _product_iso(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
     return _cached(cat, ("Q", X.summands, Y.summands, k), build)
 
 
-def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid,
-              ks: int | None = None) -> np.ndarray:
+def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid) -> np.ndarray:
     """Carry a channel-wise map onto the combed bases.
 
     ``mid`` lists ``((i, j), (i', j'), rect)`` blocks of a map
-    ``(+) Hom(ks, i' j') x Hom(i', Xs) x Hom(j', Ys)
-    -> (+) Hom(k, i j) x Hom(i, Xt) x Hom(j, Yt)``, from the source sector
-    ``ks`` (k unless given) to the target sector ``k``; the channel pairs
-    must be admissible at their sectors and absent blocks are zero.
-    Returns ``Qt @ M @ Qs_inv``, the map Hom(ks, Xs Ys) -> Hom(k, Xt Yt)
-    in the combed bases: at ks = k, the sector-k block of a morphism
-    ``Xs (x) Ys -> Xt (x) Yt``.
+    ``(+) Hom(k, i' j') x Hom(i', Xs) x Hom(j', Ys)
+    -> (+) Hom(k, i j) x Hom(i, Xt) x Hom(j, Yt)`` (pairs admissible at k,
+    absent blocks zero).  ``Qt @ M @ Qs_inv`` is its sector-k block as a
+    morphism ``Xs (x) Ys -> Xt (x) Yt`` in the combed bases.
     """
-    ks = k if ks is None else ks
     Qt, ch_t, _ = _product_iso(cat, Xt, Yt, k)
-    _, ch_s, Qs_inv = _product_iso(cat, Xs, Ys, ks)
+    _, ch_s, Qs_inv = _product_iso(cat, Xs, Ys, k)
     M = np.zeros((Qt.shape[1], Qs_inv.shape[0]), dtype=complex)
     for pair_t, pair_s, rect in mid:
         M[ch_t[pair_t], ch_s[pair_s]] = rect
     return Qt @ M @ Qs_inv
+
+
+def _channel(cat, X, Y, k: int, pair) -> tuple:
+    """The columns of Q(X, Y, k) on the channel pair (i, j), and the rows
+    of its inverse."""
+    Q, channels, Qinv = _product_iso(cat, X, Y, k)
+    return Q[:, channels[pair]], Qinv[channels[pair]]
 
 
 def _channel_blocks(cat, Xs, Ys, Xt, Yt, k: int, block) -> dict:

@@ -173,6 +173,24 @@ def test_loader_rejects_a_zero_quantum_dimension(cats):
         loads_category(text)
 
 
+def test_loader_rejects_an_infinite_pivotal_coefficient(cats):
+    # JSON reads 1e309 as inf, so the quantum dimension of tau is infinite
+    doc = json.loads(serialize_category(cats["fibonacci"]))
+    for rec in doc["pivotal"]:
+        if rec["i"] == 1:
+            rec["re"] = "INF"
+    text = json.dumps(doc).replace('"INF"', "1e309")
+    with pytest.raises(InvalidCategoryError, match="label 'tau' is inf"):
+        loads_category(text)
+
+
+def test_loader_rejects_a_repeated_fusion_triple(cats):
+    doc = category_to_dict(cats["fibonacci"])
+    doc["fusion"].append([1, 1, 1])
+    with pytest.raises(SchemaError, match=r"triple \[1, 1, 1\] twice"):
+        category_from_dict(doc)
+
+
 def test_tolerance_invariant():
     with pytest.raises(SchemaError):
         ToleranceCfg(eps_structural=1e-8, eps_identity=1e-10)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcat import IdempotencyError, engine as E, validate
+from tcat import IdempotencyError, center as C, deligne, engine as E, validate
 from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
 from tcat.center import (CenterObject, HalfBraiding, _center_sort_key,
@@ -125,6 +125,8 @@ def test_report_keeps_each_pair_layout_on_its_pair(cats, monkeypatch):
     invertibility_report(cat, max_word_length=2)
     assert not [key for key in cat._cache
                 if isinstance(key, tuple) and key[0] == "pair_layout"]
+    for D, c, _starts in list(reads):  # a second read of every pair
+        D.grading(c)
     first = {}
     for D, c, starts in reads:  # held, so no id is reused
         assert first.setdefault((id(D), id(c)), starts) is starts
@@ -1225,8 +1227,7 @@ def test_invertibility_report_keeps_no_f_objects(cats):
 
 
 @pytest.mark.parametrize("reach", [
-    lambda cat: [b for legs in _legs(cat, word(1), 1) for m in legs
-                 for b in m.blocks.values()],
+    lambda cat: list(_legs(cat, word(1), 1)),
     lambda cat: [tube_algebra(cat).structure, tube_algebra(cat).unit],
     lambda cat: [b for s in center_simples(cat) for j in s.gamma
                  for b in s.gamma[j].blocks.values()],
@@ -1275,34 +1276,86 @@ def test_array_holders_compare_by_identity(cats):
         assert x != y and x == x
 
 
-def test_stack_recouples_each_channel_product_once(monkeypatch):
-    # an F object keeps each product Q(X_s,Y_s,a2)[:, xy] Qinv(X_s,Y_s,a)[xy, :]
-    # of HalfBraiding.stack, so over the whole report stacking makes at most
-    # one _recouple per distinct (object, slot, x, y, a, a2) it needs
-    cat = category_from_dict(su2_doc(4, so3=True))
-    stack, recouple = HalfBraiding.stack, E._recouple
-    held, needed, calls, depth = [], set(), [], [0]
+def test_stack_gathers_each_block_in_one_product(cats, monkeypatch):
+    # on a two-slot pair each block of HalfBraiding.stack is, at each slot's
+    # offsets, sum t Q(X_s,Y_s,a2)[:, xy] Qinv(X_s,Y_s,a)[xy, :] over the
+    # pairs xy and their terms, gathered without any _recouple
+    cat = cats["ising"]
+    obj = functor_F(cat, TWO_SLOT_SRC)
+    rng = np.random.default_rng(20261020)
+    scale = {}
 
-    def counted_stack(self, terms):
-        held.append(self)  # so that no id is reused within the report
-        for slot, pairs in enumerate(self.slot_pairs):
-            needed.update((id(self), slot, x, y, a, a2) for x, y in pairs
-                          for _key, a, a2, _t in terms(x, y))
-        depth[0] += 1
-        try:
-            return stack(self, terms)
-        finally:
-            depth[0] -= 1
+    def terms(x, y):
+        for a in cat.ring.fusion(x, y):
+            for a2 in cat.ring.fusion(x, y):
+                t = scale.setdefault((x, y, a, a2), complex(*rng.normal(size=2)))
+                yield (a2, a), a, a2, t
 
-    def counted_recouple(*args):
-        if depth[0]:
-            calls.append(args)
-        return recouple(*args)
+    def refused(*args):
+        raise AssertionError("stack called _recouple")
 
-    monkeypatch.setattr(HalfBraiding, "stack", counted_stack)
-    monkeypatch.setattr(E, "_recouple", counted_recouple)
-    assert not invertibility_report(cat, max_word_length=2).factorizable
-    assert needed and len(calls) <= len(needed)
+    monkeypatch.setattr(E, "_recouple", refused)
+    blocks = obj.gamma.stack(terms)
+    want = {}
+    offset = [0] * cat.n_labels
+    for (X, Y), pairs in zip(TWO_SLOT_SRC.slots, obj.gamma.slot_pairs):
+        for x, y in pairs:
+            for (a2, a), _a, _a2, t in terms(x, y):
+                Q2, ch2, _ = E._product_iso(cat, X, Y, a2)
+                _, ch1, Qinv1 = E._product_iso(cat, X, Y, a)
+                K = t * Q2[:, ch2[(x, y)]] @ Qinv1[ch1[(x, y)]]
+                blk = want.setdefault((a2, a), np.zeros(
+                    (obj.X.dim_sector(cat, a2), obj.X.dim_sector(cat, a)),
+                    dtype=complex))
+                blk[offset[a2]:offset[a2] + K.shape[0],
+                    offset[a]:offset[a] + K.shape[1]] += K
+        offset = [o + X.tensor(Y).dim_sector(cat, k)
+                  for k, o in enumerate(offset)]
+    assert len(TWO_SLOT_SRC.slots) == 2 and blocks.keys() == want.keys()
+    assert max(np.abs(blocks[k] - want[k]).max() for k in want) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["ising#2", "fibonacci#5",
+                                  "vec_z2_sym*fibonacci"])
+def test_d_and_q_match_reference_at_word_length_two(cats, name):
+    # d and q built per sector from the leg matrices against the per-leg
+    # diagrams of tube_reference, on gauged and product inputs
+    cat = _table_input(cats, name)
+    objs = _test_objects(cat, 2)
+    for X in objs:
+        for Y in objs:
+            d, q = nat_transforms(cat, (X, Y))
+            assert all(b.size for m in (d, q) for b in m.blocks.values())
+            assert deligne_distance(d, reference_d(cat, X, Y)) < 1e-12
+            assert deligne_distance(q, reference_q(cat, X, Y)) < 1e-12
+
+
+def test_square_transforms_make_no_pair_tensor_or_assembly(cats, monkeypatch):
+    # once a test object's leg matrices are cached, d and q at a pair are
+    # products of cached arrays: no exterior product, tensor or layout join
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+    objs = _test_objects(cat, 2)
+    for X in objs:
+        for Y in objs:
+            nat_transforms(cat, (X, Y))
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for mod, name in [(C, "pair_morphism"), (deligne, "pair_morphism"),
+                      (E, "tensor")]:
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    monkeypatch.setattr(E.Morphism, "assemble", classmethod(counted(
+        "assemble", E.Morphism.assemble.__func__)))
+    for X in objs:
+        for Y in objs:
+            d, q = nat_transforms(cat, (X, Y))
+            assert deligne_defect(deligne_compose(q, d)) < 1e-12
+    assert calls == []
 
 
 def test_invertibility_report_builds_each_hom_basis_once(cats, monkeypatch):

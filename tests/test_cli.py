@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, atomic output, catalog dir."""
 
+import dataclasses
 import json
 import os
 
@@ -221,3 +222,48 @@ def test_center_command_counts(capsys):
     assert run(["center", "semion"]) == 0
     out = capsys.readouterr().out
     assert "4" in out
+
+
+def _fibonacci_file(tmp_path, table, key, value):
+    # one record of fibonacci set to value, written as a JSON number (1e309
+    # reads back as inf)
+    doc = json.loads(serialize_category(catalog("fibonacci")))
+    legs = {"F": "abcdef", "pivotal": "i"}[table]
+    for rec in doc[table]:
+        if tuple(rec[k] for k in legs) == key:
+            rec["re"] = "VALUE"
+    path = tmp_path / "fib_edit.json"
+    path.write_text(json.dumps(doc).replace('"VALUE"', value), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("table, key, value, command", [
+    ("F", (1, 1, 1, 1, 1, 1), "NaN", "center"),
+    ("pivotal", (1,), "1e309", "validate"),
+    ("pivotal", (1,), "1e309", "center"),
+    ("pivotal", (1,), "1e309", "factorize"),
+], ids=["nan_f-center", "inf_pivotal-validate", "inf_pivotal-center",
+        "inf_pivotal-factorize"])
+def test_non_finite_data_exits_one(tmp_path, capsys, table, key, value,
+                                   command):
+    # a NaN F(tau,tau,tau,tau; tau,tau) reaches the tube algebra; an
+    # infinite pivotal coefficient gives tau an infinite quantum dimension
+    assert run([command, _fibonacci_file(tmp_path, table, key, value)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tcat:") and "Traceback" not in err
+    assert "not finite" in err or "is inf" in err
+
+
+def test_center_exits_one_when_a_simple_fails_verification(monkeypatch,
+                                                            capsys):
+    import tcat.cli as cli
+    verify = cli.verify_center_object
+
+    def failing(cat, obj):
+        return dataclasses.replace(verify(cat, obj), ok=False)
+
+    monkeypatch.setattr(cli, "verify_center_object", failing)
+    assert run(["center", "semion"]) == 1
+    captured = capsys.readouterr()
+    assert "verified=False" in captured.out
+    assert captured.err.startswith("tcat: semion: unverified simples: ")

@@ -427,11 +427,12 @@ def _words_up_to_two(cat):
 
 @pytest.mark.parametrize("name", ALL_NAMES + ["su2_4"])
 def test_channel_blocks_invert_recouple(cats, name):
-    # the product-basis layout is read only through _recouple and its
-    # inverse _channel_blocks: on random morphisms Xs Ys -> Xt Yt between
-    # products of words up to length 2 they undo each other, and the
-    # cross-sector _recouple from a to a2 through one channel (x, y) is
-    # Q(X,Y,a2)[:, xy] Qinv(X,Y,a)[xy, :] of the product transforms
+    # the product-basis layout is read only through _recouple, its inverse
+    # _channel_blocks and _channel: on random morphisms Xs Ys -> Xt Yt
+    # between products of words up to length 2 the first two undo each
+    # other, and the identity of one channel (x, y) carried from sector a
+    # to a2 through _channel is Q(X,Y,a2)[:, xy] Qinv(X,Y,a)[xy, :] of the
+    # product transforms
     rng = np.random.default_rng(20261019)
     cat = (category_from_dict(su2_doc(4)) if name == "su2_4" else cats[name])
     words = _words_up_to_two(cat)
@@ -455,8 +456,8 @@ def test_channel_blocks_invert_recouple(cats, name):
             for x, y in ((x, y) for x in dX for y in dY if dX[x] * dY[y]):
                 for a in cat.ring.fusion(x, y):
                     for a2 in cat.ring.fusion(x, y):
-                        mid = [((x, y), (x, y), np.eye(dX[x] * dY[y]))]
-                        got = E._recouple(cat, X, Y, X, Y, a2, mid, a)
+                        got = (E._channel(cat, X, Y, a2, (x, y))[0]
+                               @ E._channel(cat, X, Y, a, (x, y))[1])
                         Q2, ch2 = E._product_iso(cat, X, Y, a2)[:2]
                         Q1, ch1 = E._product_iso(cat, X, Y, a)[:2]
                         want = (Q2[:, ch2[(x, y)]]
