@@ -35,7 +35,10 @@ j a -> a2 j through c.  With the product transforms Q of the engine, they
 are the channel blocks of Qinv(X, j, c) gamma_j[c] Q(j, X, c) for a combed
 gamma (``engine._channel_blocks``), and gamma_j[c] = Q(X, j, c) G_j[c]
 Qinv(j, X, c) is combed from them when read (``engine._recouple``); only
-the engine reads the layout of those bases.  F(X [x] Y) builds the blocks
+the engine reads the layout of those bases.  The X of a center simple is a
+letter sum (``engine._letter_sum``), so both transforms are identities:
+it is born with its blocks, the sub-blocks of the gamma_j[c] that
+``_object_from_module`` inverts.  F(X [x] Y) builds the blocks
 without gamma: the braidings are natural in alpha : x -> X and
 beta : y -> Y, so on the channel j (x y)_a -> (x y)_{a2} j through c its
 crossing is the scalar (``_crossing_table``)
@@ -71,6 +74,11 @@ are whiskered by Y, which is exact by the interchange law:
     b = stack_i        w (1_{i*} (x) proj_i) (coev'_i (x) 1_X),
     p = side-by-side_i w (ev_i (x) 1_X) (1_{i*} (x) incl_i).
 
+At each sector s of X a slot of b and p is one product: the recoupled
+(1_{i*} (x) proj_i)[s] or (1_{i*} (x) incl_i)[s] (``engine._recouple``)
+with the sector-s block of the leg coev'_i (x) 1_X or ev_i (x) 1_X,
+cached per (X, i) (``_center_legs``).
+
 Slot i of G F(X [x] Y) lives at the sectors (i*, s) alone, so with ch
 the (0, s) channel of Q = Q(i X, Y, s), Q1 = Q(1, Y, s) and the legs
 L_d = sum_l u_l[0] (w phi_l)[i*], L_q = sum_l (w phi^l)[i*] v_l[0]
@@ -90,15 +98,16 @@ F-symbols as well (``tube_algebra``):
 
 The half-braiding axioms are checked on the crossing blocks G_j[c]
 (``verify_center_object``).  Tensoriality at the simples j, k compares,
-on the channel (m, a) -> (a3, m') of j k X -> X j k at sector s, the
-stacked crossings (an F-move to j (k a)_c, gamma_k, an inverse F-move to
-(j a2)_e k, gamma_j, an F-move to a3 (j k)_m')
+at sector s, the map from the channel (m, a) of j k X to the combed basis
+((a3 j)_e k)_s of X j k of the stacked crossings (an F-move to
+j (k a)_c, gamma_k, an inverse F-move to (j a2)_e k, gamma_j)
 
-    stacked  = sum_{c,a2,e} F(j,k,a,s; m,c) Finv(j,a2,k,s; c,e)
-               F(a3,j,k,s; e,m') G_j[e][(a3,j) <- (j,a2)] G_k[c][(a2,k) <- (k,a)]
+    stacked  = sum_{c,a2} F(j,k,a,s; m,c) Finv(j,a2,k,s; c,e)
+               G_j[e][(a3,j) <- (j,a2)] G_k[c][(a2,k) <- (k,a)]
 
-with the crossing of the fused channel, resolved = delta_{m m'}
-G_m[s][(a3,m) <- (m,a)].  The simples are sorted by the traces of
+with the crossing of the fused channel m, resolved into that basis,
+resolved = Finv(a3,j,k,s; m,e) G_m[s][(a3,m) <- (m,a)].  The simples are
+sorted by the traces of
 gamma_j o c_{X,j} (``_center_sort_key``): the engine's braiding is the
 R-swap conjugated by the same product transforms, and a trace does not
 change under similarity, so
@@ -114,7 +123,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -147,7 +156,10 @@ class HalfBraiding(Mapping):
     They are stored as the crossing blocks of the module docstring,
     ``blocks = {(j, c, a2, a): G_j[c][(a2,j) <- (j,a)]}``, and a combed
     gamma_j not given is built from them when read (``engine._recouple``).
-    The blocks are built on first read, in one of two ways:
+    Where X is a letter sum (``engine._letter_sum``) the product transforms
+    of X and j are identities, so G_j[c] is gamma_j[c] cut into blocks;
+    ``center_simples`` passes these ``blocks`` at birth.  Otherwise the
+    blocks are built on first read, in one of two ways:
 
     - ``HalfBraiding(X, mats)`` takes combed morphisms ``{j: gamma_j}`` (the
       category is theirs) and reads the channel blocks of each gamma_j[c]
@@ -164,7 +176,7 @@ class HalfBraiding(Mapping):
 
     def __init__(self, X: E.ObjectExpr, mats: Mapping | None = None, *,
                  cat: CategoryData | None = None,
-                 pair: DelignePair | None = None):
+                 pair: DelignePair | None = None, blocks: dict | None = None):
         if cat is None:
             if not mats:
                 raise ValueError("a half-braiding needs combed mats or a "
@@ -172,7 +184,8 @@ class HalfBraiding(Mapping):
             cat = next(iter(mats.values())).cat
         self.X, self.cat, self.pair = X, cat, pair
         self.slot_pairs = pair.slot_pairs(cat) if pair is not None else None
-        self._combed, self._blocks = dict(mats or {}), None
+        self._combed, self._blocks = dict(mats or {}), blocks
+        E._read_only(tuple((blocks or {}).values()))
 
     def stack(self, terms) -> dict:
         """``{key: block}``, block Hom(a, X) -> Hom(a2, X): per slot, the
@@ -279,16 +292,21 @@ def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
     Tensoriality, for every pair of simples (j, k): stacking the crossings,
     (gamma_j (x) 1_k)(1_j (x) gamma_k) : j k X -> X j k, must equal
     resolving j k through each channel m and crossing with gamma_m.  Both
-    sides are read off the crossing blocks G (``HalfBraiding.blocks``) in the
-    product bases of sector s, Hom(s, m a) x Hom(a, X) on the source and
-    Hom(s, a3 m') x Hom(a3, X) on the target (the formulas are in the
-    module docstring), over the non-empty channels (m, a) -> s only.  The
-    residual is the largest spectral norm of their difference D in the
-    combed bases, Q(X, j k, s) D Qinv(j k, X, s) (``engine._recouple``),
-    the number that drawing both sides with the engine's diagrams gives.
-    No half-braiding axiom is assumed in reading G, so a broken gamma fails
-    here.  The unit residual is the distance of gamma_0 from the identity,
-    and the condition number is the largest over gamma's sector blocks.
+    sides are read off the crossing blocks G (``HalfBraiding.blocks``) at
+    sector s, from Hom(s, m a) x Hom(a, X) into the combed basis
+    ((a3 j)_e k)_s of X j k (the formulas are in the module docstring),
+    over the non-empty channels only.  The columns of their difference D
+    are carried to the combed basis of j k X by the inverse product
+    transforms Q(m, X, s)^-1 of the channels m (``engine._combed_columns``;
+    the identity on a center simple), and the residual is the largest
+    spectral norm of the result.  Up to permutations of rows and columns,
+    Q(X, j k, s) is Finv(a3, j, k, s) (x) 1 on each Hom(a3, X) and
+    Q(j k, X, s) is (+)_m Q(m, X, s), so this is the number that drawing
+    both sides with the engine's diagrams gives, and no product transform
+    of a word j k is built.  No half-braiding axiom is assumed in reading
+    G, so a broken gamma fails here.  The unit residual is the distance of
+    gamma_0 from the identity, and the condition number is the largest
+    over gamma's sector blocks.
     """
     X, gamma = obj.X, obj.gamma
     ring, F = cat.ring, cat.f
@@ -298,29 +316,33 @@ def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
     into = {}  # a2 -> [(j, c, a, block)]: the crossings ending on a2
     for (j, c, a2, a), g in blocks.items():
         into.setdefault(a2, []).append((j, c, a, g))
-    # (j, k, s, (a3, m'), (m, a)) -> that block of stacked - resolved
-    terms = {(j, k, s, (a3, m), (m, a)): -g
-             for (m, s, a3, a), g in blocks.items() for j, k in ring.pairs(m)}
+    # (j, k, s, (a3, e), (m, a)) -> that block of stacked - resolved
+    terms = {(j, k, s, (a3, e), (m, a)): -f * g
+             for (m, s, a3, a), g in blocks.items() for j, k in ring.pairs(m)
+             for inv, ms, es in (F.inverse(ring, a3, j, k, s),)
+             for e, f in zip(es, inv[ms.index(m)]) if f}
     for (j, e, a3, a2), gj in blocks.items():
         for k, c, a, gk in into.get(a2, ()):
             g = gj @ gk
             for s in ring.fusion(e, k):
                 f2 = F.inverse_get(ring, j, a2, k, s, c, e)
                 for m in ring.fusion(j, k):
-                    for m2 in ring.fusion(j, k):
-                        f = (F.get(j, k, a, s, m, c) * f2
-                             * F.get(a3, j, k, s, e, m2))
-                        if f:
-                            key = (j, k, s, (a3, m2), (m, a))
-                            terms[key] = terms.get(key, 0) + f * g
+                    f = F.get(j, k, a, s, m, c) * f2
+                    if f:
+                        key = (j, k, s, (a3, e), (m, a))
+                        terms[key] = terms.get(key, 0) + f * g
     mids = {}
-    for (j, k, s, pt, ps), blk in terms.items():
-        mids.setdefault((j, k, s), []).append((pt, ps, blk))
-    worst = 0.0
-    for (j, k, s), mid in mids.items():
-        jk = E.ObjectExpr.word((j, k))
-        worst = _fold(worst, _or_nan(E._spectral_norm,
-                                     E._recouple(cat, jk, X, X, jk, s, mid)))
+    for (j, k, s, row, col), blk in terms.items():
+        mids.setdefault((j, k, s), {}).setdefault(row, []).append((col, blk))
+    worst, dims = 0.0, E._sector_dims(cat, X)
+    for (j, k, s), rows in mids.items():
+        # rows (a3, e) in turn; columns on the channels of (+)_m m (x) X
+        top = list(accumulate((dims[a3] for a3, _e in rows), initial=0))
+        fused = E.ObjectExpr(tuple(((m,) if m else (), 1) for m in ring.fusion(j, k)))
+        D = E._combed_columns(cat, fused, X, s, top[-1], [
+            (slice(t, t + dims[a3]), col, blk)
+            for t, ((a3, _e), cols) in zip(top, rows.items()) for col, blk in cols])
+        worst = _fold(worst, _or_nan(E._spectral_norm, D))
     cond = 1.0
     for j in range(cat.n_labels):
         for k, b in gamma[j].blocks.items():
@@ -748,24 +770,46 @@ def _square_transforms(cat: CategoryData, X, Y) -> tuple:
     return DeligneMorphism(cat, XY, GF, d), DeligneMorphism(cat, GF, XY, q)
 
 
+def _center_legs(cat: CategoryData, X: E.ObjectExpr, i: int) -> tuple:
+    """The legs of b and p at a slot i, ``((s, coev, ev), ...)`` over the
+    sectors s of X: the sector-s blocks of coev'_i (x) 1_X and
+    ev_i (x) 1_X (``engine._recouple``), cached so that they serve every
+    center object on X."""
+    def build():
+        one, pair = E.ObjectExpr.unit(), E.ObjectExpr.word((cat.dual[i], i))
+        cb, ce = (cat.coev_right_scalar(i), cat.ev_scalar(i)) if i else (1, 1)
+        return tuple(
+            (s, E._recouple(cat, one, X, pair, X, s, [((0, s), (0, s), cb * I)]),
+             E._recouple(cat, pair, X, one, X, s, [((0, s), (0, s), ce * I)]))
+            for s, n in enumerate(E._sector_dims(cat, X)) if n
+            for I in (np.eye(n, dtype=complex),))
+
+    return E._cached(cat, ("center_legs", X.summands, i), build)
+
+
 def _center_transforms(cat: CategoryData, obj: CenterObject) -> tuple:
-    """``(b, p)`` at a center object in one loop over its coupling slots
-    (the formulas are in the module docstring)."""
-    X = obj.X
-    id_X = E.identity(cat, X)
-    bs, ps = [], []
-    for cp in _slot_couplings(cat, obj):
-        i = cp.i
-        w = np.sqrt(complex(cat.dim(i)))
-        si = E.ObjectExpr.simple(i)
-        id_dual = E.identity(cat, E.ObjectExpr.simple(cat.dual[i]))
-        bs.append(E.compose(E.tensor(id_dual, cp.proj),
-                            E.tensor(E.cup_cap(cat, si, "coev'"), id_X)) * w)
-        ps.append(E.compose(E.tensor(E.cup_cap(cat, si, "eval"), id_X),
-                            E.tensor(id_dual, cp.incl)) * w)
-    FG = E.ObjectExpr.direct_sum([m.target for m in bs])
-    return (E.Morphism.assemble(cat, X, FG, [[b] for b in bs]),
-            E.Morphism.assemble(cat, FG, X, [ps]))
+    """``(b, p)`` at a center object, per sector s of X: each slot's
+    1_{i*} (x) proj_i and 1_{i*} (x) incl_i at s (``engine._recouple``)
+    times its leg (``_center_legs``), stacked and side by side."""
+    X, b, p = obj.X, {}, {}
+    slots = _slot_couplings(cat, obj)
+    for cp in slots:
+        ist, w = cat.dual[cp.i], np.sqrt(complex(cat.dim(cp.i)))
+        Ist, W = E.ObjectExpr.simple(ist), E.ObjectExpr.simple(cp.i).tensor(X)
+        for s, coev, ev in _center_legs(cat, X, cp.i):
+            ch = [((ist, k), (ist, k), k) for k in cp.proj.blocks
+                  if cat.ring.admissible(ist, k, s)]  # the channels i* k of s
+            if ch:
+                proj = E._recouple(cat, Ist, W, Ist, cp.image, s,
+                                   [(t, u, cp.proj.blocks[k]) for t, u, k in ch])
+                incl = E._recouple(cat, Ist, cp.image, Ist, W, s,
+                                   [(t, u, cp.incl.blocks[k]) for t, u, k in ch])
+                b.setdefault(s, []).append(w * (proj @ coev))
+                p.setdefault(s, []).append(w * (ev @ incl))
+    FG = E.ObjectExpr.direct_sum([E.ObjectExpr.simple(cat.dual[cp.i]).tensor(
+        cp.image) for cp in slots])
+    return (E.Morphism(cat, X, FG, {s: np.vstack(m) for s, m in b.items()}),
+            E.Morphism(cat, FG, X, {s: np.hstack(m) for s, m in p.items()}))
 
 
 def transform_d(cat: CategoryData, X, Y) -> DeligneMorphism:
@@ -968,7 +1012,7 @@ def _central_idempotents(alg: TubeAlgebra) -> list:
         raise DecompositionError(
             "regular representation of the tube algebra is not "
             "diagonalizable at working precision") from exc
-    blocks = []  # per block: (L_f of its first ideal, [(f_i, V_i), ...])
+    blocks = []  # per block: (L_f of its first ideal, its cutoff, [(f_i, V_i), ...])
     used = np.zeros(N, dtype=bool)
     for idx in range(N):
         if used[idx]:
@@ -977,15 +1021,15 @@ def _central_idempotents(alg: TubeAlgebra) -> list:
         used[group] = True
         V = vecs[:, group]
         f = V @ (vinv[group] @ alg.unit)
-        for L_first, ideals in blocks:
-            if np.linalg.norm(L_first @ V) > \
-                    _SAME_BLOCK_CUTOFF * np.linalg.norm(L_first):
+        for L_first, cut, ideals in blocks:
+            if np.linalg.norm(L_first @ V) > cut:
                 ideals.append((f, V))
                 break
         else:
-            blocks.append((alg.left_mult(f), [(f, V)]))
+            L = alg.left_mult(f)
+            blocks.append((L, _SAME_BLOCK_CUTOFF * np.linalg.norm(L), [(f, V)]))
     out = []
-    for _L, ideals in blocks:
+    for _L, _cut, ideals in blocks:
         n = len(ideals)
         if any(V.shape[1] != n for _f, V in ideals):
             raise DecompositionError(
@@ -1068,7 +1112,7 @@ def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterOb
     """
     labels = [a for a in sorted(dims) if dims[a]]
     X = E.ObjectExpr(tuple(((a,) if a else (), dims[a]) for a in labels))
-    mats = {}
+    mats, crossings = {}, {}
     for j in range(cat.n_labels):
         sj = E.ObjectExpr.simple(j)
         gamma_blocks = {}
@@ -1083,12 +1127,18 @@ def _object_from_module(cat: CategoryData, dims: dict, action: dict) -> CenterOb
                     f"the loop of color {cat.label_name(j)} closes to zero at "
                     f"sector {cat.label_name(c)}; the F-symbols or duality "
                     "scalars are degenerate")
-            gamma_blocks[c] = _inverse(np.block([
-                [action[(a, j, b, c)].T / k for b, k in zip(cols, kappas)]
-                for a in rows]))
+            at, bt = ({l: slice(o, o + dims[l]) for l, o in zip(
+                ls, accumulate((dims[l] for l in ls), initial=0))} for ls in (rows, cols))
+            inv = np.empty((at[rows[-1]].stop, bt[cols[-1]].stop), dtype=complex)
+            for a in rows:
+                for b, k in zip(cols, kappas):
+                    inv[at[a], bt[b]] = action[(a, j, b, c)].T / k
+            G = gamma_blocks[c] = _inverse(inv)
+            crossings.update(((j, c, b, a), G[bt[b], at[a]])
+                             for a in rows for b in cols)
         mats[j] = E.Morphism(cat, sj.tensor(X), X.tensor(sj), gamma_blocks)
         E._read_only(mats[j])
-    return CenterObject(X=X, gamma=HalfBraiding(X, mats))
+    return CenterObject(X=X, gamma=HalfBraiding(X, mats, blocks=crossings))
 
 
 def _center_sort_key(cat: CategoryData, obj: CenterObject):

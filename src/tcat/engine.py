@@ -12,7 +12,11 @@ The product basis Hom(k, X Y) = (+)_{i,j} Hom(k, i j) x Hom(i, X) x
 Hom(j, Y) is carried to the combed basis by ``_product_iso``.  The
 layout of that basis (which columns belong to which channel pair (i, j))
 is read only through ``_recouple``, which carries channel blocks onto the
-combed bases, its inverse ``_channel_blocks``, and ``_channel``.
+combed bases, ``_combed_columns``, which carries only the columns, their
+inverse ``_channel_blocks``, and ``_channel``.  For two letter sums (each
+summand one letter or the unit, labels strictly increasing) the product
+basis already is the combed basis: the transform is the identity, built
+without tail transforms, and these readers skip it.
 ``tensor`` and the functor F on morphisms recouple through one
 ``_recouple_channels``.  A morphism between direct sums is laid out from
 its parts, one per summand pair, by ``Morphism.assemble``.
@@ -246,7 +250,8 @@ def _tails(cat: CategoryData, i: int, w: Word) -> tuple:
         rec(i, (), w)
         return tuple(map(tuple, out))
 
-    return _cached(cat, ("tails", i, w), build)
+    hit = cat._cache.get(("tails", i, w))  # int chains, nothing to mark read-only
+    return cat._cache.setdefault(("tails", i, w), build()) if hit is None else hit
 
 
 def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
@@ -346,6 +351,12 @@ def _split_chain(w: Word, x: Word, chain: Word, k: int):
     return chain[:wl - 2], chain[wl - 2], chain[wl - 1:]
 
 
+def _letter_sum(X: ObjectExpr) -> bool:
+    """Each summand one letter or the unit, labels strictly increasing."""
+    words = [w for w, _m in X.summands]
+    return all(len(w) < 2 for w in words) and words == sorted(set(words))
+
+
 def _product_iso(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
     """Isomorphism  (+)_{i,j} Hom(k, i j) (x) Hom(i, X) (x) Hom(j, Y)
     -> Hom(k, X (x) Y)  in the combed bases, with its inverse.
@@ -354,15 +365,20 @@ def _product_iso(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
     ``channels[(i, j)]`` is the column slice of that pair's
     ``Hom(i, X) x Hom(j, Y)`` block (bi outer, bj inner), for every pair of
     ``FusionRing.pairs`` in its label order.  This layout is read only
-    here, in ``_recouple``, ``_channel`` and ``_channel_blocks``.
+    here and in its readers of the module docstring.  For two letter sums
+    (``_letter_sum``) Q is the identity, held as its own inverse.
     """
     def build():
-        rows = sector_basis(cat, X.tensor(Y), k)
-        pos_X, pos_Y = _layout(cat, X).positions, _layout(cat, Y).positions
+        dims_X, dims_Y = _layout(cat, X).dims, _layout(cat, Y).dims
         pairs = cat.ring.pairs(k)
-        widths = [len(pos_X[i]) * len(pos_Y[j]) for i, j in pairs]
+        widths = [dims_X[i] * dims_Y[j] for i, j in pairs]
         starts = accumulate(widths, initial=0)
         channels = {p: slice(o, o + w) for p, o, w in zip(pairs, starts, widths)}
+        if _letter_sum(X) and _letter_sum(Y):
+            Q = np.eye(sum(widths), dtype=complex)
+            return Q, channels, Q
+        rows = sector_basis(cat, X.tensor(Y), k)
+        pos_X, pos_Y = _layout(cat, X).positions, _layout(cat, Y).positions
         Q = np.zeros((len(rows), sum(widths)), dtype=complex)
         nY = len(Y.summands)
         for rn, (sp, cp, chain) in enumerate(rows):
@@ -379,13 +395,25 @@ def _product_iso(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr, k: int):
                 if v == 0:
                     continue
                 bj = pos_Y[j][(beta, cb, tree)]
-                Q[rn, channels[(i, j)].start + bi * len(pos_Y[j]) + bj] = v
+                Q[rn, channels[(i, j)].start + bi * dims_Y[j] + bj] = v
         if Q.shape[0] != Q.shape[1]:
             raise ShapeError(
                 f"recoupling matrix is not square at sector {k}: {Q.shape}")
         return Q, channels, _inverse(Q) if Q.size else Q
 
     return _cached(cat, ("Q", X.summands, Y.summands, k), build)
+
+
+def _combed_columns(cat, X, Y, k: int, n_rows: int, parts, left=None):
+    """``[left @] M @ Qinv(X, Y, k)`` for the map M with ``n_rows`` rows
+    whose block at a row slice and a channel (i, j) of Hom(k, X (x) Y) is
+    ``rect`` for ``(rows, (i, j), rect)`` in ``parts``, absent blocks zero."""
+    Q, channels, Qinv = _product_iso(cat, X, Y, k)
+    M = np.zeros((n_rows, Q.shape[1]), dtype=complex)
+    for rows, pair, rect in parts:
+        M[rows, channels[pair]] = rect
+    M = M if left is None else left @ M
+    return M if Q is Qinv else M @ Qinv
 
 
 def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid) -> np.ndarray:
@@ -397,12 +425,11 @@ def _recouple(cat, Xs, Ys, Xt, Yt, k: int, mid) -> np.ndarray:
     absent blocks zero).  ``Qt @ M @ Qs_inv`` is its sector-k block as a
     morphism ``Xs (x) Ys -> Xt (x) Yt`` in the combed bases.
     """
-    Qt, ch_t, _ = _product_iso(cat, Xt, Yt, k)
-    _, ch_s, Qs_inv = _product_iso(cat, Xs, Ys, k)
-    M = np.zeros((Qt.shape[1], Qs_inv.shape[0]), dtype=complex)
-    for pair_t, pair_s, rect in mid:
-        M[ch_t[pair_t], ch_s[pair_s]] = rect
-    return Qt @ M @ Qs_inv
+    Qt, ch_t, Qt_inv = _product_iso(cat, Xt, Yt, k)
+    return _combed_columns(
+        cat, Xs, Ys, k, Qt.shape[1],
+        [(ch_t[pair_t], pair_s, rect) for pair_t, pair_s, rect in mid],
+        None if Qt is Qt_inv else Qt)
 
 
 def _channel(cat, X, Y, k: int, pair) -> tuple:
@@ -417,9 +444,9 @@ def _channel_blocks(cat, Xs, Ys, Xt, Yt, k: int, block) -> dict:
     blocks ``{(pair_t, pair_s): rect}`` of ``Qt_inv @ block @ Qs`` for a
     block Hom(k, Xs Ys) -> Hom(k, Xt Yt), in label order with the source
     pair outer."""
-    Qs, ch_s, _ = _product_iso(cat, Xs, Ys, k)
-    _, ch_t, Qt_inv = _product_iso(cat, Xt, Yt, k)
-    G = Qt_inv @ block @ Qs
+    Qs, ch_s, Qs_inv = _product_iso(cat, Xs, Ys, k)
+    Qt, ch_t, Qt_inv = _product_iso(cat, Xt, Yt, k)
+    G = block if Qs is Qs_inv and Qt is Qt_inv else Qt_inv @ block @ Qs
     return {(pair_t, pair_s): G[rt, rs] for pair_s, rs in ch_s.items()
             for pair_t, rt in ch_t.items() if G[rt, rs].size}
 

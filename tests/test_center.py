@@ -924,7 +924,7 @@ def _close(value, ref):
     return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("name", TABLE_INPUTS)
+@pytest.mark.parametrize("name", TABLE_INPUTS + [PRODUCT_INPUT, "su2_3", "so3_5"])
 def test_verify_center_object_matches_diagrams(cats, name):
     # the residuals read off the channel blocks against the diagram loop,
     # on center simples, F objects of (simple, two-letter word) pairs and
@@ -976,6 +976,36 @@ def test_center_simples_and_verification_draw_no_diagram(cats, monkeypatch):
         monkeypatch.setattr(E, op, refuse)
     objs = center_simples(cat) + [functor_F(cat, pair_object(word(1), word(2, 1)))]
     assert all(verify_center_object(cat, obj).ok for obj in objs)
+
+
+@pytest.mark.parametrize("name", ["vec_z4_k1", "ising"])
+def test_verifying_center_simples_builds_no_word_product_transform(cats, name):
+    # a center simple's X is a letter sum, so its check reads the product
+    # transforms of X with single letters only, never those of a word j k
+    # (a fresh instance, so nothing is served from another test's cache)
+    cat = category_from_dict(input_doc(cats, name))
+    simples = center_simples(cat)
+    before = set(cat._cache)
+    assert all(verify_center_object(cat, s).ok for s in simples)
+    added = [key for key in set(cat._cache) - before if key[0] == "Q"]
+    assert added
+    for _q, X, Y, _k in added:
+        assert all(len(w) < 2 for w, _m in X + Y), (X, Y)
+
+
+@pytest.mark.parametrize("name", ["vec_z4_k1", "ising"])
+def test_center_simples_are_born_with_their_crossing_blocks(cats, monkeypatch,
+                                                            name):
+    # the crossing blocks are cut from the inverted module matrices, so
+    # building and sorting the simples reads no channel block
+    cat = category_from_dict(input_doc(cats, name))
+
+    def refuse(*args):
+        raise AssertionError("a channel block was read")
+
+    monkeypatch.setattr(E, "_channel_blocks", refuse)
+    simples = center_simples(cat)
+    assert all(s.gamma._blocks is not None for s in simples)
 
 
 @pytest.mark.parametrize("k", [1, 0])
