@@ -62,15 +62,10 @@ identities exactly in the modular case, and their defect norms quantify
 the failure of invertibility for degenerate inputs.  Each pair is built in
 one loop over the coupling slots i (``_square_transforms``,
 ``_center_transforms``).  With w = sqrt(d_i), phi_l a basis of Hom(X, i*)
-and phi^l its trace dual, the legs
+and phi^l its trace dual,
 
-    u_l = (1_i (x) phi^l) coev_i : 1 -> i X,
-    v_l = ev'_i (1_i (x) phi_l) : i X -> 1
-
-are whiskered by Y, which is exact by the interchange law:
-
-    d = sum_{i,l} (w phi_l) [x] proj_i (u_l (x) 1_Y),
-    q = sum_{i,l} (w phi^l) [x] (v_l (x) 1_Y) incl_i,
+    d = sum_{i,l} (w phi_l) [x] proj_i ((1_i (x) phi^l) coev_i (x) 1_Y),
+    q = sum_{i,l} (w phi^l) [x] (ev'_i (1_i (x) phi_l) (x) 1_Y) incl_i,
     b = stack_i        w (1_{i*} (x) proj_i) (coev'_i (x) 1_X),
     p = side-by-side_i w (ev_i (x) 1_X) (1_{i*} (x) incl_i).
 
@@ -79,10 +74,15 @@ At each sector s of X a slot of b and p is one product: the recoupled
 with the sector-s block of the leg coev'_i (x) 1_X or ev_i (x) 1_X,
 cached per (X, i) (``_center_legs``).
 
-Slot i of G F(X [x] Y) lives at the sectors (i*, s) alone, so with ch
-the (0, s) channel of Q = Q(i X, Y, s), Q1 = Q(1, Y, s) and the legs
-L_d = sum_l u_l[0] (w phi_l)[i*], L_q = sum_l (w phi^l)[i*] v_l[0]
-(``_legs``) each block is one product:
+Slot i of G F(X [x] Y) lives at the sectors (i*, s) alone.  As
+sum_l phi^l[i*] phi_l[i*] = 1/d_{i*} for any basis, the legs (``_legs``)
+are the (i, i*) channel Q_i of Q(i, X, 0) (``engine._channel``) and its
+inverse, scaled by the duality scalars (1 at the unit):
+
+    L_d = w coev_i / d_{i*} Q_i,    L_q = w ev'_i / d_{i*} Q_i^-1.
+
+With ch the (0, s) channel of Q = Q(i X, Y, s) and Q1 = Q(1, Y, s) each
+block is one product:
 
     d[(i*, s)] = proj_i[s] Q[:, ch] (L_d (x) Q1^-1),
     q[(i*, s)] = (L_q (x) Q1) Qinv[ch, :] incl_i[s].
@@ -735,17 +735,13 @@ def _legs(cat: CategoryData, X: E.ObjectExpr, i: int) -> tuple:
     """The leg matrices ``(L_d, L_q)`` at a slot i (module docstring), or
     ``()`` if Hom(X, i*) = 0, cached so that they serve every partner Y."""
     def build():
-        cas = E.hom_basis(cat, X, i)
-        if not cas.basis:
+        ist = cat.dual[i]
+        if not E._sector_dims(cat, X)[ist]:
             return ()
-        si, k, w = E.ObjectExpr.simple(i), cat.dual[i], np.sqrt(complex(cat.dim(i)))
-        id_i = E.identity(cat, si)
-        u = [E.compose(E.tensor(id_i, hi), E.cup_cap(cat, si, "coev")).block(0)
-             for hi in cas.dual_basis]
-        v = [E.compose(E.cup_cap(cat, si, "eval'"), E.tensor(id_i, lo)).block(0)
-             for lo in cas.basis]
-        return (w * np.hstack(u) @ np.vstack([lo.blocks[k] for lo in cas.basis]),
-                w * np.hstack([hi.blocks[k] for hi in cas.dual_basis]) @ np.vstack(v))
+        Q, Qinv = E._channel(cat, E.ObjectExpr.simple(i), X, 0, (i, ist))
+        cb, ce = (cat.coev_scalar(i), cat.ev_right_scalar(i)) if i else (1, 1)
+        w = np.sqrt(complex(cat.dim(i))) / cat.dim(ist)
+        return w * cb * Q, w * ce * Qinv
 
     return E._cached(cat, ("legs", X.summands, i), build)
 

@@ -1,4 +1,11 @@
-"""S-matrix, modularity verdict, and the Muger center of transparent objects."""
+"""S-matrix, modularity verdict, and the Muger center of transparent objects.
+
+Both are read off the data: on the channel z of x (x) y the double braiding
+c_{Y,X} c_{X,Y} is R(y,x,z) R(x,y,z) (``_monodromy``), so
+S[x, y] = sum_z N_{xy}^z d_z R(y,x,z) R(x,y,z).  This holds only where the
+F-matrices are invertible, so ``s_matrix`` inverts each one first.
+``double_braiding`` draws the monodromy for the tests.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .category import CategoryData
+from .category import CategoryData, _fold
 from .errors import InvalidCategoryError
 from . import engine as E
 
@@ -16,7 +23,8 @@ __all__ = ["SMatrix", "ModularityVerdict", "MugerReport",
 
 @dataclass(eq=False)
 class SMatrix:
-    """Unnormalized S-matrix: s[X, Y] = Tr(c_{Y,X} c_{X,Y})."""
+    """Unnormalized S-matrix: s[x, y] = Tr(c_{Y,X} c_{X,Y})
+    = sum_z N_{xy}^z d_z R(y,x,z) R(x,y,z), for invertible F-matrices."""
 
     entries: np.ndarray
     rank: int
@@ -46,9 +54,11 @@ class ModularityVerdict:
 class MugerReport:
     """Transparent labels and per-label monodromy defects.
 
-    A label is transparent when the double braiding with every simple is
-    the identity; the unit always is.  ``s_row_consistent`` records the
-    equivalent S-matrix criterion s_{XY} = dim(X) dim(Y).
+    A label x is transparent when the double braiding with every simple is
+    the identity; the unit always is.  Its defect is
+    max_{y,z} |R(y,x,z) R(x,y,z) - 1|, read after ``s_matrix`` has refused
+    a singular F-matrix.  ``s_row_consistent`` records the equivalent
+    S-matrix criterion s_{XY} = dim(X) dim(Y).
     """
 
     transparent: list
@@ -61,8 +71,13 @@ class MugerReport:
                 "s_row_consistent": self.s_row_consistent}
 
 
+def _monodromy(cat: CategoryData, x: int, y: int, z: int) -> complex:
+    """The eigenvalue of c_{Y,X} c_{X,Y} on the channel z of x (x) y."""
+    return cat.r.get(y, x, z) * cat.r.get(x, y, z)
+
+
 def double_braiding(cat: CategoryData, x: int, y: int) -> E.Morphism:
-    """Monodromy c_{Y,X} o c_{X,Y} : X (x) Y -> X (x) Y on simples."""
+    """Monodromy c_{Y,X} o c_{X,Y} : X (x) Y -> X (x) Y on simples, drawn."""
     X, Y = E.ObjectExpr.simple(x), E.ObjectExpr.simple(y)
     return E.compose(E.braiding(cat, Y, X), E.braiding(cat, X, Y))
 
@@ -70,16 +85,17 @@ def double_braiding(cat: CategoryData, x: int, y: int) -> E.Morphism:
 def s_matrix(cat: CategoryData) -> SMatrix:
     """The S-matrix, built once per category and shared by every caller, so
     its ``entries`` are read-only.  Raises ``InvalidCategoryError`` if an
-    entry is not finite (NaN or infinite input data)."""
+    F-matrix is singular or not finite, or if an entry is not finite (NaN
+    or infinite input data)."""
     def build():
+        # a singular F-matrix is refused here, a non-finite one below
+        invs = [cat.f.inverse(cat.ring, *tree)[0]
+                for tree in sorted({key[:4] for key in cat.f.entries})]
         n = cat.n_labels
         S = np.zeros((n, n), dtype=complex)
-        for x in range(n):
-            for y in range(x, n):
-                v = E.quantum_trace(cat, double_braiding(cat, x, y))
-                S[x, y] = v
-                S[y, x] = v
-        if not np.isfinite(S).all():
+        for x, y, z in cat.ring.triples():
+            S[x, y] += cat.dim(z) * _monodromy(cat, x, y, z)
+        if not (np.isfinite(S).all() and all(np.isfinite(m).all() for m in invs)):
             raise InvalidCategoryError(
                 f"S-matrix of '{cat.name}' has non-finite entries; "
                 "the F-, R- or pivotal data are not finite")
@@ -102,13 +118,10 @@ def is_modular(cat: CategoryData) -> ModularityVerdict:
 def muger_center(cat: CategoryData) -> MugerReport:
     n = cat.n_labels
     eps = cat.tol.eps_identity
-    S = s_matrix(cat).entries  # first: it rejects non-finite data
-    defects = []
-    for x in range(n):
-        worst = 0.0
-        for y in range(n):
-            worst = max(worst, E.defect_from_identity(double_braiding(cat, x, y)))
-        defects.append(worst)
+    S = s_matrix(cat).entries  # first: it rejects singular or non-finite data
+    defects = [0.0] * n
+    for x, y, z in cat.ring.triples():
+        defects[x] = _fold(defects[x], abs(_monodromy(cat, x, y, z) - 1))
     transparent = [x for x in range(n) if defects[x] < eps]
     # cross-check: X transparent iff its S-row is dim(X) dim(Y)
     consistent = True

@@ -1361,13 +1361,16 @@ def test_d_and_q_match_reference_at_word_length_two(cats, name):
 
 
 def test_square_transforms_make_no_pair_tensor_or_assembly(cats, monkeypatch):
-    # once a test object's leg matrices are cached, d and q at a pair are
-    # products of cached arrays: no exterior product, tensor or layout join
+    # once the couplings are cached, d and q at a pair are products of
+    # cached arrays and of leg matrices cut from a product transform: no
+    # exterior product, tensor, composite, cup or cap, hom basis or join
     cat = category_from_dict(category_to_dict(cats["ising"]))
     objs = _test_objects(cat, 2)
     for X in objs:
         for Y in objs:
             nat_transforms(cat, (X, Y))
+    for key in [k for k in cat._cache if k[0] == "legs"]:
+        del cat._cache[key]
     calls = []
 
     def counted(name, fn):
@@ -1377,7 +1380,8 @@ def test_square_transforms_make_no_pair_tensor_or_assembly(cats, monkeypatch):
         return call
 
     for mod, name in [(C, "pair_morphism"), (deligne, "pair_morphism"),
-                      (E, "tensor")]:
+                      (E, "tensor"), (E, "compose"), (E, "cup_cap"),
+                      (E, "hom_basis")]:
         monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     monkeypatch.setattr(E.Morphism, "assemble", classmethod(counted(
         "assemble", E.Morphism.assemble.__func__)))
@@ -1386,21 +1390,33 @@ def test_square_transforms_make_no_pair_tensor_or_assembly(cats, monkeypatch):
             d, q = nat_transforms(cat, (X, Y))
             assert deligne_defect(deligne_compose(q, d)) < 1e-12
     assert calls == []
+    assert any(k[0] == "legs" for k in cat._cache)
 
 
-def test_invertibility_report_builds_each_hom_basis_once(cats, monkeypatch):
+def test_invertibility_report_builds_no_hom_basis_and_each_leg_once(
+        cats, monkeypatch):
+    # the legs of d and q are cut from a product transform, each once per
+    # (X, i), with no hom basis drawn
     cat = category_from_dict(category_to_dict(cats["ising"]))
-    calls = {}
-    hom_basis = E.hom_basis
+    hom_bases, legs = [], {}
+    hom_basis, cached = E.hom_basis, E._cached
 
-    def counted(cat_, X, i, *args, **kwargs):
-        key = (E.as_object(X).summands, i)
-        calls[key] = calls.get(key, 0) + 1
-        return hom_basis(cat_, X, i, *args, **kwargs)
+    def counted_hom_basis(*args, **kwargs):
+        hom_bases.append(args)
+        return hom_basis(*args, **kwargs)
 
-    monkeypatch.setattr(E, "hom_basis", counted)
+    def counted_cached(cat_, key, builder):
+        def build():
+            if key[0] == "legs":
+                legs[key] = legs.get(key, 0) + 1
+            return builder()
+        return cached(cat_, key, build)
+
+    monkeypatch.setattr(E, "hom_basis", counted_hom_basis)
+    monkeypatch.setattr(E, "_cached", counted_cached)
     invertibility_report(cat, max_word_length=2)
-    assert calls and max(calls.values()) == 1
+    assert hom_bases == []
+    assert legs and max(legs.values()) == 1
 
 
 @pytest.mark.parametrize("n", [4, 5])

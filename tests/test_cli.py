@@ -151,7 +151,7 @@ def test_validate_reports_singular_f_matrix(tmp_path, capsys):
         assert out["residuals"][name]["value"] == "inf"
 
 
-@pytest.mark.parametrize("command", ["center", "factorize", "smatrix"])
+@pytest.mark.parametrize("command", ["center", "factorize", "smatrix", "muger"])
 def test_singular_f_matrix_exits_one(tmp_path, capsys, command):
     # the same singular fibonacci: no command past validate can invert it
     doc = json.loads(serialize_category(catalog("fibonacci")))
@@ -239,15 +239,18 @@ def _fibonacci_file(tmp_path, table, key, value):
 
 @pytest.mark.parametrize("table, key, value, command", [
     ("F", (1, 1, 1, 1, 1, 1), "NaN", "center"),
+    ("F", (1, 1, 1, 1, 1, 1), "NaN", "smatrix"),
+    ("F", (1, 1, 1, 1, 1, 1), "NaN", "muger"),
     ("pivotal", (1,), "1e309", "validate"),
     ("pivotal", (1,), "1e309", "center"),
     ("pivotal", (1,), "1e309", "factorize"),
-], ids=["nan_f-center", "inf_pivotal-validate", "inf_pivotal-center",
-        "inf_pivotal-factorize"])
+], ids=["nan_f-center", "nan_f-smatrix", "nan_f-muger", "inf_pivotal-validate",
+        "inf_pivotal-center", "inf_pivotal-factorize"])
 def test_non_finite_data_exits_one(tmp_path, capsys, table, key, value,
                                    command):
-    # a NaN F(tau,tau,tau,tau; tau,tau) reaches the tube algebra; an
-    # infinite pivotal coefficient gives tau an infinite quantum dimension
+    # a NaN F(tau,tau,tau,tau; tau,tau) reaches the tube algebra and the
+    # inverted F-matrices the S-matrix needs; an infinite pivotal
+    # coefficient gives tau an infinite quantum dimension
     assert run([command, _fibonacci_file(tmp_path, table, key, value)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("tcat:") and "Traceback" not in err

@@ -9,6 +9,9 @@ from tcat.category import category_from_dict, category_to_dict
 from tcat.modularity import double_braiding, is_modular, muger_center, s_matrix
 from tcat import engine as E
 
+from conftest import ALL_NAMES
+from test_center import _table_input
+
 PHI = (1 + math.sqrt(5)) / 2
 
 
@@ -112,13 +115,37 @@ def test_characterization_modular_iff_trivial_muger(cats):
         assert modular == (muger_center(cat).transparent == [0])
 
 
-def test_double_braiding_cross_module_consistency(cats):
-    cat = cats["ising"]
-    S = s_matrix(cat).entries
-    for i in range(cat.n_labels):
-        for j in range(cat.n_labels):
-            tr = E.quantum_trace(cat, double_braiding(cat, i, j))
-            assert tr == pytest.approx(complex(S[i, j]), abs=1e-12)
+@pytest.mark.parametrize("name", ALL_NAMES + [
+    "ising#2", "fibonacci@5", "vec_z3_modular#12", "su2_3", "su2_3_signed",
+    "so3_5", "so3_6", "fibonacci*semion", "vec_z2_sym*fibonacci"])
+def test_double_braiding_cross_module_consistency(cats, name):
+    # the diagrams the closed forms stand for: the trace and the identity
+    # defect of c_{Y,X} c_{X,Y}, drawn through the engine's braidings
+    cat = _table_input(cats, name)
+    S, rep = s_matrix(cat).entries, muger_center(cat)
+    n = cat.n_labels
+    drawn = [[double_braiding(cat, x, y) for y in range(n)] for x in range(n)]
+    traces = np.array([[E.quantum_trace(cat, m) for m in row] for row in drawn])
+    assert np.abs(traces - S).max() <= 1e-12 * np.abs(S).max()
+    defects = [max(E.defect_from_identity(m) for m in row) for row in drawn]
+    assert np.abs(np.subtract(defects, rep.monodromy_defects)).max() <= 1e-15
+    eps = cat.tol.eps_identity
+    assert [x for x in range(n) if defects[x] < eps] == rep.transparent
+
+
+def test_modularity_draws_no_diagram(cats, monkeypatch):
+    # the S-matrix and the monodromies are read off the R-symbols and the
+    # dimensions of a fresh category: no trace, braiding, cup, cap or tensor
+    cat = category_from_dict(category_to_dict(cats["ising"]))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a diagram was drawn")
+
+    for name in ("quantum_trace", "braiding", "cup_cap", "tensor"):
+        monkeypatch.setattr(E, name, refused)
+    assert s_matrix(cat).rank == 3
+    assert is_modular(cat).modular
+    assert muger_center(cat).transparent == [0]
 
 
 def test_s_matrix_built_once_and_read_only(cats):
