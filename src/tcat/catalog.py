@@ -31,19 +31,9 @@ def _assemble(name, label_names, dual, triples, f_nontrivial, r_nontrivial,
     """Build CategoryData, completing F/R tables over all admissible keys."""
     n = len(label_names)
     ring = FusionRing(n, triples)
-    f_entries = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    for e in ring.fusion(a, b):
-                        if not ring.admissible(e, c, d):
-                            continue
-                        for f in ring.fusion(b, c):
-                            if not ring.admissible(a, f, d):
-                                continue
-                            key = (a, b, c, d, e, f)
-                            f_entries[key] = complex(f_nontrivial.get(key, 1.0))
+    f_entries = {(*tree, e, f): complex(f_nontrivial.get((*tree, e, f), 1.0))
+                 for tree, (rows, cols) in ring.trees().items()
+                 for e in rows for f in cols}
     r_entries = {}
     for a in range(n):
         for b in range(n):
@@ -55,7 +45,7 @@ def _assemble(name, label_names, dual, triples, f_nontrivial, r_nontrivial,
         labels=tuple(SimpleLabel(i, nm) for i, nm in enumerate(label_names)),
         dual=tuple(dual),
         ring=ring,
-        f=FSymbolTable(f_entries),
+        f=FSymbolTable(ring, f_entries),
         r=RSymbolTable(r_entries),
         piv=PivotalCoeffs(t=tuple(complex(t) for t in pivotal)),
     )

@@ -12,8 +12,12 @@ Conventions
 
       |((ab)_e c) -> d>  =  sum_f  F[a,b,c,d][e,f] |(a (bc)_f) -> d>
 
-  so ``fmatrix(a, b, c, d)`` has rows indexed by channels ``e`` of ``a x b``
-  and columns by channels ``f`` of ``b x c``.
+  so ``F.matrix(a, b, c, d)`` has rows indexed by channels ``e`` of
+  ``a x b`` with ``d`` in ``e x c``, and columns by channels ``f`` of
+  ``b x c`` with ``d`` in ``a x f``.  These lists are
+  ``FusionRing.trees()``, the one enumeration of the F-trees: the loader,
+  the catalog, the F-matrices and the pentagon, hexagon and condition
+  checks all read it.
 * ``R[a, b, c]`` is the eigenvalue of the braiding ``a x b -> b x a`` on the
   fusion channel ``c``.
 * Duality scalars are fixed by the gauge ``ev(a) = <a* a -> 0|`` and
@@ -164,6 +168,20 @@ class FusionRing:
         # and the pairs fusing to each channel, in label order
         self._pairs = [tuple(zip(*(a.tolist() for a in np.nonzero(N[:, :, k]))))
                        for k in range(n_labels)]
+        # the F-trees, walked from the outcomes: rows first, then columns
+        out, trees = self._outcomes, {}
+        for (a, b), es in out.items():
+            for e in es:
+                for c in range(n_labels):
+                    for d in out[(e, c)]:
+                        trees.setdefault((a, b, c, d), ([], []))[0].append(e)
+        for (b, c), fs in out.items():
+            for f in fs:
+                for a in range(n_labels):
+                    for d in out[(a, f)]:
+                        trees.setdefault((a, b, c, d), ([], []))[1].append(f)
+        self._trees = {key: (tuple(rows), tuple(cols))
+                       for key, (rows, cols) in sorted(trees.items())}
 
     def fusion(self, i: int, j: int) -> tuple:
         """All channels k with N(i, j, k) = 1, in ascending label order."""
@@ -181,14 +199,29 @@ class FusionRing:
         return [(i, j, k) for i in range(n) for j in range(n)
                 for k in range(n) if self.N[i, j, k]]
 
+    def trees(self) -> dict:
+        """The F-trees ``{(a, b, c, d): (rows, cols)}``, shared: do not mutate.
+
+        ``rows`` are the channels e of a b with d in e c and ``cols`` the
+        channels f of b c with d in a f, both in label order; a tree is
+        listed, in label order, when either is non-empty.  On an associative
+        ring the two have equal length.  Built with the ring by walking the
+        fusion outcomes (a b -> e, e c -> d, then b c -> f, a f -> d), not
+        by scanning all n^4 trees.
+        """
+        return self._trees
+
 
 class FSymbolTable:
-    """Sparse F-symbol storage with cached per-tree F-matrices and inverses.
+    """Sparse F-symbols of one fusion ring, with its F-matrices and their
+    inverses built once per tree and shared read-only.
 
     Keys are ``(a, b, c, d, e, f)``; absent admissible entries read as 0.
+    The rows and columns of each F-matrix are those of ``ring.trees()``.
     """
 
-    def __init__(self, entries: dict):
+    def __init__(self, ring: FusionRing, entries: dict):
+        self.ring = ring
         self.entries = {tuple(int(x) for x in k): complex(v)
                         for k, v in entries.items()}
         self._mats: dict = {}
@@ -197,27 +230,27 @@ class FSymbolTable:
     def get(self, a, b, c, d, e, f) -> complex:
         return self.entries.get((a, b, c, d, e, f), 0j)
 
-    def matrix(self, ring: FusionRing, a, b, c, d):
+    def matrix(self, a, b, c, d):
         """F-matrix for the tree (a, b, c) -> d: rows e in a*b, cols f in b*c."""
         key = (a, b, c, d)
         hit = self._mats.get(key)
         if hit is not None:
             return hit
-        rows = [e for e in ring.fusion(a, b) if ring.admissible(e, c, d)]
-        cols = [f for f in ring.fusion(b, c) if ring.admissible(a, f, d)]
+        rows, cols = self.ring.trees().get(key, ((), ()))
         mat = np.array([[self.get(a, b, c, d, e, f) for f in cols]
                         for e in rows], dtype=complex).reshape(len(rows), len(cols))
-        out = (mat, tuple(rows), tuple(cols))
+        mat.flags.writeable = False
+        out = (mat, rows, cols)
         self._mats[key] = out
         return out
 
-    def inverse(self, ring: FusionRing, a, b, c, d):
+    def inverse(self, a, b, c, d):
         """Inverse F-matrix: rows f in b*c, cols e in a*b."""
         key = (a, b, c, d)
         hit = self._invs.get(key)
         if hit is not None:
             return hit
-        mat, rows, cols = self.matrix(ring, a, b, c, d)
+        mat, rows, cols = self.matrix(a, b, c, d)
         if mat.shape[0] != mat.shape[1]:
             raise InvalidCategoryError(
                 f"F-matrix for {(a, b, c, d)} is not square: {mat.shape}")
@@ -226,14 +259,15 @@ class FSymbolTable:
         except np.linalg.LinAlgError as exc:
             raise InvalidCategoryError(
                 f"F-matrix for {(a, b, c, d)} is singular") from exc
+        inv.flags.writeable = False
         out = (inv, cols, rows)
         self._invs[key] = out
         return out
 
-    def inverse_get(self, ring: FusionRing, a, b, c, d, f, e) -> complex:
+    def inverse_get(self, a, b, c, d, f, e) -> complex:
         """Entry (f, e) of the inverse F-matrix (f in b*c, e in a*b), or 0
         off the fusion rules."""
-        inv, rows, cols = self.inverse(ring, a, b, c, d)
+        inv, rows, cols = self.inverse(a, b, c, d)
         if f not in rows or e not in cols:
             return 0j
         return inv[rows.index(f), cols.index(e)]
@@ -409,34 +443,21 @@ def _pentagon_residual(cat: CategoryData) -> float:
             = sum_h F[a,b,c,g][f,h] F[a,h,d,r][g,k] F[b,c,d,k][h,l]
     """
     ring, F = cat.ring, cat.f
-    n = ring.n_labels
+    trees = ring.trees()
     worst = 0.0
-    rng = range(n)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    for r in rng:
-                        for fch in ring.fusion(a, b):
-                            for g in ring.fusion(fch, c):
-                                if not ring.admissible(g, d, r):
-                                    continue
-                                for l in ring.fusion(c, d):
-                                    if not ring.admissible(fch, l, r):
-                                        continue
-                                    for k in ring.fusion(b, l):
-                                        if not ring.admissible(a, k, r):
-                                            continue
-                                        lhs = (F.get(fch, c, d, r, g, l)
-                                               * F.get(a, b, l, r, fch, k))
-                                        rhs = sum(
-                                            F.get(a, b, c, g, fch, h)
-                                            * F.get(a, h, d, r, g, k)
-                                            * F.get(b, c, d, k, h, l)
-                                            for h in ring.fusion(b, c)
-                                            if ring.admissible(a, h, g)
-                                            and ring.admissible(h, d, k))
-                                        worst = _fold(worst, abs(lhs - rhs))
+    for (fch, c, d, r), (gs, ls) in trees.items():
+        for g in gs:
+            for l in ls:
+                for a, b in ring.pairs(fch):
+                    for k in trees[(a, b, l, r)][1]:
+                        lhs = (F.get(fch, c, d, r, g, l)
+                               * F.get(a, b, l, r, fch, k))
+                        rhs = sum(F.get(a, b, c, g, fch, h)
+                                  * F.get(a, h, d, r, g, k)
+                                  * F.get(b, c, d, k, h, l)
+                                  for h in trees[(a, b, c, g)][1]
+                                  if ring.admissible(h, d, k))
+                        worst = _fold(worst, abs(lhs - rhs))
     return worst
 
 
@@ -451,8 +472,8 @@ def _hexagon_residual(cat: CategoryData, inverse: bool) -> float:
 
     with every R replaced by (R reversed)^-1 for the inverse braiding.
     """
-    ring, F, R = cat.ring, cat.f, cat.r
-    n = ring.n_labels
+    F, R = cat.f, cat.r
+    trees = cat.ring.trees()
 
     def rsym(x, y, ch):
         if inverse:
@@ -461,25 +482,16 @@ def _hexagon_residual(cat: CategoryData, inverse: bool) -> float:
         return R.get(x, y, ch)
 
     worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    rows = [e for e in ring.fusion(a, b) if ring.admissible(e, c, d)]
-                    cols = [f for f in ring.fusion(b, c) if ring.admissible(a, f, d)]
-                    if not rows or not cols:
-                        continue
-                    for e in rows:
-                        for f in cols:
-                            lhs = rsym(a, f, d) * F.get(a, b, c, d, e, f)
-                            rhs = 0j
-                            for j in ring.fusion(a, c):
-                                if not ring.admissible(b, j, d):
-                                    continue
-                                rhs += (F.get(b, a, c, d, e, j) * rsym(a, c, j)
-                                        * F.inverse_get(ring, b, c, a, d, j, f))
-                            rhs *= rsym(a, b, e)
-                            worst = _fold(worst, abs(lhs - rhs))
+    for (a, b, c, d), (rows, cols) in trees.items():
+        for e in rows:
+            for f in cols:
+                lhs = rsym(a, f, d) * F.get(a, b, c, d, e, f)
+                rhs = 0j
+                for j in trees.get((b, a, c, d), ((), ()))[1]:
+                    rhs += (F.get(b, a, c, d, e, j) * rsym(a, c, j)
+                            * F.inverse_get(b, c, a, d, j, f))
+                rhs *= rsym(a, b, e)
+                worst = _fold(worst, abs(lhs - rhs))
     return worst
 
 
@@ -522,19 +534,14 @@ _F_CONDITION_LIMIT = 1e12
 
 
 def _f_condition_number(cat: CategoryData) -> float:
-    ring = cat.ring
-    n = ring.n_labels
     worst = 1.0
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    mat, rows, cols = cat.f.matrix(ring, a, b, c, d)
-                    if mat.size == 0:
-                        continue
-                    if mat.shape[0] != mat.shape[1]:
-                        return math.inf
-                    worst = _fold(worst, _condition(mat))
+    for tree in cat.ring.trees():
+        mat = cat.f.matrix(*tree)[0]
+        if mat.size == 0:
+            continue
+        if mat.shape[0] != mat.shape[1]:
+            return math.inf
+        worst = _fold(worst, _condition(mat))
     return worst
 
 
@@ -748,10 +755,11 @@ def category_from_dict(doc: dict) -> CategoryData:
                 raise SchemaError("key 'fusion' is inconsistent with key 'dual' "
                                   f"at labels ({i},{j})")
 
-    f_table = FSymbolTable(_records(
-        doc, "F", "abcdef", lambda a, b, c, d, e, f: all(
-            _admissible(ring, *t)
-            for t in ((a, b, e), (e, c, d), (b, c, f), (a, f, d)))))
+    def on_tree(a, b, c, d, e, f):
+        rows, cols = ring.trees().get((a, b, c, d), ((), ()))
+        return e in rows and f in cols
+
+    f_table = FSymbolTable(ring, _records(doc, "F", "abcdef", on_tree))
     r_table = RSymbolTable(_records(
         doc, "R", "abc", lambda a, b, c: _admissible(ring, a, b, c),
         zero="braiding eigenvalue"))

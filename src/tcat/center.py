@@ -319,13 +319,13 @@ def verify_center_object(cat: CategoryData, obj: CenterObject) -> CenterReport:
     # (j, k, s, (a3, e), (m, a)) -> that block of stacked - resolved
     terms = {(j, k, s, (a3, e), (m, a)): -f * g
              for (m, s, a3, a), g in blocks.items() for j, k in ring.pairs(m)
-             for inv, ms, es in (F.inverse(ring, a3, j, k, s),)
+             for inv, ms, es in (F.inverse(a3, j, k, s),)
              for e, f in zip(es, inv[ms.index(m)]) if f}
     for (j, e, a3, a2), gj in blocks.items():
         for k, c, a, gk in into.get(a2, ()):
             g = gj @ gk
             for s in ring.fusion(e, k):
-                f2 = F.inverse_get(ring, j, a2, k, s, c, e)
+                f2 = F.inverse_get(j, a2, k, s, c, e)
                 for m in ring.fusion(j, k):
                     f = F.get(j, k, a, s, m, c) * f2
                     if f:
@@ -431,9 +431,9 @@ def _crossing_table(cat: CategoryData, j: int, x: int, y: int) -> dict:
                     if not ring.admissible(a2, j, c):
                         continue
                     table[(c, a, a2)] = sum(
-                        F.inverse_get(ring, j, x, y, c, a, e) * R.get(j, x, e)
+                        F.inverse_get(j, x, y, c, a, e) * R.get(j, x, e)
                         * F.get(x, j, y, c, e, f) / R.get(y, j, f)
-                        * F.inverse_get(ring, x, y, j, c, f, a2)
+                        * F.inverse_get(x, y, j, c, f, a2)
                         for e in ring.fusion(j, x) for f in ring.fusion(j, y))
         return table
 
@@ -533,8 +533,8 @@ def _loop_table(cat: CategoryData, i: int) -> dict:
                                 continue
                             w = sum(
                                 E._loop_weight(cat, j, b, s) * R.get(b, j, s)
-                                * F.inverse_get(ring, i, a2, j, s, c, b)
-                                * sum(F.inverse_get(ring, j, i, a, s, b, e)
+                                * F.inverse_get(i, a2, j, s, c, b)
+                                * sum(F.inverse_get(j, i, a, s, b, e)
                                       * R.get(j, i, e) * F.get(i, j, a, s, e, c)
                                       for e in ring.fusion(j, i))
                                 for s in ring.fusion(b, j))
@@ -938,7 +938,7 @@ def tube_algebra(cat: CategoryData) -> TubeAlgebra:
                         if z is not None:
                             structure[x, y, z] = (
                                 F.get(j1, j2, a2, s, l, c2)
-                                * F.inverse_get(ring, j1, a1, j2, s, c2, c1)
+                                * F.inverse_get(j1, a1, j2, s, c2, c1)
                                 * F.get(b1, j1, j2, s, c1, l))
         if not np.isfinite(structure).all():
             raise InvalidCategoryError(f"tube algebra of '{cat.name}' is not finite")

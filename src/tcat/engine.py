@@ -282,7 +282,7 @@ def _tail_transform(cat: CategoryData, i: int, w: Word, k: int):
         for (j, t), ci in cols.items():
             jp = t[-1] if l >= 3 else w[0]       # root of the u-part of t
             tp = t[:-1] if l >= 3 else ()
-            finv, f_rows, f_cols = cat.f.inverse(cat.ring, i, jp, z, k)
+            finv, f_rows, f_cols = cat.f.inverse(i, jp, z, k)
             jrow = f_rows.index(j)
             for mcol, m in enumerate(f_cols):
                 smat, srows, scols = _tail_transform(cat, i, u, m)
@@ -874,7 +874,7 @@ def _loop_weight(cat: CategoryData, j: int, b: int, c: int) -> complex:
     """
     jd = cat.dual[j]
     return (cat.coev_scalar(j) * cat.ev_right_scalar(j)
-            * cat.f.inverse_get(cat.ring, b, j, jd, b, 0, c)
+            * cat.f.inverse_get(b, j, jd, b, 0, c)
             * cat.f.get(b, j, jd, b, c, 0))
 
 

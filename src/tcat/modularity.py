@@ -89,7 +89,7 @@ def s_matrix(cat: CategoryData) -> SMatrix:
     or infinite input data)."""
     def build():
         # a singular F-matrix is refused here, a non-finite one below
-        invs = [cat.f.inverse(cat.ring, *tree)[0]
+        invs = [cat.f.inverse(*tree)[0]
                 for tree in sorted({key[:4] for key in cat.f.entries})]
         n = cat.n_labels
         S = np.zeros((n, n), dtype=complex)

@@ -197,3 +197,30 @@ def su2_doc(k: int, so3: bool = False, pivotal_sign: int = 1) -> dict:
         "pivotal": [{"i": ids[s], "re": float(pivotal_sign ** s), "im": 0.0}
                     for s in spins],
     }
+
+
+def nonassociative_doc() -> dict:
+    """A loadable document on a fusion ring that is not associative.
+
+    Labels 1, x, y, all self-dual, with x x = 1 + x, x y = y x = y and
+    y y = 1, so (x x) y = 2 y but x (x y) = y.  Every admissible F- and
+    R-symbol and every pivotal coefficient is 1.
+    """
+    triples = [(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1), (1, 1, 0),
+               (1, 1, 1), (1, 2, 2), (2, 0, 2), (2, 1, 2), (2, 2, 0)]
+    fuse = set(triples)
+
+    def one(**legs):
+        return {**legs, "re": 1.0, "im": 0.0}
+
+    return {
+        "name": "nonassociative",
+        "labels": ["1", "x", "y"],
+        "dual": [0, 1, 2],
+        "fusion": [list(t) for t in triples],
+        "F": [one(a=a, b=b, c=c, d=d, e=e, f=f)
+              for a, b, c, d, e, f in itertools.product(range(3), repeat=6)
+              if {(a, b, e), (e, c, d), (b, c, f), (a, f, d)} <= fuse],
+        "R": [one(a=a, b=b, c=c) for a, b, c in triples],
+        "pivotal": [one(i=i) for i in range(3)],
+    }

@@ -1,7 +1,9 @@
 """Category data: schema, catalog, validation, quantum dimensions."""
 
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from tcat.category import (CategoryData, FSymbolTable, ToleranceCfg, _fold,
 from tcat.engine import ObjectExpr
 from tcat.modularity import is_modular
 
-from conftest import su2_doc, vec_zn_doc
+from conftest import (ALL_NAMES, input_doc, nonassociative_doc, su2_doc,
+                      vec_zn_doc)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -242,8 +245,8 @@ def test_perturbed_f_symbol_fails_pentagon(cats):
     entries = dict(cat.f.entries)
     entries[(1, 1, 1, 1, 0, 0)] += 1e-3
     broken = CategoryData(name="broken", labels=cat.labels, dual=cat.dual,
-                          ring=cat.ring, f=FSymbolTable(entries), r=cat.r,
-                          piv=cat.piv, tol=cat.tol)
+                          ring=cat.ring, f=FSymbolTable(cat.ring, entries),
+                          r=cat.r, piv=cat.piv, tol=cat.tol)
     report = validate(broken)
     assert not report.ok
     assert report.residual("pentagon") >= 1e-4
@@ -276,6 +279,43 @@ def test_nan_f_symbol_fails_pentagon(cats):
     report = validate(_fibonacci_with_nan(cats, "F", (1, 1, 1, 1, 1, 1)))
     assert not report.ok
     assert math.isnan(report.residual("pentagon"))
+
+
+def _trees_by_scan(ring):
+    """Every F-tree with its rows and columns, by scanning all n^4 trees."""
+    n, N = ring.n_labels, ring.N
+    out = {}
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        rows = tuple(e for e in range(n) if N[a, b, e] and N[e, c, d])
+        cols = tuple(f for f in range(n) if N[b, c, f] and N[a, f, d])
+        if rows or cols:
+            out[(a, b, c, d)] = (rows, cols)
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + [
+    "su2_3", "so3_6", "vec_z5_k1", "fibonacci*semion", "nonassociative"])
+def test_fusion_trees_match_a_scan_of_every_tree(cats, name):
+    doc = (nonassociative_doc() if name == "nonassociative"
+           else input_doc(cats, name))
+    ring = category_from_dict(doc).ring
+    trees = ring.trees()
+    assert trees == _trees_by_scan(ring)
+    assert list(trees) == sorted(trees)
+
+
+def test_non_associative_ring_has_a_non_square_f_matrix():
+    # (x x) y = 2 y but x (x y) = y: the tree (x, x, y) -> y has two rows
+    # and one column, so it has no inverse and f_condition reads inf
+    cat = category_from_dict(nonassociative_doc())
+    assert cat.ring.trees()[(1, 1, 2, 2)] == ((0, 1), (2,))
+    with pytest.raises(InvalidCategoryError,
+                       match=re.escape("F-matrix for (1, 1, 2, 2) is not "
+                                       "square: (2, 1)")):
+        cat.f.inverse(1, 1, 2, 2)
+    report = validate(cat)
+    assert report.residual("f_condition") == math.inf
+    assert not report.ok
 
 
 # -- quantum dimensions -------------------------------------------------

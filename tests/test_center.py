@@ -1265,7 +1265,9 @@ def test_invertibility_report_keeps_no_f_objects(cats):
     lambda cat: [b for s in center_simples(cat) for cp in _slot_couplings(cat, s)
                  for m in (cp.gamma_mor, cp.incl, cp.proj)
                  for b in m.blocks.values()],
-], ids=["legs", "tube_algebra", "center_gamma", "crossing_blocks", "couplings"])
+    lambda cat: [cat.f.matrix(1, 1, 1, 1)[0], cat.f.inverse(1, 1, 1, 1)[0]],
+], ids=["legs", "tube_algebra", "center_gamma", "crossing_blocks", "couplings",
+        "f_blocks"])
 def test_arrays_reached_from_the_category_cache_are_read_only(cats, reach):
     # a write into a shared array would change every later reader, for
     # example every later d and q through a leg

@@ -218,6 +218,29 @@ def test_muger_command(capsys):
     assert "modular: False" in out
 
 
+@pytest.mark.parametrize("name, transparent, modular", [
+    ("vec_z2_sym", [0, 1], False), ("ising", [0], True)])
+def test_muger_machine_format_is_schema_versioned_json(capsys, name,
+                                                       transparent, modular):
+    assert run(["muger", name, "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema_version"] == 2
+    assert doc["command"] == "muger"
+    assert doc["category"] == name
+    assert doc["transparent"] == transparent
+    assert doc["modular"] is modular
+    assert doc["s_row_consistent"] is True
+    assert len(doc["monodromy_defects"]) == catalog(name).n_labels
+
+
+def test_catalog_list_machine_format_is_schema_versioned_json(capsys):
+    assert run(["catalog-list", "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema_version"] == 2
+    assert doc["command"] == "catalog-list"
+    assert doc["names"] == catalog_names()
+
+
 def test_center_command_counts(capsys):
     assert run(["center", "semion"]) == 0
     out = capsys.readouterr().out

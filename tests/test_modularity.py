@@ -9,7 +9,7 @@ from tcat.category import category_from_dict, category_to_dict
 from tcat.modularity import double_braiding, is_modular, muger_center, s_matrix
 from tcat import engine as E
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, vec_zn_doc
 from test_center import _table_input
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -60,18 +60,6 @@ def test_s_matrix_symmetry(cats):
         assert np.allclose(S, S.T, atol=1e-10)
 
 
-def test_s_matrix_independent_channel_oracle(cats):
-    # oracle: s_{ij} = sum_c N(i,j,c) dim(c) R(i,j;c) R(j,i;c), from the
-    # eigenvalue decomposition of the double braiding over fusion channels
-    for cat in cats.values():
-        S = s_matrix(cat).entries
-        for i in range(cat.n_labels):
-            for j in range(cat.n_labels):
-                want = sum(cat.dim(c) * cat.r.get(i, j, c) * cat.r.get(j, i, c)
-                           for c in cat.ring.fusion(i, j))
-                assert S[i, j] == pytest.approx(complex(want), abs=1e-10)
-
-
 def test_is_modular_verdicts(cats):
     assert is_modular(cats["trivial"]).modular
     assert is_modular(cats["fibonacci"]).modular
@@ -100,6 +88,15 @@ def test_muger_monodromy_defect_values(cats):
     rep = muger_center(cats["fibonacci"])
     assert rep.monodromy_defects[0] < 1e-12
     assert rep.monodromy_defects[1] > 0.5
+
+
+def test_muger_center_flags_s_rows_on_a_non_monoidal_pivotal():
+    # t_2 = -1 on Vec_Z4 fails validate (dimension_character): the
+    # monodromies still make 0 and 2 transparent, but the S-matrix rows,
+    # which use the inconsistent dimensions, disagree with them
+    rep = muger_center(category_from_dict(vec_zn_doc(4, 1, {2: -1.0})))
+    assert rep.transparent == [0, 2]
+    assert rep.s_row_consistent is False
 
 
 def test_unit_always_transparent(cats):
