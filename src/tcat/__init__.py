@@ -11,13 +11,13 @@ pair fails to be mutually inverse on degenerate inputs.
 
 from .category import (CategoryData, PivotalCoeffs, Scalar, SimpleLabel,
                        ToleranceCfg, ValidationReport, global_dim,
-                       load_category, loads_category, quantum_dim,
-                       serialize_category, validate)
+                       load_category, loads_category, serialize_category,
+                       validate)
 from .catalog import catalog, catalog_names
 from .engine import (CasimirPair, FusionTreeBasis, Morphism, ObjectExpr,
                      braiding, compose, cup_cap, fusion_tree_basis, hom_basis,
-                     identity, identity_resolution, omega_loop, quantum_trace,
-                     tensor)
+                     identity, identity_resolution, omega_loop, quantum_dim,
+                     quantum_trace, tensor)
 from .modularity import (ModularityVerdict, MugerReport, SMatrix, is_modular,
                          muger_center, s_matrix)
 from .deligne import DeligneMorphism, DelignePair, pair_morphism, pair_object

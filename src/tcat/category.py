@@ -22,9 +22,11 @@ Conventions
   fusion channel ``c``.
 * Duality scalars are fixed by the gauge ``ev(a) = <a* a -> 0|`` and
   ``coev(a) = coev_scalar(a) |0 -> a a*>`` with
-  ``coev_scalar(a) = 1 / F[a, a*, a, a][0, 0]``, which makes both zig-zag
-  identities hold exactly.  The left quantum dimension is then
-  ``dim(a) = t_a * coev_scalar(a)``.
+  ``coev_scalar(a) = 1 / F[a, a*, a, a][0, 0]``.  This gauge makes the
+  zig-zag of a through coev(a) and ev(a), and its primed twin, equal to
+  1; the other two zig-zags are checked by ``validate``.  The left
+  quantum dimension is then ``dim(a) = t_a * coev_scalar(a)``, and the
+  category is spherical iff ``dim(a) = dim(a*)`` for every simple a.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ __all__ = [
     "Scalar", "SimpleLabel", "ToleranceCfg", "FusionRing", "FSymbolTable",
     "RSymbolTable", "PivotalCoeffs", "CategoryData", "ValidationReport",
     "ResidualEntry", "load_category", "loads_category", "serialize_category",
-    "validate", "quantum_dim", "global_dim",
+    "validate", "global_dim",
 ]
 
 #: The ground field, realized as complex doubles.
@@ -546,25 +548,12 @@ def _f_condition_number(cat: CategoryData) -> float:
 
 
 def _sphericality_residual(cat: CategoryData) -> float:
-    """Left vs right quantum traces of seeded random sector endomorphisms.
-
-    Every non-unit simple is checked on its own; two-letter words then fill
-    the sample up to six words.
-    """
-    from . import engine  # deferred: engine builds on this module
-
-    rng = np.random.default_rng(20240801)
+    """Max |d_a - d_{a*}|: a pivotal fusion category is spherical iff every
+    simple has the dimension of its dual (Etingof-Gelaki-Nikshych-Ostrik,
+    *Tensor Categories*, 2015, 4.7)."""
     worst = 0.0
-    n = cat.n_labels
-    words = [(a,) for a in range(1, n)]
-    pairs = [(a, b) for a in range(1, n) for b in range(1, n)]
-    words = (words + pairs[:max(0, 6 - len(words))]) or [()]
-    for w in words:
-        X = engine.ObjectExpr.word(w)
-        f = engine.random_endomorphism(cat, X, rng)
-        left = engine.quantum_trace(cat, f, side="left")
-        right = engine.quantum_trace(cat, f, side="right")
-        worst = _fold(worst, abs(left - right))
+    for a, d in enumerate(cat.dims):
+        worst = _fold(worst, abs(d - cat.dims[cat.dual[a]]))
     return worst
 
 
@@ -576,13 +565,26 @@ def _dimension_character_residual(cat: CategoryData) -> float:
 
 
 def _zigzag_residual(cat: CategoryData) -> float:
-    from . import engine
+    """Max |z - 1| over two zig-zags of each simple a, each one scalar:
+    (ev(a) (x) 1)(1 (x) coev(a)) on a* and (ev'(a) (x) 1)(1 (x) coev'(a))
+    on a are
 
+        z2 = coev(a) ev(a) Finv[a*,a,a*,a*][0,0],
+        z4 = coev'(a) ev'(a) Finv[a,a*,a,a][0,0].
+
+    A singular F-matrix raises from ``inverse_get``.
+    """
+    # the other two, (1 (x) ev(a))(coev(a) (x) 1) and its primed twin, are
+    # coev(a) F[a,a*,a,a][0,0] at a and at a*: 1, as __post_init__ sets
+    # coev(a) = 1 / F[a,a*,a,a][0,0]
     worst = 0.0
     for a in range(cat.n_labels):
-        X = engine.ObjectExpr.simple(a)
-        for m in engine.zigzag_defects(cat, X):
-            worst = _fold(worst, m)
+        b = cat.dual[a]
+        z2 = (cat.coev_scalar(a) * cat.ev_scalar(a)
+              * cat.f.inverse_get(b, a, b, b, 0, 0))
+        z4 = (cat.coev_right_scalar(a) * cat.ev_right_scalar(a)
+              * cat.f.inverse_get(a, b, a, a, 0, 0))
+        worst = _fold(_fold(worst, abs(z2 - 1)), abs(z4 - 1))
     return worst
 
 
@@ -610,22 +612,6 @@ def validate(cat: CategoryData) -> ValidationReport:
             value = math.inf
         entries.append(ResidualEntry(name, value, threshold))
     return ValidationReport(category=cat.name, entries=entries)
-
-
-# ----------------------------------------------------------------------
-# quantum dimensions
-# ----------------------------------------------------------------------
-
-def quantum_dim(cat: CategoryData, X) -> Scalar:
-    """Quantum dimension of an object: trace of its identity via eval o coev.
-
-    Additive over direct sums and multiplicative over tensor words by
-    construction of the duality morphisms.
-    """
-    from . import engine
-
-    X = engine.as_object(X)
-    return engine.quantum_trace(cat, engine.identity(cat, X))
 
 
 def global_dim(cat: CategoryData) -> Scalar:

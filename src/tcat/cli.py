@@ -24,7 +24,7 @@ from .category import (CategoryData, load_category, serialize_category,
 from .errors import SchemaError, TcatError, UnknownCategoryError
 from .modularity import is_modular, muger_center, s_matrix
 from .center import center_simples, invertibility_report, verify_center_object
-from . import engine as E
+from .engine import quantum_dim
 
 SCHEMA_VERSION = 2
 
@@ -192,7 +192,7 @@ def _run_center(cat, args) -> int:
     entries = []
     for obj in simples:
         rep = verify_center_object(cat, obj)
-        qd = E.quantum_trace(cat, E.identity(cat, obj.X))
+        qd = quantum_dim(cat, obj.X)
         entries.append({
             "object": obj.X.describe(cat),
             "quantum_dim": [qd.real, qd.imag],

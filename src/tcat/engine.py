@@ -33,9 +33,10 @@ channel block at sector c times one scalar kappa(j, b, c)
 (``_loop_weight``: two duality scalars and two F-entries).
 ``omega_loop`` closes its Omega-loops this way, and the center reads
 half-braidings off the tube module and closes the coupling loops around
-i (x) a in closed form with the same scalar.  ``quantum_trace`` and
-``cup_cap`` stay diagrammatic, so the validator's left-versus-right trace
-check never reads kappa twice.
+i (x) a in closed form with the same scalar.  ``quantum_trace``,
+``zigzag_defects`` and ``cup_cap`` stay diagrammatic: they are the drawn
+reference for the closed forms of the validator's sphericality and
+zig-zag checks and of ``quantum_dim``, which read the data alone.
 
 Every cup and cap comes from one cached builder (``cup_cap``), keyed by its
 kind; one table (``_KINDS``) says whether the kind's pair object is X X* or
@@ -85,8 +86,8 @@ from .errors import CompositionError, ShapeError
 
 __all__ = [
     "ObjectExpr", "Morphism", "CasimirPair", "FusionTreeBasis",
-    "as_object", "fusion_tree_basis", "identity", "zero_morphism",
-    "random_morphism", "random_endomorphism", "compose", "compose_all",
+    "as_object", "quantum_dim", "fusion_tree_basis", "identity",
+    "zero_morphism", "random_morphism", "random_endomorphism", "compose", "compose_all",
     "tensor", "braiding", "cup_cap", "quantum_trace", "trace_pairing",
     "hom_basis", "identity_resolution", "omega_loop",
     "zigzag_defects",
@@ -177,6 +178,15 @@ def as_object(X) -> ObjectExpr:
     if isinstance(X, int):
         return ObjectExpr.simple(X)
     return ObjectExpr.word(tuple(X))
+
+
+def quantum_dim(cat: CategoryData, X) -> Scalar:
+    """Quantum dimension of an object, sum_k dim Hom(k, X) d_k.  Where the
+    dimensions are a character of the fusion ring (``validate``'s
+    dimension_character) it is the trace of the identity of X, additive
+    over direct sums and multiplicative over words."""
+    return sum((m * cat.dim(k) for k, m in as_object(X).grading(cat).items()),
+               0j)
 
 
 # ----------------------------------------------------------------------

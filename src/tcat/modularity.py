@@ -89,8 +89,7 @@ def s_matrix(cat: CategoryData) -> SMatrix:
     or infinite input data)."""
     def build():
         # a singular F-matrix is refused here, a non-finite one below
-        invs = [cat.f.inverse(*tree)[0]
-                for tree in sorted({key[:4] for key in cat.f.entries})]
+        invs = [cat.f.inverse(*tree)[0] for tree in cat.ring.trees()]
         n = cat.n_labels
         S = np.zeros((n, n), dtype=complex)
         for x, y, z in cat.ring.triples():

@@ -391,10 +391,10 @@ def test_serialized_document_parses_as_json(cats):
 
 def test_sphericality_checks_every_label():
     assert validate(category_from_dict(vec_zn_doc(9))).ok
-    # t_8 = 2 breaks sphericality at the highest label, which a sample of
-    # the first six words (labels 1..6 only) never reaches
+    # t_8 = 2 breaks sphericality at the highest label: d_8 = 2, d_{8*} = 1
     report = validate(category_from_dict(vec_zn_doc(9, pivotal={8: 2.0})))
     entry = next(e for e in report.entries if e.name == "sphericality")
+    assert entry.value == 1.0
     assert entry.value >= entry.threshold
     assert not report.ok
 
@@ -402,7 +402,10 @@ def test_sphericality_checks_every_label():
 def test_dimension_character_rejects_non_monoidal_pivotal():
     assert validate(category_from_dict(vec_zn_doc(11))).ok
     # t_1 = -1 gives dim(1) = -1 but dim(10) = dim(1*) = +1, so
-    # dim(1) dim(10) = -1 != dim(0): every other residual still reads zero
+    # dim(1) dim(10) = -1 != dim(0), and |dim(1) - dim(1*)| = 2 is not
+    # spherical: every other residual still reads zero
     report = validate(category_from_dict(vec_zn_doc(11, pivotal={1: -1.0})))
     assert report.residual("dimension_character") == pytest.approx(2.0)
-    assert [e.name for e in report.entries if not e.ok] == ["dimension_character"]
+    assert report.residual("sphericality") == 2.0
+    assert [e.name for e in report.entries if not e.ok] == [
+        "sphericality", "dimension_character"]

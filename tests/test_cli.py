@@ -7,7 +7,9 @@ import os
 import pytest
 
 from tcat.cli import run
-from tcat import catalog, catalog_names, serialize_category
+from tcat import (catalog, catalog_names, center_simples, loads_category,
+                  serialize_category, validate, verify_center_object)
+from tcat import engine as E
 
 
 def test_validate_catalog_entry_exits_zero(capsys):
@@ -147,8 +149,10 @@ def test_validate_reports_singular_f_matrix(tmp_path, capsys):
     assert run(["validate", str(path), "--format", "machine"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] is False
-    for name in ("hexagon_forward", "sphericality", "zigzag"):
+    for name in ("hexagon_forward", "zigzag"):
         assert out["residuals"][name]["value"] == "inf"
+    # d_tau = 1 / F[tau,tau,tau,tau][0,0] = 1 = d_{tau*}: read without an inverse
+    assert out["residuals"]["sphericality"]["value"] == 0.0
 
 
 @pytest.mark.parametrize("command", ["center", "factorize", "smatrix", "muger"])
@@ -163,6 +167,42 @@ def test_singular_f_matrix_exits_one(tmp_path, capsys, command):
     assert run([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("tcat:") and "singular" in err
+
+
+@pytest.mark.parametrize("command", ["smatrix", "muger", "center"])
+def test_missing_f_tree_exits_one(tmp_path, capsys, command):
+    # ising without its one record of the tree (sigma, sigma, psi) -> psi:
+    # the 1x1 F-matrix of that tree reads 0, and the S-matrix refuses it
+    doc = json.loads(serialize_category(catalog("ising")))
+    doc["F"] = [rec for rec in doc["F"]
+                if (rec["a"], rec["b"], rec["c"], rec["d"]) != (1, 1, 2, 2)]
+    path = tmp_path / "ising_missing_tree.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tcat:") and "F-matrix for (1, 1, 2, 2) is singular" in err
+
+
+def test_validate_and_center_draw_no_diagram(tmp_path, capsys, monkeypatch):
+    # validate, the center simples, their verification and `tcat center`
+    # (quantum dimensions included) read the data of a fresh ising: no
+    # trace, braiding, cup, cap or tensor is drawn
+    doc = serialize_category(catalog("ising"))
+    path = tmp_path / "ising.json"
+    path.write_text(doc, encoding="utf-8")
+    cat = loads_category(doc)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a diagram was drawn")
+
+    for name in ("quantum_trace", "braiding", "cup_cap", "tensor"):
+        monkeypatch.setattr(E, name, refused)
+    assert validate(cat).ok
+    simples = center_simples(cat)
+    assert all(verify_center_object(cat, s).ok for s in simples)
+    assert run(["center", str(path), "--format", "machine"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["count"] == 9 and all(s["verified"] for s in out["simples"])
 
 
 @pytest.mark.parametrize("command", ["validate", "smatrix", "factorize", "muger"])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tcat import (CompositionError, ShapeError, loads_category,
+from tcat import (CompositionError, ShapeError, loads_category, quantum_dim,
                   serialize_category, validate)
 from tcat import engine as E
 from tcat.category import (_condition, _inverse, _spectral_norm, _svd,
@@ -14,7 +14,8 @@ from tcat.category import (_condition, _inverse, _spectral_norm, _svd,
 from tcat.engine import ObjectExpr
 
 from conftest import ALL_NAMES, su2_doc
-from test_center import TABLE_INPUTS, _table_input
+from test_center import (PRODUCT_INPUT, Q_RACAH_INPUTS, TABLE_INPUTS, _close,
+                         _table_input)
 
 PHI = (1 + math.sqrt(5)) / 2
 RNG = np.random.default_rng(20240811)
@@ -234,6 +235,65 @@ def test_zigzag_identities(cats):
         for X in objs:
             for r in E.zigzag_defects(cat, X):
                 assert r < 1e-12
+
+
+#: inputs off the axioms, on which the zig-zags are not 1: one F-symbol
+#: scaled, F(tau,tau,tau,tau; tau,tau) of fibonacci by 1.3 and
+#: F(1,2,1,1; 0,0) of vec_z3_modular by 1.5, which also makes d_1 != d_{1*}
+OFF_AXIOM_INPUTS = {
+    "fibonacci~": ("fibonacci", (1, 1, 1, 1, 1, 1), 1.3),
+    "vec_z3_modular~": ("vec_z3_modular", (1, 2, 1, 1, 0, 0), 1.5)}
+
+
+def _input_or_scaled(cats, name):
+    if name not in OFF_AXIOM_INPUTS:
+        return _table_input(cats, name)
+    base, key, factor = OFF_AXIOM_INPUTS[name]
+    doc = category_to_dict(cats[base])
+    for rec in doc["F"]:
+        if tuple(rec[x] for x in "abcdef") == key:
+            rec["re"], rec["im"] = rec["re"] * factor, rec["im"] * factor
+    return category_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS + [
+    *Q_RACAH_INPUTS, PRODUCT_INPUT, "vec_z2_sym*fibonacci", *OFF_AXIOM_INPUTS])
+def test_closed_forms_match_the_drawn_reference(cats, name):
+    # validate's sphericality and zig-zag residuals and quantum_dim read the
+    # data; quantum_trace and zigzag_defects draw the cups and caps
+    cat = _input_or_scaled(cats, name)
+    n = cat.n_labels
+    zigzags, sides = [], []
+    for a in range(n):
+        b, X = cat.dual[a], word(a)
+        left = E.quantum_trace(cat, E.identity(cat, X))
+        right = E.quantum_trace(cat, E.identity(cat, X), side="right")
+        assert _close(left, cat.dim(a)) and _close(right, cat.dim(b))
+        sides.append(abs(left - right))
+        z1, z2, z3, z4 = E.zigzag_defects(cat, X)
+        assert z1 <= 1e-14 and z3 <= 1e-14
+        closed2 = (cat.coev_scalar(a) * cat.ev_scalar(a)
+                   * cat.f.inverse_get(b, a, b, b, 0, 0))
+        closed4 = (cat.coev_right_scalar(a) * cat.ev_right_scalar(a)
+                   * cat.f.inverse_get(a, b, a, a, 0, 0))
+        assert abs(z2 - abs(closed2 - 1)) <= 1e-12
+        assert abs(z4 - abs(closed4 - 1)) <= 1e-12
+        zigzags += [z2, z4]
+    report = validate(cat)
+    assert abs(report.residual("zigzag") - max(zigzags)) <= 1e-12
+    assert abs(report.residual("sphericality") - max(sides)) <= 1e-12
+    first, last = min(1, n - 1), n - 1
+    objs = [ObjectExpr.direct_sum([ObjectExpr.unit(), word(last),
+                                   ObjectExpr.word((first,), 2)])]
+    if name not in OFF_AXIOM_INPUTS:
+        # the drawn trace of a word multiplies the dimensions of its letters:
+        # sum_k N d_k only where the dimensions are a character of the ring
+        objs += [word(last, last), word(first, last, first),
+                 ObjectExpr.direct_sum([word(last),
+                                        ObjectExpr.word((first, last), 2)])]
+    for X in objs:
+        assert _close(quantum_dim(cat, X),
+                      E.quantum_trace(cat, E.identity(cat, X)))
 
 
 def test_trace_of_unit_and_zero(cats):
