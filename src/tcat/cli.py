@@ -69,7 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              "below tolerance")
     p_fact.add_argument("--max-word-length", type=_word_length, default=2,
                         metavar="N",
-                        help="longest tensor words sampled as test objects")
+                        help="at least 1; kept for compatibility, it does "
+                             "not change the report: the square-side "
+                             "composites are taken on the simple pairs, of "
+                             "which every pair of words is a direct sum")
     p_list = sub.add_parser("catalog-list", help="list catalog categories")
     add_common(p_list, needs_category=False)
     add_common(sub.add_parser("dump", help="serialize a category document"))

@@ -87,7 +87,7 @@ from .errors import CompositionError, ShapeError
 __all__ = [
     "ObjectExpr", "Morphism", "CasimirPair", "FusionTreeBasis",
     "as_object", "quantum_dim", "fusion_tree_basis", "identity",
-    "zero_morphism", "random_morphism", "random_endomorphism", "compose", "compose_all",
+    "zero_morphism", "compose", "compose_all",
     "tensor", "braiding", "cup_cap", "quantum_trace", "trace_pairing",
     "hom_basis", "identity_resolution", "omega_loop",
     "zigzag_defects",
@@ -553,22 +553,6 @@ def identity(cat: CategoryData, X: ObjectExpr) -> Morphism:
 
 def zero_morphism(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr) -> Morphism:
     return Morphism(cat, as_object(X), as_object(Y), {})
-
-
-def random_morphism(cat: CategoryData, X: ObjectExpr, Y: ObjectExpr,
-                    rng: np.random.Generator) -> Morphism:
-    X, Y = as_object(X), as_object(Y)
-    blocks = {}
-    for k in range(cat.n_labels):
-        dt, ds = Y.dim_sector(cat, k), X.dim_sector(cat, k)
-        if dt and ds:
-            blocks[k] = (rng.standard_normal((dt, ds))
-                         + 1j * rng.standard_normal((dt, ds)))
-    return Morphism(cat, X, Y, blocks)
-
-
-def random_endomorphism(cat, X, rng) -> Morphism:
-    return random_morphism(cat, X, X, rng)
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tcat import catalog
+from tcat import catalog, engine as E
 from tcat.category import category_to_dict
 
 ALL_NAMES = ["trivial", "fibonacci", "ising", "semion", "vec_z2_sym",
@@ -224,3 +224,20 @@ def nonassociative_doc() -> dict:
         "R": [one(a=a, b=b, c=c) for a, b, c in triples],
         "pivotal": [one(i=i) for i in range(3)],
     }
+
+
+def random_morphism(cat, X, Y, rng: np.random.Generator):
+    """A morphism X -> Y with standard complex normal entries in every
+    sector both objects hold."""
+    X, Y = E.as_object(X), E.as_object(Y)
+    blocks = {}
+    for k in range(cat.n_labels):
+        dt, ds = Y.dim_sector(cat, k), X.dim_sector(cat, k)
+        if dt and ds:
+            blocks[k] = (rng.standard_normal((dt, ds))
+                         + 1j * rng.standard_normal((dt, ds)))
+    return E.Morphism(cat, X, Y, blocks)
+
+
+def random_endomorphism(cat, X, rng: np.random.Generator):
+    return random_morphism(cat, X, X, rng)

@@ -28,7 +28,8 @@ from tcat.deligne import (deligne_compose, deligne_defect, deligne_distance,
                           pair_object)
 from tcat.modularity import is_modular, muger_center, s_matrix
 
-from conftest import ALL_NAMES, DEGENERATE_NAME, MODULAR_NAMES
+from conftest import (ALL_NAMES, DEGENERATE_NAME, MODULAR_NAMES,
+                      random_endomorphism)
 from tube_reference import reference_d, reference_q
 
 EPS_STRUCT = 1e-10
@@ -157,7 +158,7 @@ def test_criterion_6_loop_lemma_suite(cats):
         loop = E.omega_loop(cat, W)
         worst_slide = max(worst_slide,
                           E.distance(loop, E.omega_loop(cat, W, mirror=True)))
-        f = E.random_endomorphism(cat, W, rng)
+        f = random_endomorphism(cat, W, rng)
         worst_slide = max(worst_slide,
                           E.distance(E.compose(loop, f), E.compose(f, loop)))
     ok_slide = worst_slide < EPS_ID

@@ -13,7 +13,7 @@ from tcat.category import category_from_dict, category_to_dict
 from tcat.engine import ObjectExpr
 from tcat.center import (CenterObject, HalfBraiding, _center_sort_key,
                          _legs, _loop_table,
-                         _slot_couplings, _object_from_module, _test_objects,
+                         _slot_couplings, _object_from_module,
                          center_hom_dim, center_simples, coupling_gamma,
                          functor_F, functor_F_on_morphism, functor_G,
                          functor_G_on_morphism, invertibility_report,
@@ -25,12 +25,13 @@ from tcat.deligne import (DeligneMorphism, DelignePair, deligne_compose,
                           pair_morphism, pair_object)
 from tcat.modularity import is_modular, muger_center, s_matrix
 
-from conftest import (ALL_NAMES, input_doc, phase_gauge, product_doc, su2_doc,
-                      vec_zn_doc)
+from conftest import (ALL_NAMES, input_doc, phase_gauge, product_doc,
+                      random_endomorphism, random_morphism, su2_doc, vec_zn_doc)
 from tube_reference import (associativity_residual, functor_f_half_braiding,
                             loop_table, reference_b, reference_d, reference_p,
                             reference_q, reference_sort_key,
                             reference_tensoriality, tube_module, tube_structure)
+from word_reference import word_objects, word_report
 
 PHI = (1 + math.sqrt(5)) / 2
 RNG = np.random.default_rng(20240812)
@@ -53,8 +54,8 @@ def test_deligne_identity_and_compose(cats):
     D = pair_object(word(1, 1), word(2))
     ident = deligne_identity(cat, D)
     assert deligne_defect(ident) == 0.0
-    f = pair_morphism(cat, E.random_morphism(cat, word(1, 1), word(1, 1), RNG),
-                      E.random_morphism(cat, word(2), word(2), RNG))
+    f = pair_morphism(cat, random_morphism(cat, word(1, 1), word(1, 1), RNG),
+                      random_morphism(cat, word(2), word(2), RNG))
     assert deligne_distance(deligne_compose(ident, f), f) < 1e-12
     assert deligne_distance(deligne_compose(f, ident), f) < 1e-12
 
@@ -112,8 +113,9 @@ def test_pair_layout_is_a_running_sum_over_slots(layout_cats, name, data):
 
 def test_report_keeps_each_pair_layout_on_its_pair(cats, monkeypatch):
     # no layout of an exterior-square object enters the category cache: a
-    # pair builds its layout once per category and keeps it (a fresh
-    # instance, so no other test's cache entries are seen)
+    # pair builds its layout once per category and keeps it, on the report's
+    # simple pairs and on the word pairs of its reference (a fresh instance,
+    # so no other test's cache entries are seen)
     cat = category_from_dict(category_to_dict(cats["ising"]))
     layout, reads = DelignePair._layout, []
 
@@ -122,7 +124,7 @@ def test_report_keeps_each_pair_layout_on_its_pair(cats, monkeypatch):
         return reads[-1][-1]
 
     monkeypatch.setattr(DelignePair, "_layout", read)
-    invertibility_report(cat, max_word_length=2)
+    word_report(cat, 2)  # the report, then the word pairs
     assert not [key for key in cat._cache
                 if isinstance(key, tuple) and key[0] == "pair_layout"]
     for D, c, _starts in list(reads):  # a second read of every pair
@@ -146,8 +148,8 @@ def _two_slot_morphism(cat, source, target):
     for t, (Xt, Yt) in enumerate(target.slots):
         for s, (Xs, Ys) in enumerate(source.slots):
             out = out + pair_morphism(
-                cat, E.random_morphism(cat, Xs, Xt, RNG),
-                E.random_morphism(cat, Ys, Yt, RNG),
+                cat, random_morphism(cat, Xs, Xt, RNG),
+                random_morphism(cat, Ys, Yt, RNG),
                 source=source, target=target, t_slot=t, s_slot=s)
     return out
 
@@ -161,8 +163,8 @@ def test_pair_morphism_fills_one_slot_pair(cats):
     assert src.dim_sector(cat, (1, 1)) == 2 == tgt.dim_sector(cat, (1, 1))
     for t, (Xt, Yt) in enumerate(tgt.slots):
         for s, (Xs, Ys) in enumerate(src.slots):
-            f = E.random_morphism(cat, Xs, Xt, RNG)
-            g = E.random_morphism(cat, Ys, Yt, RNG)
+            f = random_morphism(cat, Xs, Xt, RNG)
+            g = random_morphism(cat, Ys, Yt, RNG)
             m = pair_morphism(cat, f, g, source=src, target=tgt,
                               t_slot=t, s_slot=s)
             for a in range(n):
@@ -185,8 +187,8 @@ def test_assemble_keeps_the_deligne_morphism(cats):
     # part (t, s) of the grid is the block at slot pair (t, s)
     cat = cats["ising"]
     src, tgt = TWO_SLOT_SRC, TWO_SLOT_TGT
-    grid = [[pair_morphism(cat, E.random_morphism(cat, Xs, Xt, RNG),
-                           E.random_morphism(cat, Ys, Yt, RNG))
+    grid = [[pair_morphism(cat, random_morphism(cat, Xs, Xt, RNG),
+                           random_morphism(cat, Ys, Yt, RNG))
              for Xs, Ys in src.slots] for Xt, Yt in tgt.slots]
     m = DeligneMorphism.assemble(cat, src, tgt, grid)
     assert type(m) is DeligneMorphism
@@ -232,8 +234,8 @@ def test_functor_f_of_an_exterior_product_is_the_tensor_product(cats, name):
     n = cat.n_labels
     X = ObjectExpr.direct_sum([word(1), word(1, n - 1), ObjectExpr.unit()])
     Y = ObjectExpr.direct_sum([word(n - 1, 1), word(1)])
-    f = E.random_morphism(cat, X, Y, RNG)
-    g = E.random_morphism(cat, Y, X, RNG)
+    f = random_morphism(cat, X, Y, RNG)
+    g = random_morphism(cat, Y, X, RNG)
     image = functor_F_on_morphism(cat, pair_morphism(cat, f, g))
     assert image.norm() > 1.0
     assert E.distance(image, E.tensor(f, g)) == 0.0
@@ -245,7 +247,7 @@ def test_g_of_f_slots_meet_distinct_simple_pairs(cats, name):
     # so each simple pair meets at most one slot, and the norm of a block of
     # d, q or their composites is the norm of its one slot-pair part
     cat = cats[name]
-    objs = _test_objects(cat, 2)
+    objs = word_objects(cat, 2)
     for X in objs:
         for Y in objs:
             GF = functor_G(cat, functor_F(cat, pair_object(X, Y)))
@@ -353,10 +355,10 @@ def test_negated_transparent_crossing_is_another_valid_object(cats):
 def test_functor_f_functorial_on_morphisms(cats):
     cat = cats["ising"]
     X, X2 = word(1), word(1, 1)
-    u1 = E.random_morphism(cat, X, X2, RNG)
-    u2 = E.random_morphism(cat, X2, X, RNG)
-    v1 = E.random_morphism(cat, X, X, RNG)
-    v2 = E.random_morphism(cat, X, X, RNG)
+    u1 = random_morphism(cat, X, X2, RNG)
+    u2 = random_morphism(cat, X2, X, RNG)
+    v1 = random_morphism(cat, X, X, RNG)
+    v2 = random_morphism(cat, X, X, RNG)
     m1 = pair_morphism(cat, u1, v1)
     m2 = pair_morphism(cat, u2, v2)
     lhs = functor_F_on_morphism(cat, deligne_compose(m1, m2))
@@ -368,7 +370,7 @@ def test_functor_f_functorial_on_morphisms(cats):
 def test_zc_morphism_defect_detects_non_morphism(cats):
     cat = cats["fibonacci"]
     obj = functor_F(cat, pair_object(word(1), ObjectExpr.unit()))
-    f = E.random_morphism(cat, obj.X, obj.X, RNG)
+    f = random_morphism(cat, obj.X, obj.X, RNG)
     # a random endomorphism of tau is a scalar, hence central: defect 0;
     # a map between distinct half-braidings on tau is generically not
     other = CenterObject(X=obj.X, gamma=HalfBraiding(
@@ -739,7 +741,7 @@ def test_tables_evaluate_no_diagram(cats, monkeypatch):
 def _f_inputs(cat):
     """Every exterior product of two test objects (words up to length 2),
     one two-slot pair, and G of every center simple (multi-summand slots)."""
-    objs = _test_objects(cat, 2)
+    objs = word_objects(cat, 2)
     n = cat.n_labels
     a, z = 1 % n, n - 1
     return ([pair_object(X, Y) for X in objs for Y in objs]
@@ -773,7 +775,7 @@ def test_factorize_draws_no_f_half_braiding(cats, monkeypatch):
     # combed gamma is drawn only when read (a fresh instance, so nothing is
     # served from another test's cache)
     cat = category_from_dict(category_to_dict(cats["ising"]))
-    objs = _test_objects(cat, 2)
+    objs = word_objects(cat, 2)
     pairs = [pair_object(X, Y) for X in objs for Y in objs]
 
     def refuse(*args, **kwargs):
@@ -825,6 +827,7 @@ def test_invertibility_report_builds_no_f_channels(cats, monkeypatch):
     monkeypatch.setattr(HalfBraiding, "_stack_crossings", refuse)
     rep = invertibility_report(cat, max_word_length=2)
     assert rep.factorizable
+    assert word_report(cat, 2).factorizable  # and on the word pairs
 
 
 def test_half_braiding_builds_blocks_only_when_read(cats):
@@ -1123,8 +1126,8 @@ def test_d_naturality_square(cats):
     for name in ("fibonacci", "vec_z2_sym"):
         cat = cats[name]
         X, Y = word(cat.n_labels - 1), word(1)
-        u = E.random_morphism(cat, X, X, RNG)
-        v = E.random_morphism(cat, Y, Y, RNG)
+        u = random_morphism(cat, X, X, RNG)
+        v = random_morphism(cat, Y, Y, RNG)
         uv = pair_morphism(cat, u, v)
         d = transform_d(cat, X, Y)
         fobj = functor_F(cat, pair_object(X, Y))
@@ -1137,8 +1140,8 @@ def test_d_naturality_square(cats):
 def test_q_naturality_square(cats):
     cat = cats["fibonacci"]
     X, Y = word(1), word(1)
-    u = E.random_morphism(cat, X, X, RNG)
-    v = E.random_morphism(cat, Y, Y, RNG)
+    u = random_morphism(cat, X, X, RNG)
+    v = random_morphism(cat, Y, Y, RNG)
     uv = pair_morphism(cat, u, v)
     q = transform_q(cat, X, Y)
     fobj = functor_F(cat, pair_object(X, Y))
@@ -1175,7 +1178,7 @@ def test_nat_transforms_match_reference(cats, name):
     # each pair built in one pass against the four formulas built one at a
     # time, each with its own F object and hom basis
     cat = _table_input(cats, name)
-    objs = _test_objects(cat, 2 if name in ALL_NAMES else 1)
+    objs = word_objects(cat, 2 if name in ALL_NAMES else 1)
     for X in objs:
         for Y in objs:
             d, q = nat_transforms(cat, (X, Y))
@@ -1218,15 +1221,18 @@ def test_invertibility_report_fibonacci(cats):
 
 def test_test_objects_are_every_word_up_to_the_length(cats):
     cat = cats["ising"]
-    words = [X.summands[0][0] for X in _test_objects(cat, 3)]
+    words = [X.summands[0][0] for X in word_objects(cat, 3)]
     assert words == [(), (1,), (2,)] + [(a, b) for a in (1, 2) for b in (1, 2)] + [
         (a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)]
-    assert _test_objects(cat, 2) == _test_objects(cat, 3)[:7]
+    assert word_objects(cat, 2) == word_objects(cat, 3)[:7]
     with pytest.raises(ValueError):
-        _test_objects(cat, 0)
-    rep = invertibility_report(cat, max_word_length=3)
-    assert rep.factorizable and rep.agrees_with_modularity
-    assert max(rep.defect_qd, rep.defect_dq) < 1e-12
+        word_objects(cat, 0)
+    with pytest.raises(ValueError):
+        invertibility_report(cat, max_word_length=0)
+    for rep in (invertibility_report(cat, max_word_length=3),
+                word_report(cat, 3)):
+        assert rep.factorizable and rep.agrees_with_modularity
+        assert max(rep.defect_qd, rep.defect_dq) < 1e-12
 
 
 def test_invertibility_report_degenerate(cats):
@@ -1240,6 +1246,69 @@ def test_invertibility_report_degenerate(cats):
     assert muger_center(cats["vec_z2_sym"]).transparent == [0, 1]
 
 
+#: inputs on which the report's simple pairs are checked against the word
+#: pairs of ``word_reference.word_report``
+NATURALITY_INPUTS = TABLE_INPUTS + ["su2_2", "su2_3_signed", "so3_4", "so3_6",
+                                    PRODUCT_INPUT, "vec_z2_sym*fibonacci"]
+
+
+@pytest.mark.parametrize("name", NATURALITY_INPUTS)
+def test_report_on_simple_pairs_matches_word_pairs(cats, name):
+    # every exterior product of words is a direct sum of simple pairs, so
+    # the word pairs up to length 2 add nothing to the report: the same
+    # verdict and counts, and the same defects up to roundoff
+    cat = _table_input(cats, name)
+    ref, rep = word_report(cat, 2), invertibility_report(cat, max_word_length=2)
+    for field in ("category", "modular", "rank_s", "center_count",
+                  "square_count", "factorizable", "agrees_with_modularity"):
+        assert getattr(rep, field) == getattr(ref, field), field
+    for field in ("defect_qd", "defect_dq", "defect_pb", "defect_bp"):
+        assert abs(getattr(rep, field) - getattr(ref, field)) < 1e-12, field
+
+
+def _rank_from_identity(f):
+    """The rank of f - 1 for an idempotent endomorphism f: its singular
+    values are near 0 or at least 1."""
+    return sum(int(np.sum(np.linalg.svd(f.block(k) - np.eye(n),
+                                        compute_uv=False) > 0.5))
+               for k, n in f.source.grading(f.cat).items())
+
+
+@pytest.mark.parametrize("name", ["ising", "so3_4", "vec_z2_sym*fibonacci"])
+def test_square_composites_on_a_word_pair_follow_the_simple_pairs(cats, name):
+    # at X [x] Y, q o d is lambda_{u,s} 1 on each block Hom(u, X) x Hom(s, Y),
+    # lambda_{u,s} its value at the simple pair u [x] s; d o q - 1 has the
+    # rank of the simple pairs' d o q - 1 times their multiplicities (d o q
+    # is idempotent, so its singular values are near 0 or at least 1)
+    cat = _table_input(cats, name)
+    X, Y = word(1, 1), word(1)
+    d, q = nat_transforms(cat, (X, Y))
+    qd, want = E.compose(q, d), 0
+    for (u, s), n in pair_object(X, Y).grading(cat).items():
+        d1, q1 = nat_transforms(cat, (word(u), word(s)))
+        lam = E.compose(q1, d1).block((u, s))
+        assert lam.shape == (1, 1)
+        assert np.abs(qd.block((u, s)) - lam[0, 0] * np.eye(n)).max() < 1e-12
+        want += n * _rank_from_identity(E.compose(d1, q1))
+    rank = _rank_from_identity(E.compose(d, q))
+    assert rank == want
+    if name != "ising":
+        assert rank  # a premodular input: d o q is not the identity
+
+
+@pytest.mark.parametrize("name", ["ising", "vec_z4_k1"])
+def test_report_caches_the_same_at_every_word_length(cats, name):
+    # the report builds nothing per word: at word length 2 it leaves the
+    # category cache that word length 1 leaves (fresh instances, so no other
+    # test's cache entries are seen)
+    keys = []
+    for length in (1, 2):
+        cat = category_from_dict(input_doc(cats, name))
+        invertibility_report(cat, max_word_length=length)
+        keys.append(set(cat._cache))
+    assert keys[0] == keys[1]
+
+
 def test_invertibility_report_trivial(cats):
     rep = invertibility_report(cats["trivial"])
     assert rep.factorizable
@@ -1248,10 +1317,11 @@ def test_invertibility_report_trivial(cats):
 
 
 def test_invertibility_report_keeps_no_f_objects(cats):
-    # each test pair's F object is dropped once the pair is scored (a fresh
+    # each test pair's F object is dropped once the pair is scored, on the
+    # report's simple pairs and on the word pairs of its reference (a fresh
     # instance, so no other test's cache entries are seen)
     cat = category_from_dict(category_to_dict(cats["ising"]))
-    invertibility_report(cat, max_word_length=2)
+    word_report(cat, 2)  # the report, then the word pairs
     assert not [key for key in cat._cache
                 if isinstance(key, tuple) and key[0] == "F_obj"]
 
@@ -1297,7 +1367,7 @@ def test_array_holders_compare_by_identity(cats):
     # an == that compared the arrays held would raise ValueError
     cat = cats["ising"]
     X = word(1, 1, 1)
-    f, g = (E.random_endomorphism(cat, X, RNG) for _ in range(2))
+    f, g = (random_endomorphism(cat, X, RNG) for _ in range(2))
     F1, F2 = (functor_F(cat, pair_object(1, 1)) for _ in range(2))
     alg = tube_algebra(cat)
     for x, y in [(f, g), (F1, F2), (F1.gamma, F2.gamma),
@@ -1353,7 +1423,7 @@ def test_d_and_q_match_reference_at_word_length_two(cats, name):
     # d and q built per sector from the leg matrices against the per-leg
     # diagrams of tube_reference, on gauged and product inputs
     cat = _table_input(cats, name)
-    objs = _test_objects(cat, 2)
+    objs = word_objects(cat, 2)
     for X in objs:
         for Y in objs:
             d, q = nat_transforms(cat, (X, Y))
@@ -1367,7 +1437,7 @@ def test_square_transforms_make_no_pair_tensor_or_assembly(cats, monkeypatch):
     # cached arrays and of leg matrices cut from a product transform: no
     # exterior product, tensor, composite, cup or cap, hom basis or join
     cat = category_from_dict(category_to_dict(cats["ising"]))
-    objs = _test_objects(cat, 2)
+    objs = word_objects(cat, 2)
     for X in objs:
         for Y in objs:
             nat_transforms(cat, (X, Y))
@@ -1398,7 +1468,8 @@ def test_square_transforms_make_no_pair_tensor_or_assembly(cats, monkeypatch):
 def test_invertibility_report_builds_no_hom_basis_and_each_leg_once(
         cats, monkeypatch):
     # the legs of d and q are cut from a product transform, each once per
-    # (X, i), with no hom basis drawn
+    # (X, i), with no hom basis drawn, on the report's simple pairs and on
+    # the word pairs of its reference
     cat = category_from_dict(category_to_dict(cats["ising"]))
     hom_bases, legs = [], {}
     hom_basis, cached = E.hom_basis, E._cached
@@ -1416,7 +1487,7 @@ def test_invertibility_report_builds_no_hom_basis_and_each_leg_once(
 
     monkeypatch.setattr(E, "hom_basis", counted_hom_basis)
     monkeypatch.setattr(E, "_cached", counted_cached)
-    invertibility_report(cat, max_word_length=2)
+    word_report(cat, 2)  # the report, then the word pairs
     assert hom_bases == []
     assert legs and max(legs.values()) == 1
 

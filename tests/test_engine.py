@@ -13,7 +13,7 @@ from tcat.category import (_condition, _inverse, _spectral_norm, _svd,
                            category_from_dict, category_to_dict)
 from tcat.engine import ObjectExpr
 
-from conftest import ALL_NAMES, su2_doc
+from conftest import ALL_NAMES, random_endomorphism, random_morphism, su2_doc
 from test_center import (PRODUCT_INPUT, Q_RACAH_INPUTS, TABLE_INPUTS, _close,
                          _table_input)
 
@@ -63,7 +63,7 @@ def test_fusion_tree_basis_enumeration(cats):
 def test_compose_identity_neutral(cats):
     cat = cats["ising"]
     X = word(1, 1)
-    f = E.random_morphism(cat, X, X, RNG)
+    f = random_morphism(cat, X, X, RNG)
     assert E.distance(E.compose(E.identity(cat, X), f), f) == 0.0
     assert E.distance(E.compose(f, E.identity(cat, X)), f) == 0.0
 
@@ -73,8 +73,8 @@ def test_compose_matches_per_sector_matrix_oracle(cats):
     # matrix multiplication, checked with numpy directly
     cat = cats["fibonacci"]
     X = word(1, 1)
-    f = E.random_morphism(cat, X, X, RNG)
-    g = E.random_morphism(cat, X, X, RNG)
+    f = random_morphism(cat, X, X, RNG)
+    g = random_morphism(cat, X, X, RNG)
     h = E.compose(g, f)
     for k in range(cat.n_labels):
         assert np.allclose(h.block(k), g.block(k) @ f.block(k))
@@ -107,7 +107,7 @@ def test_assemble_lays_out_its_parts(cats):
     cat = cats["ising"]
     srcs = [word(1), word(1, 2), ObjectExpr.unit()]
     tgts = [word(2, 1), word(1, 1)]
-    grid = [[E.random_morphism(cat, S, T, RNG) for S in srcs] for T in tgts]
+    grid = [[random_morphism(cat, S, T, RNG) for S in srcs] for T in tgts]
     grid[1][2] = E.zero_morphism(cat, srcs[2], tgts[1])  # the only sector-0 part
     m = E.Morphism.assemble(cat, ObjectExpr.direct_sum(srcs),
                             ObjectExpr.direct_sum(tgts), grid)
@@ -132,7 +132,7 @@ def test_braiding_inverse_pair(cats):
 def test_tensor_unit_strictification(cats):
     cat = cats["ising"]
     X = word(1, 2)
-    f = E.random_morphism(cat, X, X, RNG)
+    f = random_morphism(cat, X, X, RNG)
     assert E.distance(E.tensor(E.identity(cat, ObjectExpr.unit()), f), f) < 1e-13
     assert E.distance(E.tensor(f, E.identity(cat, ObjectExpr.unit())), f) < 1e-13
 
@@ -149,10 +149,10 @@ def test_interchange_law(cats):
     for name in ("ising", "fibonacci", "vec_z3_modular"):
         cat = cats[name]
         X, Y = word(1, 1), word(cat.n_labels - 1)
-        a = E.random_morphism(cat, X, X, RNG)
-        b = E.random_morphism(cat, X, X, RNG)
-        c = E.random_morphism(cat, Y, Y, RNG)
-        d = E.random_morphism(cat, Y, Y, RNG)
+        a = random_morphism(cat, X, X, RNG)
+        b = random_morphism(cat, X, X, RNG)
+        c = random_morphism(cat, Y, Y, RNG)
+        d = random_morphism(cat, Y, Y, RNG)
         lhs = E.tensor(E.compose(a, b), E.compose(c, d))
         rhs = E.compose(E.tensor(a, c), E.tensor(b, d))
         assert E.distance(lhs, rhs) < 1e-9
@@ -161,10 +161,10 @@ def test_interchange_law(cats):
 def test_tensor_associativity(cats):
     for cat in cats.values():
         n = cat.n_labels
-        f = E.random_morphism(cat, word(n - 1), word(n - 1), RNG)
+        f = random_morphism(cat, word(n - 1), word(n - 1), RNG)
         one = min(1, n - 1)  # trivial has label 0 only
-        g = E.random_morphism(cat, word(one), word(one), RNG)
-        h = E.random_morphism(cat, word(n - 1), word(n - 1), RNG)
+        g = random_morphism(cat, word(one), word(one), RNG)
+        h = random_morphism(cat, word(n - 1), word(n - 1), RNG)
         assert E.distance(E.tensor(E.tensor(f, g), h),
                           E.tensor(f, E.tensor(g, h))) < 1e-12
 
@@ -195,8 +195,8 @@ def test_braiding_naturality(cats):
     for name in ("fibonacci", "ising", "semion"):
         cat = cats[name]
         X, Y = word(1, 1), word(cat.n_labels - 1)
-        f = E.random_morphism(cat, X, X, RNG)
-        g = E.random_morphism(cat, Y, Y, RNG)
+        f = random_morphism(cat, X, X, RNG)
+        g = random_morphism(cat, Y, Y, RNG)
         b = E.braiding(cat, X, Y)
         lhs = E.compose(b, E.tensor(f, g))
         rhs = E.compose(E.tensor(g, f), b)
@@ -308,7 +308,7 @@ def test_trace_loop_matches_sector_formula(cats):
     # oracle: Tr f = sum_i dim(i) * tr(block_i), vs the explicit cup/cap loop
     cat = cats["ising"]
     X = word(1, 1, 1)
-    f = E.random_endomorphism(cat, X, RNG)
+    f = random_endomorphism(cat, X, RNG)
     loop = E.quantum_trace(cat, f)
     formula = sum(cat.dim(k) * np.trace(f.block(k))
                   for k in range(cat.n_labels) if X.dim_sector(cat, k))
@@ -318,8 +318,8 @@ def test_trace_loop_matches_sector_formula(cats):
 def test_trace_cyclicity(cats):
     cat = cats["fibonacci"]
     X = word(1, 1)
-    f = E.random_morphism(cat, X, X, RNG)
-    g = E.random_morphism(cat, X, X, RNG)
+    f = random_morphism(cat, X, X, RNG)
+    g = random_morphism(cat, X, X, RNG)
     assert E.quantum_trace(cat, E.compose(f, g)) == pytest.approx(
         E.quantum_trace(cat, E.compose(g, f)), abs=1e-10)
 
@@ -474,7 +474,7 @@ def test_close_right_matches_cup_cap_closure(cats):
         for X in _words_up_to_two(cat):
             for j in range(cat.n_labels):
                 J = word(j)
-                f = E.random_endomorphism(cat, X.tensor(J), rng)
+                f = random_endomorphism(cat, X.tensor(J), rng)
                 assert E.distance(E._close_right(cat, f, X, j),
                                   _close_by_cups(cat, f, X, j, X)) < 1e-12
 
@@ -498,7 +498,7 @@ def test_channel_blocks_invert_recouple(cats, name):
     words = _words_up_to_two(cat)
     for _ in range(12):
         Xs, Ys, Xt, Yt = (words[n] for n in rng.integers(len(words), size=4))
-        f = E.random_morphism(cat, Xs.tensor(Ys), Xt.tensor(Yt), rng)
+        f = random_morphism(cat, Xs.tensor(Ys), Xt.tensor(Yt), rng)
         for k, block in f.blocks.items():
             chans = E._channel_blocks(cat, Xs, Ys, Xt, Yt, k, block)
             assert all(r.size for r in chans.values())
@@ -555,7 +555,7 @@ def test_sliding_across_morphism(cats):
     for name in ("fibonacci", "ising"):
         cat = cats[name]
         X = word(1, 1)
-        f = E.random_endomorphism(cat, X, RNG)
+        f = random_endomorphism(cat, X, RNG)
         loop = E.omega_loop(cat, X)
         assert E.distance(E.compose(loop, f), E.compose(f, loop)) < 1e-9
 
