@@ -14,10 +14,9 @@ from .category import (CategoryData, PivotalCoeffs, Scalar, SimpleLabel,
                        load_category, loads_category, serialize_category,
                        validate)
 from .catalog import catalog, catalog_names
-from .engine import (CasimirPair, FusionTreeBasis, Morphism, ObjectExpr,
-                     braiding, compose, cup_cap, fusion_tree_basis, hom_basis,
-                     identity, identity_resolution, omega_loop, quantum_dim,
-                     quantum_trace, tensor)
+from .engine import (CasimirPair, Morphism, ObjectExpr, braiding, compose,
+                     cup_cap, hom_basis, identity, identity_resolution,
+                     omega_loop, quantum_dim, quantum_trace, tensor)
 from .modularity import (ModularityVerdict, MugerReport, SMatrix, is_modular,
                          muger_center, s_matrix)
 from .deligne import DeligneMorphism, DelignePair, pair_morphism, pair_object
@@ -36,9 +35,9 @@ __all__ = [
     "ValidationReport", "global_dim", "load_category", "loads_category",
     "quantum_dim", "serialize_category", "validate",
     "catalog", "catalog_names",
-    "CasimirPair", "FusionTreeBasis", "Morphism", "ObjectExpr", "braiding",
-    "compose", "cup_cap", "fusion_tree_basis", "hom_basis", "identity",
-    "identity_resolution", "omega_loop", "quantum_trace", "tensor",
+    "CasimirPair", "Morphism", "ObjectExpr", "braiding", "compose",
+    "cup_cap", "hom_basis", "identity", "identity_resolution", "omega_loop",
+    "quantum_trace", "tensor",
     "ModularityVerdict", "MugerReport", "SMatrix", "is_modular",
     "muger_center", "s_matrix",
     "DeligneMorphism", "DelignePair", "pair_morphism", "pair_object",

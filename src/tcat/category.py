@@ -196,10 +196,9 @@ class FusionRing:
     def admissible(self, i: int, j: int, k: int) -> bool:
         return (i, j, k) in self._triples
 
-    def triples(self):
-        n = self.n_labels
-        return [(i, j, k) for i in range(n) for j in range(n)
-                for k in range(n) if self.N[i, j, k]]
+    def triples(self) -> list:
+        """All (i, j, k) with N(i, j, k) = 1, in label order."""
+        return sorted(self._triples)
 
     def trees(self) -> dict:
         """The F-trees ``{(a, b, c, d): (rows, cols)}``, shared: do not mutate.
@@ -616,11 +615,7 @@ def validate(cat: CategoryData) -> ValidationReport:
 
 def global_dim(cat: CategoryData) -> Scalar:
     """dim(Omega) = sum of squared quantum dimensions of the simples."""
-    total = cat.total_dim
-    if abs(total) < cat.tol.eps_identity:
-        raise InvalidCategoryError(
-            f"global dimension of '{cat.name}' vanishes within tolerance")
-    return total
+    return cat.total_dim
 
 
 # ----------------------------------------------------------------------

@@ -276,9 +276,6 @@ class CenterObject:
     gamma: HalfBraiding
     _couplings: dict = field(default_factory=dict, repr=False)
 
-    def describe(self, cat: CategoryData) -> str:
-        return self.X.describe(cat)
-
 
 @dataclass
 class CenterReport:
@@ -665,7 +662,8 @@ def coupling_gamma(cat: CategoryData, i: int, obj: CenterObject) -> CouplingIdem
     if resid > eps:
         raise IdempotencyError(
             f"coupling morphism at i={cat.label_name(i)} on "
-            f"{obj.describe(cat)} has squared-vs-itself residual {resid:.3e}; "
+            f"{obj.X.describe(cat)} has squared-vs-itself residual "
+            f"{resid:.3e}; "
             "the half-braiding is invalid or tolerances are breached")
     ranks = {}
     incl_blocks = {}

@@ -70,17 +70,6 @@ class DelignePair:
                  for y, n in enumerate(E._sector_dims(cat, Y)) if n]
                 for X, Y in self.slots]
 
-    def hom_dim(self, cat: CategoryData, other: "DelignePair") -> int:
-        g1 = self.grading(cat)
-        g2 = other.grading(cat)
-        return sum(m * g2.get(p, 0) for p, m in g1.items())
-
-    def describe(self, cat: CategoryData) -> str:
-        if not self.slots:
-            return "0"
-        return " + ".join(f"{X.describe(cat)} [x] {Y.describe(cat)}"
-                          for (X, Y) in self.slots)
-
 
 def pair_object(X, Y) -> DelignePair:
     return DelignePair(((E.as_object(X), E.as_object(Y)),))

@@ -85,14 +85,11 @@ from .category import (CategoryData, Scalar, _condition, _fold, _inverse,
 from .errors import CompositionError, ShapeError
 
 __all__ = [
-    "ObjectExpr", "Morphism", "CasimirPair", "FusionTreeBasis",
-    "as_object", "quantum_dim", "fusion_tree_basis", "identity",
-    "zero_morphism", "compose", "compose_all",
-    "tensor", "braiding", "cup_cap", "quantum_trace", "trace_pairing",
-    "hom_basis", "identity_resolution", "omega_loop",
-    "zigzag_defects",
-    "inclusion", "projection", "direct_sum", "distance", "defect_from_identity",
-    "morphism_dump", "word_trees",
+    "ObjectExpr", "Morphism", "CasimirPair", "as_object", "quantum_dim",
+    "identity", "zero_morphism", "compose", "compose_all",
+    "tensor", "braiding", "cup_cap", "quantum_trace",
+    "hom_basis", "identity_resolution", "omega_loop", "zigzag_defects",
+    "direct_sum", "distance", "defect_from_identity", "word_trees",
 ]
 
 Word = tuple
@@ -155,12 +152,9 @@ class ObjectExpr:
     def dim_sector(self, cat: CategoryData, k: int) -> int:
         return _sector_dims(cat, self)[k]
 
-    def sector_dims(self, cat: CategoryData) -> dict:
-        return dict(enumerate(_sector_dims(cat, self)))
-
     def grading(self, cat: CategoryData) -> dict:
         """Multiplicity of each simple label, keyed by label id."""
-        return {k: d for k, d in self.sector_dims(cat).items() if d}
+        return {k: d for k, d in enumerate(_sector_dims(cat, self)) if d}
 
     def describe(self, cat: CategoryData) -> str:
         if not self.summands:
@@ -211,27 +205,6 @@ def _read_only(x) -> None:
     elif isinstance(x, tuple):
         for a in x:
             _read_only(a)
-
-
-@dataclass(frozen=True)
-class FusionTreeBasis:
-    """The canonical left-combed tree basis of Hom(root, leaves).
-
-    ``trees`` lists the internal-edge label chains in lexicographic order;
-    this fixed choice is what makes morphism block matrices unambiguous.
-    """
-
-    root: int
-    leaves: tuple
-    trees: tuple
-
-    def __len__(self):
-        return len(self.trees)
-
-
-def fusion_tree_basis(cat: CategoryData, leaves, root: int) -> FusionTreeBasis:
-    w = tuple(int(l) for l in leaves if int(l) != 0)
-    return FusionTreeBasis(root=root, leaves=w, trees=word_trees(cat, w, root))
 
 
 def word_trees(cat: CategoryData, w: Word, k: int) -> tuple:
@@ -523,26 +496,6 @@ class Morphism:
     def is_endomorphism(self) -> bool:
         return self.source == self.target
 
-    def dump(self) -> str:
-        return morphism_dump(self)
-
-
-def morphism_dump(f: Morphism) -> str:
-    """Structured-text debug dump (sector -> matrix), for golden tests.
-    A sector is a label, or a label pair for ``deligne.DeligneMorphism``."""
-    cat = f.cat
-    lines = [f"source: {f.source.describe(cat)}",
-             f"target: {f.target.describe(cat)}"]
-    shared = f.source.grading(cat).keys() & f.target.grading(cat).keys()
-    for k in sorted(shared):
-        labels = k if isinstance(k, tuple) else (k,)
-        name = " [x] ".join(map(cat.label_name, labels))
-        lines.append(f"sector {name}:")
-        for row in f.block(k):
-            lines.append("  [" + ", ".join(
-                f"{v.real:+.12e}{v.imag:+.12e}j" for v in row) + "]")
-    return "\n".join(lines)
-
 
 def identity(cat: CategoryData, X: ObjectExpr) -> Morphism:
     X = as_object(X)
@@ -672,31 +625,6 @@ def braiding(cat: CategoryData, X, Y, inverse: bool = False) -> Morphism:
 # duality: cups, caps, traces
 # ----------------------------------------------------------------------
 
-def inclusion(cat, X: ObjectExpr, si: int, copy: int) -> Morphism:
-    """Canonical inclusion of the (si, copy) word summand into X (the
-    package places summands without it; tests assemble references from
-    it)."""
-    w, _m = X.summands[si]
-    src = ObjectExpr.word(w)
-    blocks = {}
-    for k in range(cat.n_labels):
-        rows = sector_basis(cat, X, k)
-        cols = sector_basis(cat, src, k)
-        if not rows or not cols:
-            continue
-        mat = np.zeros((len(rows), len(cols)), dtype=complex)
-        for cn, (_s0, _c0, tree) in enumerate(cols):
-            mat[rows.index((si, copy, tree)), cn] = 1.0
-        blocks[k] = mat
-    return Morphism(cat, src, X, blocks)
-
-
-def projection(cat, X: ObjectExpr, si: int, copy: int) -> Morphism:
-    inc = inclusion(cat, X, si, copy)
-    return Morphism(cat, X, inc.source,
-                    {k: b.T.copy() for k, b in inc.blocks.items()})
-
-
 #: Each duality kind: whether its pair object puts the dual first (X* X
 #: rather than X X*), and its scalar on a simple.
 _KINDS = {"coev": (False, CategoryData.coev_scalar),
@@ -804,21 +732,17 @@ def zigzag_defects(cat: CategoryData, X) -> list:
 
 @dataclass(eq=False)
 class CasimirPair:
-    """Dual bases of Hom(X, i*) and Hom(i*, X) under the trace pairing.
+    """Dual bases of Hom(X, i*) and Hom(i*, X) under the trace pairing
+    ``quantum_trace(cat, compose(psi, phi))``.
 
-    ``trace_pairing(dual_basis[a], basis[b]) = delta_ab`` within tolerance;
-    the Gram matrix that was inverted during construction is reported
-    through its condition number.
+    The pairing of ``dual_basis[a]`` with ``basis[b]`` is delta_ab within
+    tolerance; the Gram matrix that was inverted during construction is
+    reported through its condition number.
     """
 
     basis: list
     dual_basis: list
     gram_condition: float
-
-
-def trace_pairing(cat, psi: Morphism, phi: Morphism) -> Scalar:
-    """Tr(psi o phi) for phi : X -> Y, psi : Y -> X."""
-    return quantum_trace(cat, compose(psi, phi))
 
 
 def hom_basis(cat: CategoryData, X, i: int, rotation=None) -> CasimirPair:

@@ -241,3 +241,28 @@ def random_morphism(cat, X, Y, rng: np.random.Generator):
 
 def random_endomorphism(cat, X, rng: np.random.Generator):
     return random_morphism(cat, X, X, rng)
+
+
+def inclusion(cat, X, si: int, copy: int):
+    """Canonical inclusion of the (si, copy) word summand into X (the
+    package places summands without it; tests assemble references from
+    it)."""
+    w, _m = X.summands[si]
+    src = E.ObjectExpr.word(w)
+    blocks = {}
+    for k in range(cat.n_labels):
+        rows = E.sector_basis(cat, X, k)
+        cols = E.sector_basis(cat, src, k)
+        if not rows or not cols:
+            continue
+        mat = np.zeros((len(rows), len(cols)), dtype=complex)
+        for cn, (_s0, _c0, tree) in enumerate(cols):
+            mat[rows.index((si, copy, tree)), cn] = 1.0
+        blocks[k] = mat
+    return E.Morphism(cat, src, X, blocks)
+
+
+def projection(cat, X, si: int, copy: int):
+    inc = inclusion(cat, X, si, copy)
+    return E.Morphism(cat, X, inc.source,
+                      {k: b.T.copy() for k, b in inc.blocks.items()})

@@ -130,6 +130,51 @@ def test_loader_rejects_zero_r_symbol(cats):
         category_from_dict(doc)
 
 
+def _drop(key, keep):
+    def edit(doc):
+        doc[key] = [rec for rec in doc[key] if keep(rec)]
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+# edits of vec_z3_modular (duals 1 <-> 2), one per refusal of the loader
+LOADER_REFUSALS = {
+    "not_a_mapping": (None, "must be a mapping"),
+    "no_labels": (_set("labels", []), "at least the tensor unit"),
+    "dual_length": (_set("dual", [0, 2]), "'dual' must have length 3, got 2"),
+    "dual_out_of_range": (_set("dual", [0, 2, 3]), "out-of-range label id"),
+    "dual_not_involution": (_set("dual", [0, 2, 2]),
+                            "not an involution at label 1"),
+    "fusion_out_of_range": (lambda doc: doc["fusion"].append([1, 1, 3]),
+                            r"out-of-range ids in \[1, 1, 3\]"),
+    "fusion_unit_axiom": (_drop("fusion", lambda t: t != [0, 1, 1]),
+                          r"violates the unit axiom at labels \(1,1\)"),
+    "fusion_against_dual": (_set("dual", [0, 1, 2]),
+                            r"inconsistent with key 'dual' at labels \(1,1\)"),
+    "r_right_unit": (_drop("R", lambda r: (r["a"], r["b"]) != (1, 0)),
+                     r"identity-forced entry \{a:1,b:0,c:1\}"),
+    "pivotal_labels": (_drop("pivotal", lambda r: r["i"] != 2),
+                       r"'pivotal' is missing labels \[2\]"),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_REFUSALS)
+def test_loader_refuses_malformed_structure(cats, case):
+    edit, message = LOADER_REFUSALS[case]
+    doc = category_to_dict(cats["vec_z3_modular"])
+    if edit is None:
+        doc = [doc]
+    else:
+        edit(doc)
+    with pytest.raises(SchemaError, match=message):
+        category_from_dict(doc)
+
+
 def test_loader_rejects_zero_pivotal_coefficient(cats):
     doc = category_to_dict(cats["semion"])
     doc["pivotal"][1]["re"] = 0.0

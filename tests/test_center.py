@@ -25,8 +25,9 @@ from tcat.deligne import (DeligneMorphism, DelignePair, deligne_compose,
                           pair_morphism, pair_object)
 from tcat.modularity import is_modular, muger_center, s_matrix
 
-from conftest import (ALL_NAMES, input_doc, phase_gauge, product_doc,
-                      random_endomorphism, random_morphism, su2_doc, vec_zn_doc)
+from conftest import (ALL_NAMES, inclusion, input_doc, phase_gauge,
+                      product_doc, projection, random_endomorphism,
+                      random_morphism, su2_doc, vec_zn_doc)
 from tube_reference import (associativity_residual, functor_f_half_braiding,
                             loop_table, reference_b, reference_d, reference_p,
                             reference_q, reference_sort_key,
@@ -58,17 +59,6 @@ def test_deligne_identity_and_compose(cats):
                       random_morphism(cat, word(2), word(2), RNG))
     assert deligne_distance(deligne_compose(ident, f), f) < 1e-12
     assert deligne_distance(deligne_compose(f, ident), f) < 1e-12
-
-
-def test_deligne_hom_spaces_factor(cats):
-    cat = cats["fibonacci"]
-    D1 = pair_object(word(1, 1), word(1))
-    D2 = pair_object(word(1), word(1, 1))
-    # Hom(X,X') (x) Hom(Y,Y') dimension = product of graded overlaps
-    dim = D1.hom_dim(cat, D2)
-    g1, g2 = D1.grading(cat), D2.grading(cat)
-    assert dim == sum(m * g2.get(p, 0) for p, m in g1.items())
-    assert dim > 0
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +169,6 @@ def test_pair_morphism_fills_one_slot_pair(cats):
                                     if (t2, s2) == (t, s)
                                     else np.zeros(blk.shape))
                             assert np.array_equal(blk, want)
-    # the debug dump names the sectors by label pair
-    assert "sector sigma [x] sigma:" in m.dump()
 
 
 def test_assemble_keeps_the_deligne_morphism(cats):
@@ -491,7 +479,7 @@ def test_coupling_rejects_invalid_half_braiding(cats):
     mats = {j: obj.gamma[j] * (1.0 if j == 0 else 0.5)
             for j in range(cat.n_labels)}
     broken = CenterObject(X=obj.X, gamma=HalfBraiding(X=obj.X, mats=mats))
-    with pytest.raises(IdempotencyError):
+    with pytest.raises(IdempotencyError, match="at i=g on g has squared"):
         coupling_gamma(cat, 1, broken)
 
 
@@ -881,9 +869,9 @@ def _twist_and_dim(cat, s):
     for si, (w, m) in enumerate(X.summands):
         for n in range(m):
             c = c + E.compose_all(
-                E.tensor(id_X, E.inclusion(cat, X, si, n)),
+                E.tensor(id_X, inclusion(cat, X, si, n)),
                 s.gamma[w[0] if w else 0],
-                E.tensor(E.projection(cat, X, si, n), id_X))
+                E.tensor(projection(cat, X, si, n), id_X))
     d = E.quantum_trace(cat, id_X)
     return E.quantum_trace(cat, c) / d, d
 

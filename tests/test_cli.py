@@ -9,7 +9,7 @@ import pytest
 from tcat.cli import run
 from tcat import (catalog, catalog_names, center_simples, loads_category,
                   serialize_category, validate, verify_center_object)
-from tcat import engine as E
+from tcat import engine as E, modularity
 
 
 def test_validate_catalog_entry_exits_zero(capsys):
@@ -93,6 +93,35 @@ def test_out_file_written_atomically(tmp_path, capsys):
     assert doc["rank"] == 3
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tcat-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("target", ["existing_directory", "missing_directory"])
+def test_out_failure_exits_two_and_leaves_no_temporary(tmp_path, capsys,
+                                                       target):
+    # a directory in the way fails the final rename, after the temporary
+    # file was written; a missing directory fails before it is made
+    out = tmp_path / "report"
+    if target == "existing_directory":
+        out.mkdir()
+    else:
+        out = out / "x.json"
+    assert run(["smatrix", "ising", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tcat:") and "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob(".tcat-*")] == []
+
+
+def test_loader_refusal_exits_two(tmp_path, capsys):
+    # labels 1 and 2 of vec_z3_modular made self-dual: the fusion rules,
+    # which give 1 x 2 = 0, no longer match the duals
+    doc = json.loads(serialize_category(catalog("vec_z3_modular")))
+    doc["dual"] = [0, 1, 2]
+    path = tmp_path / "z3_wrong_duals.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tcat:") and "Traceback" not in err
+    assert "inconsistent with key 'dual'" in err
 
 
 def test_dump_round_trips_through_load(tmp_path, capsys):
@@ -183,26 +212,47 @@ def test_missing_f_tree_exits_one(tmp_path, capsys, command):
     assert err.startswith("tcat:") and "F-matrix for (1, 1, 2, 2) is singular" in err
 
 
-def test_validate_and_center_draw_no_diagram(tmp_path, capsys, monkeypatch):
-    # validate, the center simples, their verification and `tcat center`
-    # (quantum dimensions included) read the data of a fresh ising: no
-    # trace, braiding, cup, cap or tensor is drawn
-    doc = serialize_category(catalog("ising"))
-    path = tmp_path / "ising.json"
-    path.write_text(doc, encoding="utf-8")
-    cat = loads_category(doc)
+#: The drawn reference layer: no command may call any of these.
+DRAWN = [(E, name) for name in (
+    "tensor", "braiding", "cup_cap", "quantum_trace", "omega_loop",
+    "hom_basis", "identity_resolution", "zigzag_defects")] + [
+    (modularity, "double_braiding")]
 
+
+@pytest.fixture
+def no_diagrams(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a diagram was drawn")
 
-    for name in ("quantum_trace", "braiding", "cup_cap", "tensor"):
-        monkeypatch.setattr(E, name, refused)
+    for module, name in DRAWN:
+        monkeypatch.setattr(module, name, refused)
+
+
+def test_validate_and_center_draw_no_diagram(no_diagrams):
+    # validate, the center simples and their verification read the data
+    # of a fresh ising: no trace, braiding, cup, cap or tensor is drawn
+    cat = loads_category(serialize_category(catalog("ising")))
     assert validate(cat).ok
     simples = center_simples(cat)
     assert all(verify_center_object(cat, s).ok for s in simples)
-    assert run(["center", str(path), "--format", "machine"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["count"] == 9 and all(s["verified"] for s in out["simples"])
+
+
+@pytest.mark.parametrize("name", ["ising", "vec_z2_sym"])
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize("command", ["validate", "smatrix", "muger", "center",
+                                     "factorize"])
+def test_no_command_draws_a_diagram(tmp_path, capsys, no_diagrams, command,
+                                    fmt, name):
+    # every command reads a fresh category's data alone (the quantum
+    # dimensions of `tcat center` included)
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_category(catalog(name)), encoding="utf-8")
+    assert run([command, str(path), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if command == "center" and fmt == "machine":
+        doc = json.loads(out)
+        assert doc["count"] == doc["square_count"]
+        assert all(s["verified"] for s in doc["simples"])
 
 
 @pytest.mark.parametrize("command", ["validate", "smatrix", "factorize", "muger"])
